@@ -52,15 +52,14 @@ from .walk import (
     xi_vector,
 )
 from .estimation import (
-    EstimationConfig,
     GATE_DIM_CAP,
     MAX_ANCILLAS,
     PEOutcome,
     ResourceLimitError,
     ae_outcome_distribution,
     ae_outcome_grid,
-    ae_sample,
     gate_level_pe,
+    pe_ancillas,
     pe_distribution,
     pe_kernel,
     pearson_chi2,

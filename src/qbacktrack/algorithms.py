@@ -35,12 +35,12 @@ vertex measurements (descent moves).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import ae_outcome_distribution, ae_outcome_grid, pe_distribution
-from .trees import MarkedSet, MarkingOracle, Tree, shallowest_marked
+from .estimation import MAX_ANCILLAS, ae_outcome_distribution, ae_outcome_grid, pe_ancillas, pe_distribution
+from .trees import MarkedSet, MarkingOracle, Tree, _tree_from_children, shallowest_marked
 from .walk import SpectralDecomposition, build_walk_operator, spectral_decomposition
 
 __all__ = [
@@ -58,17 +58,27 @@ __all__ = [
 INFINITE = float("inf")
 
 
+# Amplitude-estimation ancillas: 2^s_ae >= AE_TAIL_FACTOR / gamma2.
+AE_TAIL_FACTOR = 16.0
+# Upper end of the descent precision delta.
+DESCENT_DELTA_CAP = 0.5
+# Phase-estimation rounds find_marked may spend before giving up.
+MAX_PE_ROUNDS = 10_000
+# Consecutive empty find_marked runs after which find_all stops.
+FIND_ALL_RETRIES = 4
+
+
 @dataclass(frozen=True)
 class EstimateResConfig:
     """Tunables of the estimation loop and the descent.
 
     Defaults satisfy every constraint of the failure-rate analysis with
-    slack: ``gamma1 > 2``, ``gamma2 <= 1/(8 c sqrt(n))`` (resolved per tree
+    slack: ``gamma1 > 2``, ``gamma2 <= 1/(8 sqrt(n))`` (resolved per tree
     when left as None), step factor in (1, 2], and the amplitude-estimation
-    error ``delta_ae`` in [gamma2, 1/8).  ``repetitions`` uses the natural
-    logarithm.  ``k_guess`` scales the descent precision
-    ``delta = descent_delta_scale / log2(k_guess * (eta + 1))``, capped at
-    ``descent_delta_cap``.
+    error ``delta_ae`` in [gamma2, 1/8).  The constants of the analysis are
+    all 1.  ``repetitions`` uses the natural logarithm.  ``k_guess`` scales
+    the descent precision ``delta = 1 / log2(k_guess * (eta + 1))``, capped
+    at ``DESCENT_DELTA_CAP``.
     """
 
     delta0: float = 0.05
@@ -76,15 +86,7 @@ class EstimateResConfig:
     gamma2: float | None = None
     step: float = 2.0
     delta_ae: float = 0.1
-    ae_constant_c: float = 1.0
-    ae_tail_factor: float = 16.0
-    pe_constant: float = 1.0
     k_guess: int = 1
-    descent_delta_scale: float = 1.0
-    descent_delta_cap: float = 0.5
-    s_cap: int = 24
-    max_pe_rounds: int = 10_000
-    find_all_retries: int = 4
 
     def validate(self, depth_bound: int) -> None:
         if not (0.0 < self.delta0 < 1.0):
@@ -94,37 +96,36 @@ class EstimateResConfig:
         if not (1.0 < self.step <= 2.0):
             raise ValueError("step factor must lie in (1, 2]")
         gamma2 = self.resolve_gamma2(depth_bound)
-        limit = 1.0 / (8.0 * self.ae_constant_c * math.sqrt(max(1, depth_bound)))
+        limit = 1.0 / (8.0 * math.sqrt(max(1, depth_bound)))
         if gamma2 > limit * (1.0 + 1e-12):
-            raise ValueError(f"gamma2 = {gamma2} exceeds 1/(8 c sqrt(n)) = {limit}")
+            raise ValueError(f"gamma2 = {gamma2} exceeds 1/(8 sqrt(n)) = {limit}")
         if not (gamma2 <= self.delta_ae < 0.125):
             raise ValueError("delta_ae must lie in [gamma2, 1/8)")
 
     def resolve_gamma2(self, depth_bound: int) -> float:
         if self.gamma2 is not None:
             return self.gamma2
-        return min(
-            1.0 / 16.0,
-            1.0 / (8.0 * self.ae_constant_c * math.sqrt(max(1, depth_bound))),
-        )
+        return min(1.0 / 16.0, 1.0 / (8.0 * math.sqrt(max(1, depth_bound))))
 
     def repetitions(self) -> int:
         return max(1, math.ceil(self.gamma1 * math.log(1.0 / self.delta0)))
 
     def ae_ancillas(self, gamma2: float) -> int:
-        return min(self.s_cap, max(3, math.ceil(math.log2(self.ae_tail_factor / gamma2))))
+        return min(MAX_ANCILLAS, max(3, math.ceil(math.log2(AE_TAIL_FACTOR / gamma2))))
 
     def pe_ancillas(self, size_bound: int, eta: float) -> int:
-        target = self.pe_constant * math.sqrt(size_bound * eta / self.delta_ae**3)
-        return min(self.s_cap, max(1, math.ceil(math.log2(max(2.0, target)))))
+        """Ancillas of the estimation loop's phase estimation.
+
+        ``2^s >= sqrt(T eta / delta_ae^3)``: the precision enters as
+        ``delta_ae^(3/2)``, not as the ``delta^3`` of
+        :func:`~qbacktrack.estimation.pe_ancillas` that the descent uses.
+        """
+        target = math.sqrt(size_bound * eta / self.delta_ae**3)
+        return min(MAX_ANCILLAS, max(1, math.ceil(math.log2(max(2.0, target)))))
 
     def descent_delta(self, eta: float) -> float:
         load = math.log2(max(self.k_guess, 1) * (eta + 1.0))
-        return min(self.descent_delta_cap, self.descent_delta_scale / max(1.0, load))
-
-    def descent_pe_ancillas(self, size_bound: int, eta: float, delta: float) -> int:
-        target = math.sqrt(size_bound * eta) / delta**3
-        return min(self.s_cap, max(1, math.ceil(math.log2(max(2.0, target)))))
+        return min(DESCENT_DELTA_CAP, 1.0 / max(1.0, load))
 
 
 @dataclass
@@ -199,21 +200,9 @@ class WalkSimulator:
         tree = self.tree
         ids = tree.subtree_vertices(v)
         local = {g: i for i, g in enumerate(ids)}
-        children = tuple(tuple(local[c] for c in tree.children[g]) for g in ids)
-        parent = np.full(len(ids), -1, dtype=np.int64)
-        depth = np.zeros(len(ids), dtype=np.int64)
-        for i, g in enumerate(ids):
-            for c in children[i]:
-                parent[c] = i
-                depth[c] = depth[i] + 1
-        sub_tree = Tree(
-            root=0,
-            parent=parent,
-            children=children,
-            depth=depth,
-            size_bound=tree.size_bound,
-            depth_bound=tree.depth_bound,
-            degree_bound=tree.degree_bound,
+        sub_tree = _tree_from_children(
+            [[local[c] for c in tree.children[g]] for g in ids],
+            bounds=(tree.size_bound, tree.depth_bound, tree.degree_bound),
         )
         marks = np.array([self.oracle.peek(g) for g in ids], dtype=bool)
         sub_oracle = MarkingOracle(marks, root=0)
@@ -352,11 +341,10 @@ def find_marked(
 
     rounds = 0
     while math.isfinite(eta_t):
-        if rounds >= cfg.max_pe_rounds:
+        if rounds >= MAX_PE_ROUNDS:
             break
         rounds += 1
-        delta = cfg.descent_delta(eta_t)
-        s = cfg.descent_pe_ancillas(size_bound, eta_t, delta)
+        s = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta_t, cfg.descent_delta(eta_t)))
         p_zero, cond = sim.pe_stats(v, eta_t, s)
         sub = sim.subtree(v)
         rec.walk_queries += 2**s - 1
@@ -387,7 +375,7 @@ def find_all(
     """Repeat find_marked with an unmark overlay until no marked vertex remains.
 
     A single run can fail statistically, so the loop only concludes "empty"
-    after ``find_all_retries`` consecutive misses; every found vertex is
+    after ``FIND_ALL_RETRIES`` consecutive misses; every found vertex is
     unmarked in a copy of the oracle, which re-exposes deeper marked
     vertices on later rounds.
     """
@@ -396,7 +384,7 @@ def find_all(
     rec = RunRecord()
     found: list[int] = []
     misses = 0
-    while misses < max(1, cfg.find_all_retries):
+    while misses < FIND_ALL_RETRIES:
         v, sub_rec = find_marked(tree, overlay, cfg, rng, sim)
         rec.merge(sub_rec)
         if v is None:

@@ -2,11 +2,13 @@
 
 Subcommands: gen-tree, resistance, spectrum, estimate-res, find-marked,
 find-all, detect, descent-sim, grover-scaling, verify-all, and run (replay a
-saved experiment spec).  Every flag can be overridden by an environment
-variable named ``QBACKTRACK_<FLAG>`` (dashes to underscores, upper case).
-Output is JSON by default; the run-style commands also emit CSV rows via
-``--out csv``.  All numbers are serialized at full precision with sorted
-keys, so identical specs and seeds produce byte-identical files.
+saved experiment spec).  The defaults of ``--seed``, ``--trials``, ``--jobs``,
+``--count``, ``--delta0``, ``--gamma1``, ``--gamma2`` and ``--step`` can be
+overridden by an environment variable named ``QBACKTRACK_<FLAG>`` (upper
+case).  Output is JSON by default; the commands that print results (all but
+gen-tree and run) also emit CSV rows via ``--out csv``.  All numbers are
+serialized at full precision with sorted keys, so identical specs and seeds
+produce byte-identical files.
 
 Randomness: one 64-bit master seed per invocation; trials draw generators
 spawned per trial index, so ``--jobs`` parallelism cannot change results,
@@ -72,7 +74,7 @@ def _json_default(value):
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "out", "json") == "csv":
+    if args.out == "csv":
         rows = payload if isinstance(payload, list) else [payload]
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
@@ -82,9 +84,8 @@ def _emit(payload, args) -> None:
         text = buffer.getvalue()
     else:
         text = json.dumps(payload, sort_keys=True, default=_json_default) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -328,9 +329,6 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma1", type=float, default=_env("gamma1", None))
     p.add_argument("--gamma2", type=float, default=_env("gamma2", None))
     p.add_argument("--step", type=float, default=_env("step", None))
-    p.add_argument("--out", choices=["json", "csv"], default=_env("out", "json"))
-    p.add_argument("--output", default=_env("output", None), help="write to file instead of stdout")
-    p.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,8 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qbacktrack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by every command but run; --out only where _emit writes
+    saved = argparse.ArgumentParser(add_help=False)
+    saved.add_argument("--output", default=None, help="write to file instead of stdout")
+    saved.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
+    emitted = argparse.ArgumentParser(add_help=False, parents=[saved])
+    emitted.add_argument("--out", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("gen-tree", help="generate a tree JSON file")
+    p = sub.add_parser("gen-tree", parents=[saved], help="generate a tree JSON file")
     p.add_argument("--kind", choices=["star", "path", "random", "complete", "dpll"], required=True)
     p.add_argument("--size", type=int, default=8, help="leaves (star), edges (path), vertices (random)")
     p.add_argument("--marked", type=int, default=1)
@@ -351,23 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branching", type=int, default=2)
     p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
     p.add_argument("--cnf", help="JSON file with {'clauses': [...], 'var_order': [...]}")
-    p.add_argument("--output", default=None)
-    p.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
     p.set_defaults(func=cmd_gen_tree)
 
-    p = sub.add_parser("resistance", help="resistance profile and vertex weights")
+    p = sub.add_parser("resistance", parents=[emitted], help="resistance profile and vertex weights")
     p.add_argument("--tree", required=True)
-    p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
     p.set_defaults(func=cmd_resistance)
 
-    p = sub.add_parser("spectrum", help="walk eigenphases and root weights")
+    p = sub.add_parser("spectrum", parents=[emitted], help="walk eigenphases and root weights")
     p.add_argument("--tree", required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
     p.set_defaults(func=cmd_spectrum)
 
     for name, func, blurb in [
@@ -376,38 +372,29 @@ def build_parser() -> argparse.ArgumentParser:
         ("find-all", cmd_find_all, "find every marked vertex via unmark-and-restart"),
         ("detect", cmd_detect, "decide whether any marked vertex exists"),
     ]:
-        p = sub.add_parser(name, help=blurb)
+        p = sub.add_parser(name, parents=[emitted], help=blurb)
         _add_common_run_flags(p)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("descent-sim", help="descent chain: exact vs Monte Carlo")
+    p = sub.add_parser("descent-sim", parents=[emitted], help="descent chain: exact vs Monte Carlo")
     p.add_argument("--tree", required=True)
     p.add_argument("--trials", type=int, default=int(_env("trials", 100_000)))
     p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
     p.set_defaults(func=cmd_descent_sim)
 
-    p = sub.add_parser("grover-scaling", help="query scaling on marked stars")
+    p = sub.add_parser("grover-scaling", parents=[emitted], help="query scaling on marked stars")
     p.add_argument("--sizes", default="64,128,256,512")
     p.add_argument("--marked", default="4", help="marked leaves per star, or 'all'")
     p.add_argument("--trials", type=int, default=int(_env("trials", 5)))
     p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
     p.add_argument("--jobs", type=int, default=int(_env("jobs", 1)))
-    p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
     p.set_defaults(func=cmd_grover_scaling)
 
-    p = sub.add_parser("verify-all", help="run every invariant suite over a corpus")
+    p = sub.add_parser("verify-all", parents=[emitted], help="run every invariant suite over a corpus")
     p.add_argument("--count", type=int, default=int(_env("count", 500)))
     p.add_argument("--seed", type=int, default=int(_env("seed", 20240913)))
     p.add_argument("--full", action="store_true", help="include statistical suites")
     p.add_argument("--fault", default=None, help="inject a named fault (kappa_perturbation)")
-    p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--save-spec", default=None, help="record this invocation as a replayable spec")
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("run", help="replay a saved experiment spec")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import pe_distribution, pearson_chi2, total_variation
-from .resistance import KappaAssignment, kappa_assignment, resistance_profile
+from .estimation import pe_ancillas, pe_distribution, pearson_chi2, total_variation
+from .resistance import KappaAssignment, kappa_assignment, kappa_eta, resistance_profile
 from .trees import MarkingOracle, SolutionTree, Tree, shallowest_marked, solution_tree
 from .walk import build_walk_operator, spectral_decomposition
 
@@ -46,6 +46,9 @@ __all__ = [
     "quantum_vs_chain_check",
 ]
 
+# The corpus bound of quantum_vs_chain_check is this multiple of delta.
+CHAIN_TV_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class DescentChain:
@@ -64,11 +67,6 @@ class DescentChain:
     @property
     def root(self) -> int:
         return self.st.tree.root
-
-    def eta_root(self) -> float:
-        kappa = self.ka.kappa
-        total = sum(kappa[v] ** 2 for v in self.st.vertices)
-        return total / kappa[self.root] ** 2 - 1.0
 
 
 def descent_chain(st: SolutionTree, ka: KappaAssignment) -> DescentChain:
@@ -141,7 +139,8 @@ def absorption_pmf(dc: DescentChain) -> np.ndarray:
 
 def hitting_time_bound(dc: DescentChain) -> float:
     """The absorption-time bound ``log2(|M| * (eta_root + 1))``."""
-    return math.log2(len(dc.st.leaf_set.members) * (dc.eta_root() + 1.0))
+    eta_root = kappa_eta(dc.st, dc.ka)[dc.root]
+    return math.log2(len(dc.st.leaf_set.members) * (eta_root + 1.0))
 
 
 def per_vertex_hitting_bound(dc: DescentChain) -> np.ndarray:
@@ -150,18 +149,13 @@ def per_vertex_hitting_bound(dc: DescentChain) -> np.ndarray:
     ``E_v <= sum_m (kappa_m / kappa_v) log2(kappa_v (eta(v) + 1) / kappa_m)``
     over the marked leaves below ``v``.
     """
-    tree = dc.st.tree
     kappa = dc.ka.kappa
-    order = dc.st.bfs_order()
-    energy = np.zeros(tree.n_vertices)
-    for v in reversed(order):
-        energy[v] = kappa[v] ** 2 + sum(energy[c] for c in dc.st.children_in(v))
-    out = np.full(tree.n_vertices, np.nan)
-    for v in order:
-        eta_v = energy[v] / kappa[v] ** 2 - 1.0
+    eta = kappa_eta(dc.st, dc.ka)
+    out = np.full(dc.st.tree.n_vertices, np.nan)
+    for v in dc.st.bfs_order():
         total = 0.0
         for m in dc.st.leaf_set.below(v):
-            total += (kappa[m] / kappa[v]) * math.log2(kappa[v] * (eta_v + 1.0) / kappa[m])
+            total += (kappa[m] / kappa[v]) * math.log2(kappa[v] * (eta[v] + 1.0) / kappa[m])
         out[v] = total
     return out
 
@@ -265,7 +259,6 @@ def quantum_vs_chain_check(
     oracle: MarkingOracle,
     eta: float,
     delta: float,
-    c_bound: float = 10.0,
 ) -> ChainCheckReport:
     """Compare the PE-conditioned non-root vertex law with the chain's first step.
 
@@ -273,7 +266,7 @@ def quantum_vs_chain_check(
     at weight ``eta``; the conditional vertex distribution given the zero
     ancilla outcome, restricted to non-root vertices and renormalized, is
     compared in total variation to the chain law ``kappa_u^2`` (normalized).
-    The asserted corpus bound is ``c_bound * delta``.
+    The asserted corpus bound is ``CHAIN_TV_FACTOR * delta``.
     """
     marked = shallowest_marked(tree, oracle)
     st = solution_tree(tree, marked)
@@ -285,8 +278,7 @@ def quantum_vs_chain_check(
     sd = spectral_decomposition(op)
     root_state = np.zeros(tree.n_vertices)
     root_state[tree.root] = 1.0
-    s = max(1, math.ceil(math.log2(max(2.0, math.sqrt(tree.size_bound * eta) / delta**3))))
-    out = pe_distribution(sd, root_state, s, with_joint=False)
+    out = pe_distribution(sd, root_state, pe_ancillas(tree.size_bound, eta, delta), with_joint=False)
 
     cond = out.vertex_given_zero.copy()
     cond[tree.root] = 0.0
@@ -297,7 +289,7 @@ def quantum_vs_chain_check(
     keep = lambda arr: {int(v): float(arr[v]) for v in range(tree.n_vertices) if arr[v] > 1e-15}
     return ChainCheckReport(
         tv_distance=tv,
-        bound=c_bound * delta,
+        bound=CHAIN_TV_FACTOR * delta,
         delta=delta,
         quantum_law=keep(cond),
         chain_law=keep(chain),

@@ -33,17 +33,16 @@ from .walk import SpectralDecomposition, StateVector, WalkOperator
 
 __all__ = [
     "ResourceLimitError",
-    "EstimationConfig",
     "PEOutcome",
     "MAX_ANCILLAS",
     "GATE_DIM_CAP",
+    "pe_ancillas",
     "pe_kernel",
     "pe_kernel_amplitude",
     "pe_distribution",
     "gate_level_pe",
     "ae_outcome_grid",
     "ae_outcome_distribution",
-    "ae_sample",
     "total_variation",
     "pearson_chi2",
 ]
@@ -56,43 +55,15 @@ class ResourceLimitError(RuntimeError):
     """Requested distribution or statevector exceeds the configured caps."""
 
 
-@dataclass(frozen=True)
-class EstimationConfig:
-    """Ancilla count and phase threshold for one estimation run.
+def pe_ancillas(size_bound: int, eta: float, delta: float) -> int:
+    """Ancilla count for phase estimation at precision ``delta``.
 
-    ``from_target`` applies the standard scalings ``2^s = c_s sqrt(T eta) /
-    delta^3`` (rounded up to a power of two) and ``eps = c_eps delta /
-    sqrt(T eta)``, with both constants 1 unless overridden.
+    The smallest ``s >= 1`` with ``2^s >= sqrt(T eta) / delta^3``, where
+    ``T`` is the size bound and ``eta`` the walk weight.
     """
-
-    s: int
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("ancilla count s must be >= 1")
-        if self.s > MAX_ANCILLAS:
-            raise ResourceLimitError(f"s = {self.s} exceeds the cap of {MAX_ANCILLAS}")
-
-    @property
-    def two_s(self) -> int:
-        return 1 << self.s
-
-    @classmethod
-    def from_target(
-        cls,
-        size_bound: int,
-        eta: float,
-        delta: float,
-        c_s: float = 1.0,
-        c_eps: float = 1.0,
-    ) -> "EstimationConfig":
-        if not (0 < delta < 1):
-            raise ValueError("delta must lie in (0, 1)")
-        scale = np.sqrt(size_bound * eta)
-        s = max(1, int(np.ceil(np.log2(max(2.0, c_s * scale / delta**3)))))
-        return cls(s=s, epsilon=float(c_eps * delta / scale), delta=delta)
+    if not (0 < delta < 1):
+        raise ValueError("delta must lie in (0, 1)")
+    return max(1, math.ceil(math.log2(max(2.0, math.sqrt(size_bound * eta) / delta**3))))
 
 
 def pe_kernel(theta: np.ndarray | float, s: int) -> np.ndarray:
@@ -119,7 +90,7 @@ def _dirichlet_ratio(half: np.ndarray, m: int) -> np.ndarray:
         )
 
 
-def pe_kernel_amplitude(theta: np.ndarray, s: int, omega: int = 0) -> np.ndarray:
+def pe_kernel_amplitude(theta: np.ndarray, s: int, omega: np.ndarray | int = 0) -> np.ndarray:
     """Complex ancilla amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w/M))``."""
     m = 1 << s
     theta = np.asarray(theta, dtype=float)
@@ -190,8 +161,7 @@ def pe_distribution(
                 f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries"
             )
         omegas = np.arange(m)
-        half = sd.phases[:, None] - np.pi * omegas[None, :] / m
-        kernel = _dirichlet_ratio(half, m) * np.exp(1j * (m - 1) * half)  # eig x omega
+        kernel = pe_kernel_amplitude(sd.phases[:, None], s, omegas[None, :])  # eig x omega
         amps = sd.vectors @ (lam[:, None] * kernel)  # vertex x omega
         joint = (np.abs(amps) ** 2).T.copy()  # omega x vertex
     return PEOutcome(s=s, p_zero=p_zero, vertex_given_zero=cond, joint=joint)
@@ -256,49 +226,6 @@ def ae_outcome_distribution(theta: float, s: int) -> np.ndarray:
     probs[0] = pe_kernel(theta, s)
     probs[-1] = pe_kernel(theta - np.pi / 2, s)
     return probs
-
-
-def _good_weight(state: np.ndarray, good) -> float:
-    """Squared projection of ``state`` onto the good subspace."""
-    if isinstance(good, StateVector):
-        good = good.amplitudes
-    good = np.asarray(good)
-    if good.dtype == bool:
-        return float(np.sum(np.abs(state[good]) ** 2))
-    if good.ndim == 1:
-        g = good / np.linalg.norm(good)
-        return float(np.abs(np.vdot(g, state)) ** 2)
-    if good.ndim == 2:
-        proj = good @ state
-        return float(np.real(np.vdot(proj, proj)))
-    raise ValueError("good subspace must be a vector, boolean mask, or projector")
-
-
-def ae_sample(
-    sd: SpectralDecomposition | None,
-    input_state: StateVector | np.ndarray,
-    good,
-    s: int,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw amplitude-estimation outcomes for the given input and good subspace.
-
-    The exact outcome law depends only on the angle between the input and
-    the good subspace, so the decomposition argument is accepted for
-    interface symmetry and only the input normalization is checked against
-    it.  Returns a float (or an array of ``size`` floats) on the folded grid.
-    """
-    state = input_state.amplitudes if isinstance(input_state, StateVector) else input_state
-    state = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-        raise ValueError("input state must be normalized")
-    weight = np.clip(_good_weight(state, good), 0.0, 1.0)
-    theta = float(np.arcsin(np.sqrt(weight)))
-    probs = ae_outcome_distribution(theta, s)
-    grid = ae_outcome_grid(s)
-    idx = rng.choice(grid.shape[0], size=size, p=probs / probs.sum())
-    return grid[idx]
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -34,11 +34,20 @@ from .descent import (
     hitting_time_bound,
     simulate_descent,  # unused here; perfbench's tracer wraps it under this module
 )
-from .estimation import gate_level_pe, pe_distribution, pe_kernel, pearson_chi2, total_variation
-from .resistance import kappa_assignment, kappa_eta, resistance_bruteforce, resistance_profile, verify_kappa
+from .estimation import gate_level_pe, pe_ancillas, pe_distribution, pe_kernel, pearson_chi2, total_variation
+from .resistance import (
+    KappaAssignment,
+    ResistanceProfile,
+    kappa_assignment,
+    kappa_eta,
+    resistance_bruteforce,
+    resistance_profile,
+    verify_kappa,
+)
 from .trees import (
     MarkedSet,
     MarkingOracle,
+    SolutionTree,
     Tree,
     build_complete_tree,
     build_dpll_tree,
@@ -49,12 +58,15 @@ from .trees import (
     solution_tree,
 )
 from .walk import (
+    SpectralDecomposition,
+    WalkOperator,
     beta_angle,
     build_walk_operator,
     phi_m_state,
     phi_perp_state,
     phi_state,
     spectral_decomposition,
+    spectral_gap_check,
     xi_vector,
 )
 
@@ -70,9 +82,17 @@ __all__ = [
     "grover_scaling",
     "backend_equivalence_instances",
     "suite_backend_equivalence",
+    "suite_estimate_res_statistics",
+    "suite_search_statistics",
+    "suite_descent_monte_carlo",
+    "DESCENT_MC_ALPHA",
 ]
 
 DEFAULT_MASTER_SEED = 20240913
+# Largest tree the estimation precision suite runs on.
+PRECISION_SIZE_CAP = 200
+# Relative slack of the estimate_res accuracy envelope.
+ENVELOPE_MARGIN = 0.5
 # Family-wise false-alarm rate of the descent Monte Carlo gate.
 DESCENT_MC_ALPHA = 1e-3
 
@@ -189,7 +209,23 @@ class VerifyReport:
         }
 
 
-def _solution_bundle(inst: CorpusInstance, inject_fault: str | None):
+@dataclass(frozen=True)
+class _TreeBundle:
+    """What the per-tree suites read for one marked corpus tree.
+
+    ``walks`` pairs each weight ``eta_bar / 4``, ``eta_bar``, ``4 eta_bar``
+    with its walk operator; ``sd`` is the spectrum of the walk at ``eta_bar``.
+    """
+
+    name: str
+    st: SolutionTree
+    rp: ResistanceProfile
+    ka: KappaAssignment
+    walks: tuple[tuple[float, WalkOperator], ...]
+    sd: SpectralDecomposition
+
+
+def _tree_bundle(inst: CorpusInstance, inject_fault: str | None) -> _TreeBundle:
     st = solution_tree(inst.tree, inst.marked)
     rp = resistance_profile(st)
     ka = kappa_assignment(st, rp)
@@ -198,7 +234,148 @@ def _solution_bundle(inst: CorpusInstance, inject_fault: str | None):
         first = next(iter(sorted(st.leaf_set.members)))
         bumped[first] += 1e-3
         ka = type(ka)(kappa=bumped)
-    return st, rp, ka
+    eta_bar = rp.eta_root
+    walks = tuple(
+        (eta, build_walk_operator(inst.tree, st.leaf_set, eta))
+        for eta in (eta_bar / 4, eta_bar, 4 * eta_bar)
+    )
+    return _TreeBundle(inst.name, st, rp, ka, walks, spectral_decomposition(walks[1][1]))
+
+
+def _suite_resistance_oracles(suite: SuiteResult, b: _TreeBundle) -> None:
+    """The series/parallel recursion agrees with the Laplacian solve."""
+    brute = resistance_bruteforce(b.st)
+    suite.update(b.name, abs(b.rp.eta_root - brute) / brute, 1e-9, "recursion_vs_laplacian")
+
+
+def _suite_resistance_interval(suite: SuiteResult, b: _TreeBundle) -> None:
+    """``max(1/|M|, 1/d_root) <= eta_bar <=`` the solution tree's depth."""
+    tree, members = b.st.tree, b.st.leaf_set.members
+    d_root = max(1, len(b.st.children_in(tree.root)))
+    depth_st = max(int(tree.depth[m]) for m in members)
+    suite.require(
+        b.name,
+        max(1.0 / len(members), 1.0 / d_root) - 1e-12 <= b.rp.eta_root <= depth_st + 1e-12,
+        "eta_in_interval",
+    )
+
+
+def _suite_kappa(suite: SuiteResult, b: _TreeBundle) -> None:
+    """The kappa identities, the kappa-implied resistance map and the root anchor."""
+    for check, residual in verify_kappa(b.st, b.ka, tol=1e-10).residuals.items():
+        suite.update(b.name, residual, 1e-10, check)
+    implied = kappa_eta(b.st, b.ka)
+    eta = b.rp.eta_bar
+    dev = max(abs(implied[v] - eta[v]) / max(1.0, eta[v]) for v in b.st.vertices)
+    suite.update(b.name, dev, 1e-9, "kappa_implied_resistance")
+    # resistance equals the inverse squared root weight
+    suite.update(
+        b.name,
+        abs(1.0 / b.ka.kappa[b.st.root] ** 2 - b.rp.eta_root) / max(1.0, b.rp.eta_root),
+        1e-9,
+        "root_weight_anchor",
+    )
+
+
+def _suite_fixed_points(suite: SuiteResult, b: _TreeBundle) -> None:
+    """phi and every path vector are fixed points; phi's root amplitude is sin(beta)."""
+    tree, marked = b.st.tree, b.st.leaf_set
+    for eta, op in b.walks:
+        phi = phi_state(b.st, b.ka, eta)
+        suite.update(
+            b.name,
+            float(np.linalg.norm(op.matrix @ phi.amplitudes - phi.amplitudes)),
+            1e-10,
+            f"phi_fixed@{eta:.3g}",
+        )
+        for m in marked.members:
+            pm = phi_m_state(tree, marked, m, eta)
+            suite.update(
+                b.name,
+                float(np.linalg.norm(op.matrix @ pm.amplitudes - pm.amplitudes)),
+                1e-10,
+                f"path_vector_fixed@{eta:.3g}",
+            )
+        expected_overlap = math.sin(math.atan(math.sqrt(eta) * b.ka.kappa[tree.root]))
+        suite.update(
+            b.name,
+            abs(phi.amplitudes[tree.root] - expected_overlap),
+            1e-12,
+            f"root_overlap@{eta:.3g}",
+        )
+
+
+def _suite_witness(suite: SuiteResult, b: _TreeBundle) -> None:
+    """The witness conditions at every weight, then the small-phase bound at eta_bar."""
+    size_bound = b.st.tree.size_bound
+    for eta, op in b.walks:
+        xi = xi_vector(b.st, b.ka, eta)
+        perp = phi_perp_state(b.st, b.ka, eta)
+        suite.update(
+            b.name,
+            float(np.linalg.norm(op.projector_a() @ xi.alpha)),
+            1e-10,
+            f"witness_killed_by_even_projector@{eta:.3g}",
+        )
+        suite.update(
+            b.name,
+            float(np.linalg.norm(op.projector_b() @ xi.alpha - perp.amplitudes)),
+            1e-10,
+            f"witness_maps_to_perp@{eta:.3g}",
+        )
+        if eta >= 1.0 / (size_bound - 1):
+            beta = beta_angle(b.ka.kappa[b.st.root], eta)
+            bound = 2 * (size_bound - 1) * eta * math.cos(beta) ** 2
+            suite.require(b.name, xi.norm**2 <= bound + 1e-12, f"witness_norm_bound@{eta:.3g}")
+    perp = phi_perp_state(b.st, b.ka, b.rp.eta_root)
+    xi = xi_vector(b.st, b.ka, b.rp.eta_root)
+    for eps in (1e-3, 1e-2, 1e-1):
+        gap = spectral_gap_check(b.sd, perp, xi, eps)
+        suite.require(b.name, gap.satisfied, f"small_phase_bound@{eps:g}")
+
+
+def _suite_precision(suite: SuiteResult, b: _TreeBundle) -> None:
+    """At eta_bar, phi_perp leaks at most ``10 delta^2`` onto the zero outcome."""
+    if b.st.tree.n_vertices > PRECISION_SIZE_CAP:
+        return
+    eta_bar = b.rp.eta_root
+    lam2 = np.abs(b.sd.amplitudes(phi_perp_state(b.st, b.ka, eta_bar).amplitudes)) ** 2
+    for delta in (0.2, 0.1, 0.05):
+        s = pe_ancillas(b.st.tree.size_bound, eta_bar, delta)
+        leak = float(np.sum(lam2 * pe_kernel(b.sd.phases, s)))
+        suite.require(b.name, leak <= 10.0 * delta**2, f"zero_outcome_leak@{delta:g}")
+
+
+def _suite_descent(suite: SuiteResult, b: _TreeBundle) -> None:
+    """The exact expected descent time meets ``log2(|M| (eta_bar + 1))``."""
+    dc = descent_chain(b.st, b.ka)
+    ht = exact_hitting_times(dc)
+    suite.require(b.name, ht.root_value <= hitting_time_bound(dc) + 1e-12, "hitting_time_log_bound")
+
+
+_PER_TREE_SUITES = {
+    "resistance_oracle_equivalence": _suite_resistance_oracles,
+    "resistance_interval": _suite_resistance_interval,
+    "kappa_identities": _suite_kappa,
+    "walk_fixed_points": _suite_fixed_points,
+    "spectral_gap_witness": _suite_witness,
+    "estimation_precision_law": _suite_precision,
+    "descent_hitting_bound": _suite_descent,
+}
+
+
+def _per_tree_suites(corpus: list[CorpusInstance], inject_fault: str | None) -> dict[str, SuiteResult]:
+    """Run every per-tree suite on each marked tree; each suite times only its own checks."""
+    suites = {name: SuiteResult(name) for name in _PER_TREE_SUITES}
+    for inst in corpus:
+        if not inst.has_marks:
+            continue
+        bundle = _tree_bundle(inst, inject_fault)
+        for name, check in _PER_TREE_SUITES.items():
+            t0 = time.perf_counter()
+            check(suites[name], bundle)
+            suites[name].elapsed += time.perf_counter() - t0
+    return suites
 
 
 def verify_all(
@@ -206,10 +383,12 @@ def verify_all(
     master_seed: int = DEFAULT_MASTER_SEED,
     include_statistical: bool = False,
     inject_fault: str | None = None,
-    precision_size_cap: int = 200,
 ) -> VerifyReport:
     """Run every invariant suite over the corpus; one pass per tree.
 
+    The per-tree suites share one bundle per marked tree (solution tree,
+    resistance profile, kappa, three walk operators and one spectrum), whose
+    construction no suite's ``elapsed`` includes.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
     the harness can fail.
@@ -218,158 +397,12 @@ def verify_all(
         corpus = default_corpus(master_seed=master_seed)
     if not corpus:
         raise ValueError("no trees: the corpus is empty")
-
-    resistance = SuiteResult("resistance_oracle_equivalence")
-    interval = SuiteResult("resistance_interval")
-    kappa_suite = SuiteResult("kappa_identities")
-    fixed_points = SuiteResult("walk_fixed_points")
-    witness = SuiteResult("spectral_gap_witness")
-    precision = SuiteResult("estimation_precision_law")
-    descent_suite = SuiteResult("descent_hitting_bound")
-
-    t0 = time.time()
-    for inst in corpus:
-        if not inst.has_marks:
-            continue
-        tree = inst.tree
-        st, rp, ka = _solution_bundle(inst, inject_fault)
-
-        # two independent resistance oracles
-        brute = resistance_bruteforce(st)
-        resistance.update(
-            inst.name, abs(rp.eta_root - brute) / brute, 1e-9, "recursion_vs_laplacian"
-        )
-
-        # interval bound computed on the solution tree
-        k = len(st.leaf_set.members)
-        d_root = max(1, len(st.children_in(tree.root)))
-        depth_st = max(int(tree.depth[m]) for m in st.leaf_set.members)
-        interval.require(
-            inst.name,
-            max(1.0 / k, 1.0 / d_root) - 1e-12 <= rp.eta_root <= depth_st + 1e-12,
-            "eta_in_interval",
-        )
-
-        # kappa identity suite plus the kappa-implied resistance map
-        report = verify_kappa(st, ka, tol=1e-10)
-        for check, residual in report.residuals.items():
-            kappa_suite.update(inst.name, residual, 1e-10, check)
-        implied = kappa_eta(st, ka)
-        dev = max(
-            abs(implied[v] - rp.eta_bar[v]) / max(1.0, rp.eta_bar[v]) for v in st.vertices
-        )
-        kappa_suite.update(inst.name, dev, 1e-9, "kappa_implied_resistance")
-
-        # anchor: resistance equals the inverse squared root weight
-        kappa_suite.update(
-            inst.name,
-            abs(1.0 / ka.kappa[tree.root] ** 2 - rp.eta_root) / max(1.0, rp.eta_root),
-            1e-9,
-            "root_weight_anchor",
-        )
-
-        eta_bar = rp.eta_root
-        size_bound = tree.size_bound
-        for eta in (eta_bar / 4, eta_bar, 4 * eta_bar):
-            op = build_walk_operator(tree, st.leaf_set, eta)
-            phi = phi_state(st, ka, eta)
-            fixed_points.update(
-                inst.name,
-                float(np.linalg.norm(op.matrix @ phi.amplitudes - phi.amplitudes)),
-                1e-10,
-                f"phi_fixed@{eta:.3g}",
-            )
-            for m in st.leaf_set.members:
-                pm = phi_m_state(tree, st.leaf_set, m, eta)
-                fixed_points.update(
-                    inst.name,
-                    float(np.linalg.norm(op.matrix @ pm.amplitudes - pm.amplitudes)),
-                    1e-10,
-                    f"path_vector_fixed@{eta:.3g}",
-                )
-            expected_overlap = math.sin(math.atan(math.sqrt(eta) * ka.kappa[tree.root]))
-            fixed_points.update(
-                inst.name,
-                abs(phi.amplitudes[tree.root] - expected_overlap),
-                1e-12,
-                f"root_overlap@{eta:.3g}",
-            )
-
-            # witness conditions hold for every eta
-            xi = xi_vector(st, ka, eta)
-            perp = phi_perp_state(st, ka, eta)
-            witness.update(
-                inst.name,
-                float(np.linalg.norm(op.projector_a() @ xi.alpha)),
-                1e-10,
-                f"witness_killed_by_even_projector@{eta:.3g}",
-            )
-            witness.update(
-                inst.name,
-                float(np.linalg.norm(op.projector_b() @ xi.alpha - perp.amplitudes)),
-                1e-10,
-                f"witness_maps_to_perp@{eta:.3g}",
-            )
-            if eta >= 1.0 / (size_bound - 1):
-                beta = beta_angle(ka.kappa[tree.root], eta)
-                bound = 2 * (size_bound - 1) * eta * math.cos(beta) ** 2
-                witness.require(
-                    inst.name, xi.norm**2 <= bound + 1e-12, f"witness_norm_bound@{eta:.3g}"
-                )
-
-        # spectral checks at the optimal weight
-        op = build_walk_operator(tree, st.leaf_set, eta_bar)
-        sd = spectral_decomposition(op)
-        perp = phi_perp_state(st, ka, eta_bar)
-        xi = xi_vector(st, ka, eta_bar)
-        for eps in (1e-3, 1e-2, 1e-1):
-            norm = sd.small_phase_projector_norm(perp.amplitudes, eps)
-            witness.require(
-                inst.name, norm <= eps * xi.norm + 1e-12, f"small_phase_bound@{eps:g}"
-            )
-
-        if tree.n_vertices <= precision_size_cap:
-            lam2 = np.abs(sd.amplitudes(perp.amplitudes)) ** 2
-            for delta in (0.2, 0.1, 0.05):
-                target = math.sqrt(size_bound * eta_bar) / delta**3
-                s = max(1, math.ceil(math.log2(max(2.0, target))))
-                leak = float(np.sum(lam2 * pe_kernel(sd.phases, s)))
-                precision.require(
-                    inst.name, leak <= 10.0 * delta**2, f"zero_outcome_leak@{delta:g}"
-                )
-
-        # descent chain bound (dynamic program is exact)
-        dc = descent_chain(st, ka)
-        ht = exact_hitting_times(dc)
-        descent_suite.require(
-            inst.name,
-            ht.root_value <= hitting_time_bound(dc) + 1e-12,
-            "hitting_time_log_bound",
-        )
-
-    backend = suite_backend_equivalence()
-
-    suites = {
-        s.name: s
-        for s in (
-            resistance,
-            interval,
-            kappa_suite,
-            fixed_points,
-            witness,
-            precision,
-            descent_suite,
-            backend,
-        )
-    }
+    suites = _per_tree_suites(corpus, inject_fault)
+    suites["backend_equivalence"] = suite_backend_equivalence()
     if include_statistical:
         suites["estimate_res_statistics"] = suite_estimate_res_statistics(master_seed)
         suites["search_statistics"] = suite_search_statistics(corpus, master_seed)
         suites["descent_monte_carlo"] = suite_descent_monte_carlo(master_seed)
-    elapsed = time.time() - t0
-    for s in suites.values():
-        if s.elapsed == 0.0:
-            s.elapsed = elapsed
     return VerifyReport(suites=suites, corpus_size=len(corpus))
 
 
@@ -414,12 +447,11 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
 def suite_estimate_res_statistics(
     master_seed: int = DEFAULT_MASTER_SEED,
     runs: int = 200,
-    envelope_margin: float = 0.5,
 ) -> SuiteResult:
     """Accuracy and existence statistics of the resistance estimator.
 
     On the 64-leaf star with 4 marked, at least 95% of seeded runs must land
-    within ``16 * delta_ae * eta * (1 + margin)`` of the true 1/4; on
+    within ``16 * delta_ae * eta * (1 + ENVELOPE_MARGIN)`` of the true 1/4; on
     unmarked fixtures at least 95% must report infinity.
     """
     result = SuiteResult("estimate_res_statistics")
@@ -428,7 +460,7 @@ def suite_estimate_res_statistics(
     tree, oracle = build_star(64, 4)
     sim = WalkSimulator(tree, oracle)
     seeds = np.random.SeedSequence(master_seed).spawn(runs)
-    envelope = 16.0 * cfg.delta_ae * 0.25 * (1.0 + envelope_margin)
+    envelope = 16.0 * cfg.delta_ae * 0.25 * (1.0 + ENVELOPE_MARGIN)
     hits = 0
     for sq in seeds:
         est, _ = estimate_res(tree, oracle, tree.root, cfg, np.random.default_rng(sq), sim)

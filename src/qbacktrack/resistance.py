@@ -32,6 +32,7 @@ __all__ = [
     "resistance_profile",
     "resistance_bruteforce",
     "kappa_assignment",
+    "subtree_energy",
     "kappa_eta",
     "verify_kappa",
 ]
@@ -172,20 +173,23 @@ def kappa_assignment(st: SolutionTree, rp: ResistanceProfile) -> KappaAssignment
     return KappaAssignment(kappa=kappa)
 
 
+def subtree_energy(st: SolutionTree, kappa: np.ndarray) -> np.ndarray:
+    """Squared weights summed over each solution-tree subtree (0 elsewhere)."""
+    energy = np.zeros(st.tree.n_vertices)
+    for v in reversed(st.bfs_order()):
+        energy[v] = kappa[v] ** 2 + sum(energy[c] for c in st.children_in(v))
+    return energy
+
+
 def kappa_eta(st: SolutionTree, ka: KappaAssignment) -> np.ndarray:
     """Resistance implied by kappa: subtree energy over kappa squared, minus one.
 
     Finite only on solution-tree vertices (``nan`` elsewhere); used to check
     that the weights reproduce the recursion's resistances.
     """
-    tree = st.tree
-    n = tree.n_vertices
-    energy = np.zeros(n)
-    order = st.bfs_order()
-    for v in reversed(order):
-        energy[v] = ka.kappa[v] ** 2 + sum(energy[c] for c in st.children_in(v))
-    out = np.full(n, np.nan)
-    for v in order:
+    energy = subtree_energy(st, ka.kappa)
+    out = np.full(st.tree.n_vertices, np.nan)
+    for v in st.bfs_order():
         out[v] = energy[v] / ka.kappa[v] ** 2 - 1.0
     return out
 
@@ -240,15 +244,13 @@ def verify_kappa(st: SolutionTree, ka: KappaAssignment, tol: float = 1e-10) -> K
         leaf_product = max(leaf_product, abs(total_marked * inner - 1.0))
     res["leaf_product"] = leaf_product
 
-    energy = np.zeros(tree.n_vertices)
-    for v in reversed(order):
-        energy[v] = kappa[v] ** 2 + sum(energy[c] for c in st.children_in(v))
-    subtree_energy = 0.0
+    energy = subtree_energy(st, kappa)
+    energy_gap = 0.0
     for v in order:
         m = next(iter(st.leaf_set.below(v)))
         path_sum = prefix[m] - prefix[v] + kappa[v]
-        subtree_energy = max(subtree_energy, abs(kappa[v] * path_sum - energy[v]))
-    res["subtree_energy"] = subtree_energy
+        energy_gap = max(energy_gap, abs(kappa[v] * path_sum - energy[v]))
+    res["subtree_energy"] = energy_gap
 
     root_path = 0.0
     for m in members:

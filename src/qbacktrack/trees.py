@@ -154,12 +154,38 @@ class Tree:
             raise TreeStructureError("ids", "degree bound smaller than realized degree")
 
 
-def _tree_from_children(children: Sequence[Sequence[int]], root: int = 0) -> Tree:
-    """Assemble a Tree from children lists, computing depths and bounds."""
+def _is_id(x) -> bool:
+    # bool is an int subclass, but a JSON true is no vertex id
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _tree_from_children(
+    children: Sequence[Sequence[int]],
+    root: int = 0,
+    bounds: tuple[int, int, int] | None = None,
+) -> Tree:
+    """Assemble a Tree from children lists, computing parents and depths.
+
+    Rejects ids that are not integers in range, a vertex listed as its own
+    or the root's child, a vertex with two parents, and vertices the root
+    cannot reach (tagged ``"cycle"`` when every non-root vertex has a
+    parent, ``"disconnected"`` otherwise).  ``bounds`` gives the size,
+    depth and degree bounds; by default they are the realized ones.
+    """
     n = len(children)
+    if not (_is_id(root) and 0 <= root < n):
+        raise TreeStructureError("ids", f"root id {root!r} out of range")
     parent = np.full(n, -1, dtype=np.int64)
     for v, kids in enumerate(children):
         for c in kids:
+            if not (_is_id(c) and 0 <= c < n):
+                raise TreeStructureError("ids", f"vertex {v} has an out-of-range child {c!r}")
+            if c == v or c == root:
+                raise TreeStructureError("cycle", f"vertex {c} is its own or the root's child")
+            if parent[c] != -1:
+                raise TreeStructureError(
+                    "multiple_parents", f"vertex {c} has more than one parent"
+                )
             parent[c] = v
     depth = np.zeros(n, dtype=np.int64)
     order = [root]
@@ -171,20 +197,23 @@ def _tree_from_children(children: Sequence[Sequence[int]], root: int = 0) -> Tre
             depth[c] = depth[v] + 1
             order.append(c)
     if len(order) != n:
-        raise TreeStructureError("disconnected", "children lists do not span all vertices")
-    degrees = [(0 if v == root else 1) + len(children[v]) for v in range(n)]
-    tree = Tree(
+        orphans = any(parent[v] == -1 for v in range(n) if v != root)
+        tag = "disconnected" if orphans else "cycle"
+        raise TreeStructureError(tag, f"{n - len(order)} vertices unreachable from root")
+    if bounds is None:
+        degree = max((len(kids) + (v != root) for v, kids in enumerate(children)), default=0)
+        bounds = (n, int(depth.max(initial=0)), degree)
+    parent.setflags(write=False)
+    depth.setflags(write=False)
+    return Tree(
         root=root,
         parent=parent,
         children=tuple(tuple(k) for k in children),
         depth=depth,
-        size_bound=n,
-        depth_bound=int(depth.max(initial=0)),
-        degree_bound=max(degrees, default=0),
+        size_bound=bounds[0],
+        depth_bound=bounds[1],
+        degree_bound=bounds[2],
     )
-    parent.setflags(write=False)
-    depth.setflags(write=False)
-    return tree
 
 
 class MarkingOracle:
@@ -539,58 +568,14 @@ def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
         if not isinstance(row, dict) or "id" not in row or "children" not in row:
             raise TreeStructureError("schema", "vertex rows need 'id' and 'children'")
         ids.append(row["id"])
-    if sorted(ids) != list(range(n)):
+    if not all(_is_id(v) for v in ids) or sorted(ids) != list(range(n)):
         raise TreeStructureError("ids", "vertex ids must be dense integers 0..n-1")
     children: list[tuple[int, ...]] = [()] * n
     marks = np.zeros(n, dtype=bool)
     for row in rows:
-        v = row["id"]
-        kids = row["children"]
-        if not all(isinstance(c, int) and 0 <= c < n for c in kids):
-            raise TreeStructureError("ids", f"vertex {v} has an out-of-range child")
-        if v in kids:
-            raise TreeStructureError("cycle", f"vertex {v} is its own child")
-        children[v] = tuple(kids)
-        marks[v] = bool(row.get("marked", False))
+        children[row["id"]] = tuple(row["children"])
+        marks[row["id"]] = bool(row.get("marked", False))
     root = data["root"]
-    if not isinstance(root, int) or not (0 <= root < n):
-        raise TreeStructureError("ids", "root id out of range")
-
-    parent = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        for c in children[v]:
-            if c == root:
-                raise TreeStructureError("cycle", "root appears as a child")
-            if parent[c] != -1:
-                raise TreeStructureError(
-                    "multiple_parents", f"vertex {c} has more than one parent"
-                )
-            parent[c] = v
-    # reachability: catches both cycles among non-root vertices and forests
-    depth = np.zeros(n, dtype=np.int64)
-    order = [root]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for c in children[v]:
-            depth[c] = depth[v] + 1
-            order.append(c)
-    if len(order) != n:
-        orphans = [v for v in range(n) if v != root and parent[v] == -1]
-        tag = "disconnected" if orphans else "cycle"
-        raise TreeStructureError(tag, f"{n - len(order)} vertices unreachable from root")
-    degrees = [(0 if v == root else 1) + len(children[v]) for v in range(n)]
-    tree = Tree(
-        root=root,
-        parent=parent,
-        children=tuple(children),
-        depth=depth,
-        size_bound=n,
-        depth_bound=int(depth.max(initial=0)),
-        degree_bound=max(degrees, default=0),
-    )
-    parent.setflags(write=False)
-    depth.setflags(write=False)
+    tree = _tree_from_children(children, root)
     tree.validate()
     return tree, MarkingOracle(marks, root)

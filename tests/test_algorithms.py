@@ -301,6 +301,30 @@ class TestClassicalDescent:
         assert v is None
 
 
+class TestSubtree:
+    def test_every_vertex_re_roots_consistently(self):
+        tree, oracle = build_random_tree(40, 3, 0.1, 9)
+        sim = WalkSimulator(tree, oracle)
+        for v in range(tree.n_vertices):
+            sub = sim.subtree(v)
+            sub.tree.validate()
+            ids = sub.ids
+            assert ids[0] == v and sorted(ids) == sorted(tree.subtree_vertices(v))
+            assert np.array_equal(sub.tree.depth, tree.depth[ids] - tree.depth[v])
+            for i, kids in enumerate(sub.tree.children):
+                assert [int(ids[c]) for c in kids] == list(tree.children[ids[i]])
+            bounds = (sub.tree.size_bound, sub.tree.depth_bound, sub.tree.degree_bound)
+            assert bounds == (tree.size_bound, tree.depth_bound, tree.degree_bound)
+            # marked vertices strictly below v with no marked vertex between
+            want = {
+                u
+                for u in tree.subtree_vertices(v)[1:]
+                if oracle.peek(u)
+                and not any(oracle.peek(w) for w in tree.path_from_root(u)[int(tree.depth[v]) + 1 : -1])
+            }
+            assert {int(ids[m]) for m in sub.marked.members} == want
+
+
 class TestRunRecord:
     def test_merge_accumulates(self):
         a = RunRecord(walk_queries=5, f_queries=2, h_queries=1, steps=3)

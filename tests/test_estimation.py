@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from qbacktrack import (
-    EstimationConfig,
     ResourceLimitError,
     ae_outcome_distribution,
     ae_outcome_grid,
-    ae_sample,
     build_random_tree,
     build_star,
     build_walk_operator,
     gate_level_pe,
+    pe_ancillas,
     pe_distribution,
     pe_kernel,
     pearson_chi2,
@@ -21,6 +20,7 @@ from qbacktrack import (
     spectral_decomposition,
     total_variation,
 )
+from qbacktrack.algorithms import EstimateResConfig
 from qbacktrack.estimation import pe_kernel_amplitude
 from conftest import make_instance
 
@@ -96,9 +96,9 @@ class TestSpectralPE:
         sd = spectral_decomposition(op)
         perp = phi_perp_state(star_64_4.st, star_64_4.ka, eta)
         for delta in (0.2, 0.1, 0.05):
-            cfg = EstimationConfig.from_target(star_64_4.tree.size_bound, eta, delta)
+            s = pe_ancillas(star_64_4.tree.size_bound, eta, delta)
             lam = sd.amplitudes(perp.amplitudes)
-            leak = float(np.sum(np.abs(lam) ** 2 * pe_kernel(sd.phases, cfg.s)))
+            leak = float(np.sum(np.abs(lam) ** 2 * pe_kernel(sd.phases, s)))
             assert leak <= 10.0 * delta**2
 
 
@@ -149,22 +149,16 @@ class TestBackendEquivalence:
 
 class TestAmplitudeEstimation:
     def test_entirely_good_input(self):
-        rng = np.random.default_rng(0)
-        state = np.zeros(4)
-        state[2] = 1.0
-        good = np.zeros(4, dtype=bool)
-        good[2] = True
-        draws = ae_sample(None, state, good, s=5, rng=rng, size=64)
-        assert np.all(draws == pytest.approx(np.pi / 2))
+        # good-subspace angle pi/2: every outcome is the top of the grid
+        probs = ae_outcome_distribution(np.pi / 2, s=5)
+        assert probs[-1] == pytest.approx(1.0, abs=1e-12)
+        assert ae_outcome_grid(5)[-1] == pytest.approx(np.pi / 2)
 
     def test_entirely_bad_input(self):
-        rng = np.random.default_rng(0)
-        state = np.zeros(4)
-        state[1] = 1.0
-        good = np.zeros(4, dtype=bool)
-        good[3] = True
-        draws = ae_sample(None, state, good, s=5, rng=rng, size=64)
-        assert np.all(draws == 0.0)
+        # good-subspace angle 0: every outcome is 0
+        probs = ae_outcome_distribution(0.0, s=5)
+        assert probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert ae_outcome_grid(5)[0] == 0.0
 
     def test_distribution_normalized(self):
         for theta in (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2):
@@ -205,33 +199,36 @@ class TestAmplitudeEstimation:
         assert probs[within4].sum() >= 0.949
 
     def test_vector_good_subspace(self):
-        rng = np.random.default_rng(3)
-        state = np.array([0.6, 0.8])
-        good = np.array([1.0, 0.0])
-        draws = ae_sample(None, state, good, s=9, rng=rng, size=512)
+        # weight 0.36 on the good subspace: the median outcome is arcsin(0.6)
+        s = 9
         theta = np.arcsin(0.6)
-        assert abs(np.median(draws) - theta) < 0.02
+        probs = ae_outcome_distribution(theta, s)
+        median = ae_outcome_grid(s)[np.searchsorted(np.cumsum(probs), 0.5)]
+        assert abs(median - theta) < 0.02
 
-    def test_rejects_unnormalized(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            ae_sample(None, np.array([2.0, 0.0]), np.array([1.0, 0.0]), 4, rng)
+    def test_rejects_angle_outside_range(self):
+        for theta in (-0.1, np.pi / 2 + 0.1):
+            with pytest.raises(ValueError):
+                ae_outcome_distribution(theta, 4)
 
 
-class TestEstimationConfig:
+class TestPeAncillas:
     def test_target_scalings(self):
-        cfg = EstimationConfig.from_target(65, 0.25, 0.1)
-        assert cfg.two_s >= np.sqrt(65 * 0.25) / 0.1**3
-        assert cfg.two_s <= 2 * np.sqrt(65 * 0.25) / 0.1**3
-        assert cfg.epsilon == pytest.approx(0.1 / np.sqrt(65 * 0.25))
+        s = pe_ancillas(65, 0.25, 0.1)
+        assert 2**s >= np.sqrt(65 * 0.25) / 0.1**3
+        assert 2**s <= 2 * np.sqrt(65 * 0.25) / 0.1**3
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            EstimationConfig.from_target(10, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            EstimationConfig(s=0, epsilon=0.1, delta=0.1)
-        with pytest.raises(ResourceLimitError):
-            EstimationConfig(s=30, epsilon=0.1, delta=0.1)
+        for delta in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                pe_ancillas(10, 1.0, delta)
+        assert pe_ancillas(2, 1e-9, 0.99) == 1
+
+    def test_estimation_loop_uses_delta_three_halves(self):
+        # the estimation loop's law sqrt(T eta / delta_ae^3) differs from
+        # the descent's sqrt(T eta) / delta^3
+        assert EstimateResConfig().pe_ancillas(65, 1 / 64) == 5
+        assert pe_ancillas(65, 1 / 64, 0.1) == 10
 
 
 class TestPearsonChi2:

@@ -1,5 +1,6 @@
-"""The statistical gates of the experiment suites can fail, and fail cleanly."""
+"""The experiment suites: statistical gates fail cleanly, reports time each suite."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -66,3 +67,25 @@ def test_search_statistics_fails_instead_of_running_out_of_seeds(monkeypatch):
     assert ("star_64_4", "leaf_uniformity_chi2") in failed_checks(suite)
     assert ("star_64_4", "success_rate") in failed_checks(suite)
 
+
+
+def test_star_import_binds_the_suites():
+    namespace = {}
+    exec("from qbacktrack.experiments import *", namespace)
+    for name in (
+        "suite_estimate_res_statistics",
+        "suite_search_statistics",
+        "suite_descent_monte_carlo",
+        "DESCENT_MC_ALPHA",
+    ):
+        assert namespace[name] is getattr(experiments, name)
+
+
+def test_verify_all_times_each_suite_apart():
+    corpus = experiments.default_corpus(count=5)
+    start = time.perf_counter()
+    report = experiments.verify_all(corpus)
+    wall = time.perf_counter() - start
+    assert report.passed
+    assert all(suite.elapsed > 0.0 for suite in report.suites.values())
+    assert sum(suite.elapsed for suite in report.suites.values()) <= wall

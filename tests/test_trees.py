@@ -270,6 +270,21 @@ class TestJson:
             tree_from_json(json.dumps(bad))
         assert err.value.violation == "ids"
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"root": 0, "vertices": [{"id": 0, "children": [1]}, {"id": True, "children": []}]},
+            {"root": 0, "vertices": [{"id": 0, "children": [True]}, {"id": 1, "children": []}]},
+            {"root": False, "vertices": [{"id": 0, "children": [1]}, {"id": 1, "children": []}]},
+        ],
+        ids=["id_true", "child_true", "root_false"],
+    )
+    def test_rejects_boolean_ids(self, bad):
+        # bool is an int subclass; JSON true/false must not pass as vertex 1/0
+        with pytest.raises(TreeStructureError) as err:
+            tree_from_json(json.dumps(bad))
+        assert err.value.violation == "ids"
+
 
 @settings(max_examples=40, deadline=None)
 @given(
