@@ -194,8 +194,15 @@ class SuiteResult:
 
 @dataclass
 class VerifyReport:
+    """Suite verdicts over one corpus.
+
+    ``bundle_s`` is the time spent building the per-tree bundles, which no
+    suite's ``elapsed`` includes.
+    """
+
     suites: dict[str, SuiteResult]
     corpus_size: int
+    bundle_s: float
 
     @property
     def passed(self) -> bool:
@@ -206,6 +213,7 @@ class VerifyReport:
             "passed": self.passed,
             "corpus_size": self.corpus_size,
             "suites": {k: v.as_dict() for k, v in self.suites.items()},
+            "bundle_s": round(self.bundle_s, 3),
         }
 
 
@@ -364,18 +372,26 @@ _PER_TREE_SUITES = {
 }
 
 
-def _per_tree_suites(corpus: list[CorpusInstance], inject_fault: str | None) -> dict[str, SuiteResult]:
-    """Run every per-tree suite on each marked tree; each suite times only its own checks."""
+def _per_tree_suites(
+    corpus: list[CorpusInstance], inject_fault: str | None
+) -> tuple[dict[str, SuiteResult], float]:
+    """Run every per-tree suite on each marked tree; each suite times only its own checks.
+
+    Returns the suites and the seconds spent building the shared bundles.
+    """
     suites = {name: SuiteResult(name) for name in _PER_TREE_SUITES}
+    bundle_s = 0.0
     for inst in corpus:
         if not inst.has_marks:
             continue
+        t0 = time.perf_counter()
         bundle = _tree_bundle(inst, inject_fault)
+        bundle_s += time.perf_counter() - t0
         for name, check in _PER_TREE_SUITES.items():
             t0 = time.perf_counter()
             check(suites[name], bundle)
             suites[name].elapsed += time.perf_counter() - t0
-    return suites
+    return suites, bundle_s
 
 
 def verify_all(
@@ -388,7 +404,8 @@ def verify_all(
 
     The per-tree suites share one bundle per marked tree (solution tree,
     resistance profile, kappa, three walk operators and one spectrum), whose
-    construction no suite's ``elapsed`` includes.
+    construction no suite's ``elapsed`` includes; the report's ``bundle_s``
+    holds it.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
     the harness can fail.
@@ -397,13 +414,13 @@ def verify_all(
         corpus = default_corpus(master_seed=master_seed)
     if not corpus:
         raise ValueError("no trees: the corpus is empty")
-    suites = _per_tree_suites(corpus, inject_fault)
+    suites, bundle_s = _per_tree_suites(corpus, inject_fault)
     suites["backend_equivalence"] = suite_backend_equivalence()
     if include_statistical:
         suites["estimate_res_statistics"] = suite_estimate_res_statistics(master_seed)
         suites["search_statistics"] = suite_search_statistics(corpus, master_seed)
         suites["descent_monte_carlo"] = suite_descent_monte_carlo(master_seed)
-    return VerifyReport(suites=suites, corpus_size=len(corpus))
+    return VerifyReport(suites=suites, corpus_size=len(corpus), bundle_s=bundle_s)
 
 
 def backend_equivalence_instances() -> list[tuple[str, Tree, MarkingOracle, float, int]]:

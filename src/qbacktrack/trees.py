@@ -551,8 +551,10 @@ def tree_to_json(tree: Tree, oracle: MarkingOracle) -> str:
 def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
     """Parse and validate the interchange format.
 
-    Rejects cycles, forests, repeated parents and non-dense ids with a
-    :class:`TreeStructureError` naming the violation.  Ids are kept as given
+    Rejects cycles, forests, repeated parents, non-dense ids, a
+    ``"children"`` that is not a list and a ``"marked"`` that is neither a
+    boolean nor absent with a :class:`TreeStructureError` naming the
+    violation.  Ids are kept as given
     (dense 0..n-1 required); generators always emit breadth-first ids but the
     loader does not insist on that ordering.
     """
@@ -573,8 +575,13 @@ def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
     children: list[tuple[int, ...]] = [()] * n
     marks = np.zeros(n, dtype=bool)
     for row in rows:
-        children[row["id"]] = tuple(row["children"])
-        marks[row["id"]] = bool(row.get("marked", False))
+        kids, mark = row["children"], row.get("marked", False)
+        if not isinstance(kids, list) or not isinstance(mark, bool):
+            raise TreeStructureError(
+                "schema", f"vertex {row['id']}: 'children' must be a list, 'marked' a boolean"
+            )
+        children[row["id"]] = tuple(kids)
+        marks[row["id"]] = mark
     root = data["root"]
     tree = _tree_from_children(children, root)
     tree.validate()

@@ -7,6 +7,14 @@ block is the identity.  The root's diffusion state carries the tunable weight
 ``sqrt(eta)`` on its children; everything downstream revolves around choosing
 ``eta`` well.
 
+Each vertex lies in at most one star of each parity: its own and its
+parent's.  So ``R_A`` and ``R_B`` are ``I - 2 psi_i psi_j`` with the product
+kept only where i and j share a star of that parity, and assembly is O(n^2)
+vectorised work plus the one dense n^3 BLAS product ``R_B @ R_A``.  An even
+and an odd star share at most one vertex, which makes every entry of either
+reflection a single rounded product: the result does not depend on the order
+in which stars are laid down.
+
 The operator is real orthogonal, so its spectrum comes from the real Schur
 form: 1x1 blocks are +/-1 eigenvalues, 2x2 rotation blocks give conjugate
 eigenphase pairs.  Eigenvalues are written ``exp(2i*theta)`` with theta in
@@ -130,6 +138,24 @@ class SpectralDecomposition:
         return float(np.sqrt(np.sum(np.abs(lam[keep]) ** 2)))
 
 
+def _star_weights(tree: Tree, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex amplitudes of each vertex's own diffusion state.
+
+    ``centre[v]`` is ``psi_v``'s amplitude on ``v`` and ``leg[v]`` its
+    amplitude on each child of ``v``: ``1/sqrt(1 + d_r eta)`` and
+    ``sqrt(eta)/sqrt(1 + d_r eta)`` at the root, ``1/sqrt(d_v)`` for both
+    elsewhere, with ``d_v`` the full degree.
+    """
+    root = tree.root
+    n_kids = np.array([len(kids) for kids in tree.children], dtype=float)
+    norm = np.sqrt(n_kids + 1.0)
+    norm[root] = np.sqrt(1.0 + n_kids[root] * eta)
+    centre = 1.0 / norm
+    leg = centre.copy()
+    leg[root] = np.sqrt(eta) / norm[root]
+    return centre, leg
+
+
 def psi_v(tree: Tree, v: int, eta: float, marked: frozenset[int] | MarkedSet | None = None) -> StateVector:
     """The local diffusion state at an unmarked vertex.
 
@@ -141,20 +167,27 @@ def psi_v(tree: Tree, v: int, eta: float, marked: frozenset[int] | MarkedSet | N
     members = marked.members if isinstance(marked, MarkedSet) else marked
     if members and v in members:
         raise ValueError(f"vertex {v} is marked: its diffusion block is the identity")
+    centre, leg = _star_weights(tree, eta)
     amp = np.zeros(tree.n_vertices)
-    kids = tree.children[v]
-    if v == tree.root:
-        d_r = len(kids)
-        amp[v] = 1.0
-        for c in kids:
-            amp[c] = np.sqrt(eta)
-        amp /= np.sqrt(1.0 + d_r * eta)
-    else:
-        amp[v] = 1.0
-        for c in kids:
-            amp[c] = 1.0
-        amp /= np.sqrt(tree.degree(v))
+    amp[v] = centre[v]
+    amp[list(tree.children[v])] = leg[v]
     return StateVector(amp)
+
+
+def _reflection(owner: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """``I - 2 sum_v psi_v psi_v^T`` over pairwise disjoint stars.
+
+    ``owner[i]`` names the star holding vertex ``i`` and ``amp[i]`` is its
+    amplitude there (zero in identity blocks).  Every entry is formed as
+    ``delta_ij - 2.0 * (amp_i * amp_j)``, exactly as a per-star rank-one
+    update would form it.
+    """
+    r = np.outer(amp, amp)
+    r *= owner[:, None] == owner
+    r *= 2.0
+    np.subtract(0.0, r, out=r)
+    r.flat[:: r.shape[0] + 1] += 1.0
+    return r
 
 
 def build_walk_operator(
@@ -163,8 +196,12 @@ def build_walk_operator(
     """Assemble ``R_B R_A(eta)`` as a dense real orthogonal matrix.
 
     Accepts the marking oracle (shallowest marked set computed internally,
-    queries counted) or a precomputed :class:`MarkedSet`.  Dense matrices are
-    intended for |V| up to a couple thousand; exactness over scale.
+    queries counted) or a precomputed :class:`MarkedSet`.  Each reflection
+    is one masked outer product over the vertices' star amplitudes, O(n^2);
+    the product ``R_B @ R_A`` is the one n^3 BLAS call.  Since an even and
+    an odd star share at most one vertex, each entry is a single rounded
+    product and the matrices equal a star-by-star rank-one assembly bit for
+    bit.  Dense matrices are intended for |V| up to a couple thousand.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -175,16 +212,16 @@ def build_walk_operator(
     n = tree.n_vertices
     even = (tree.depth % 2) == 0
 
-    r_a = np.eye(n)
-    r_b = np.eye(n)
-    for v in range(n):
-        if v in members:
-            continue  # identity block
-        psi = psi_v(tree, v, eta).amplitudes
-        target = r_a if even[v] else r_b
-        target -= 2.0 * np.outer(psi, psi)
-    # R_B's explicit root term and untouched even-depth coordinates are
-    # already identity rows of r_b
+    centre, leg = _star_weights(tree, eta)
+    unmarked = np.ones(n, dtype=bool)
+    unmarked[list(members)] = False
+    idx = np.arange(n)
+    up = np.where(tree.parent >= 0, tree.parent, idx)
+    own_amp = np.where(unmarked, centre, 0.0)
+    up_amp = np.where(unmarked[up], leg[up], 0.0)
+    up_amp[tree.root] = 0.0  # the root sits in no odd star
+    r_a = _reflection(np.where(even, idx, up), np.where(even, own_amp, up_amp))
+    r_b = _reflection(np.where(even, up, idx), np.where(even, up_amp, own_amp))
     matrix = r_b @ r_a
     even.setflags(write=False)
     return WalkOperator(

@@ -88,4 +88,6 @@ def test_verify_all_times_each_suite_apart():
     wall = time.perf_counter() - start
     assert report.passed
     assert all(suite.elapsed > 0.0 for suite in report.suites.values())
-    assert sum(suite.elapsed for suite in report.suites.values()) <= wall
+    assert report.bundle_s > 0.0
+    assert report.bundle_s + sum(suite.elapsed for suite in report.suites.values()) <= wall
+    assert report.as_dict()["bundle_s"] == round(report.bundle_s, 3)

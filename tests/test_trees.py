@@ -285,6 +285,26 @@ class TestJson:
             tree_from_json(json.dumps(bad))
         assert err.value.violation == "ids"
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {
+                "root": 0,
+                "vertices": [{"id": 0, "children": [1]}, {"id": 1, "children": [], "marked": "false"}],
+            },
+            {
+                "root": 0,
+                "vertices": [{"id": 0, "children": [1]}, {"id": 1, "children": [], "marked": 1}],
+            },
+            {"root": 0, "vertices": [{"id": 0, "children": 1}, {"id": 1, "children": []}]},
+        ],
+        ids=["marked_string", "marked_number", "children_int"],
+    )
+    def test_rejects_malformed_rows(self, bad):
+        with pytest.raises(TreeStructureError) as err:
+            tree_from_json(json.dumps(bad))
+        assert err.value.violation == "schema"
+
 
 @settings(max_examples=40, deadline=None)
 @given(

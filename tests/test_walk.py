@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbacktrack import (
     beta_angle,
@@ -22,7 +24,8 @@ from qbacktrack import (
     xi_vector,
 )
 from conftest import make_instance
-from qbacktrack.trees import build_path
+from qbacktrack.experiments import default_corpus
+from qbacktrack.trees import build_path, tree_from_json
 
 
 def random_instances(count, size=40, mark_prob=0.15, start_seed=0):
@@ -68,6 +71,87 @@ class TestPsi:
         marked = shallowest_marked(tree, oracle)
         with pytest.raises(ValueError):
             psi_v(tree, 1, 1.0, marked)
+
+
+def rank_one_assembly(tree, oracle, eta):
+    """Reference walk: one dense rank-one update ``-2 psi_v psi_v^T`` per unmarked vertex."""
+    members = shallowest_marked(tree, oracle).members
+    n = tree.n_vertices
+    r_a, r_b = np.eye(n), np.eye(n)
+    for v in range(n):
+        if v in members:
+            continue
+        psi = psi_v(tree, v, eta).amplitudes
+        target = r_a if tree.depth[v] % 2 == 0 else r_b
+        target -= 2.0 * np.outer(psi, psi)
+    return r_b @ r_a, r_a, r_b
+
+
+def assert_matches_rank_one(tree, oracle, eta):
+    op = build_walk_operator(tree, oracle, eta)
+    for got, want in zip((op.matrix, op.r_a, op.r_b), rank_one_assembly(tree, oracle, eta)):
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+# marked vertex 1 (odd depth) and 5 (even depth) both have children, so each
+# reflection carries an identity block over a whole star
+MARKED_INTERNAL = {
+    "root": 0,
+    "vertices": [
+        {"id": 0, "children": [1, 2]},
+        {"id": 1, "children": [3, 4], "marked": True},
+        {"id": 2, "children": [5]},
+        {"id": 3, "children": []},
+        {"id": 4, "children": []},
+        {"id": 5, "children": [6, 7], "marked": True},
+        {"id": 6, "children": [8]},
+        {"id": 7, "children": []},
+        {"id": 8, "children": []},
+    ],
+}
+
+
+class TestAssembly:
+    """The star-block assembly equals the rank-one reference bit for bit."""
+
+    @pytest.mark.parametrize("fixture", ["single_edge", "star_8_2", "star_64_4", "path_4"])
+    def test_fixtures(self, fixture, request):
+        inst = request.getfixturevalue(fixture)
+        for eta in (inst.eta_bar, 0.3, 1.0):
+            assert_matches_rank_one(inst.tree, inst.oracle, eta)
+
+    def test_corpus(self):
+        for inst in default_corpus(count=30):
+            for eta in (0.05, 1.0, 9.0):
+                assert_matches_rank_one(inst.tree, inst.oracle, eta)
+
+    def test_large_star(self):
+        tree, oracle = build_star(512, 4)
+        assert_matches_rank_one(tree, oracle, 1.0 / 128)
+
+    def test_marked_vertices_with_children(self):
+        tree, oracle = tree_from_json(MARKED_INTERNAL)
+        assert shallowest_marked(tree, oracle).members == {1, 5}
+        for eta in (0.2, 3.0):
+            assert_matches_rank_one(tree, oracle, eta)
+
+    def test_tiny_eta(self):
+        tree, oracle = build_random_tree(40, 3, 0.1, 2)
+        assert_matches_rank_one(tree, oracle, 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(min_value=2, max_value=60),
+    degree=st.integers(min_value=2, max_value=5),
+    prob=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eta=st.floats(min_value=1e-6, max_value=1e3),
+)
+def test_assembly_matches_rank_one(size, degree, prob, seed, eta):
+    tree, oracle = build_random_tree(size, degree, prob, seed)
+    assert_matches_rank_one(tree, oracle, eta)
 
 
 class TestOperator:
