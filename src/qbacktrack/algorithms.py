@@ -234,7 +234,7 @@ class WalkSimulator:
         sub = self.subtree(v)
         root_state = np.zeros(sub.size)
         root_state[0] = 1.0
-        out = pe_distribution(sd, root_state, s, with_joint=False)
+        out = pe_distribution(sd, root_state, s)
         value = (float(np.clip(out.p_zero, 0.0, 1.0)), out.vertex_given_zero)
         self._pe[key] = value
         return value

@@ -2,7 +2,7 @@
 
 Subcommands: gen-tree, resistance, spectrum, estimate-res, find-marked,
 find-all, detect, descent-sim, grover-scaling, verify-all, and run (replay a
-saved experiment spec).  The defaults of ``--seed``, ``--trials``, ``--jobs``,
+saved experiment spec).  The defaults of ``--seed``, ``--trials``,
 ``--count``, ``--delta0``, ``--gamma1``, ``--gamma2`` and ``--step`` can be
 overridden by an environment variable named ``QBACKTRACK_<FLAG>`` (upper
 case).  Output is JSON by default; the commands that print results (all but
@@ -10,9 +10,10 @@ gen-tree and run) also emit CSV rows via ``--out csv``.  All numbers are
 serialized at full precision with sorted keys, so identical specs and seeds
 produce byte-identical files.
 
-Randomness: one 64-bit master seed per invocation; trials draw generators
-spawned per trial index, so ``--jobs`` parallelism cannot change results,
-only their wall-clock time.
+Randomness: one 64-bit master seed per invocation.  Trials run one after
+another in the calling thread.  The run-style commands (estimate-res,
+find-marked, find-all, detect) give each trial a generator spawned from its
+index, so the first k rows of a run do not depend on ``--trials``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -210,16 +210,7 @@ def _run_trials(args, runner) -> int:
     tree, oracle = _load_tree(args)
     cfg = _config_from(args)
     sim = WalkSimulator(tree, oracle)
-    rngs = _trial_rngs(args.seed, args.trials)
-
-    def one(rng):
-        return runner(tree, oracle, cfg, rng, sim)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(one, rngs))
-    else:
-        records = [one(rng) for rng in rngs]
+    records = [runner(tree, oracle, cfg, rng, sim) for rng in _trial_rngs(args.seed, args.trials)]
     _emit([rec.as_row() for _, rec in records], args)
     return 0
 
@@ -282,7 +273,7 @@ def cmd_descent_sim(args) -> int:
 def cmd_grover_scaling(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
     k = "all" if args.marked == "all" else int(args.marked)
-    result = grover_scaling(sizes, k, args.trials, args.seed, jobs=args.jobs)
+    result = grover_scaling(sizes, k, args.trials, args.seed)
     _emit(result.as_dict(), args)
     return 0
 
@@ -320,11 +311,18 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--trials``; a string default (the environment) is checked too."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree", required=True, help="tree JSON file")
     p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    p.add_argument("--trials", type=int, default=int(_env("trials", 1)))
-    p.add_argument("--jobs", type=int, default=int(_env("jobs", 1)))
+    p.add_argument("--trials", type=_positive_int, default=_env("trials", "1"))
     p.add_argument("--delta0", type=float, default=_env("delta0", None))
     p.add_argument("--gamma1", type=float, default=_env("gamma1", None))
     p.add_argument("--gamma2", type=float, default=_env("gamma2", None))
@@ -378,16 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descent-sim", parents=[emitted], help="descent chain: exact vs Monte Carlo")
     p.add_argument("--tree", required=True)
-    p.add_argument("--trials", type=int, default=int(_env("trials", 100_000)))
+    p.add_argument("--trials", type=_positive_int, default=_env("trials", "100000"))
     p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
     p.set_defaults(func=cmd_descent_sim)
 
     p = sub.add_parser("grover-scaling", parents=[emitted], help="query scaling on marked stars")
     p.add_argument("--sizes", default="64,128,256,512")
     p.add_argument("--marked", default="4", help="marked leaves per star, or 'all'")
-    p.add_argument("--trials", type=int, default=int(_env("trials", 5)))
+    p.add_argument("--trials", type=_positive_int, default=_env("trials", "5"))
     p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    p.add_argument("--jobs", type=int, default=int(_env("jobs", 1)))
     p.set_defaults(func=cmd_grover_scaling)
 
     p = sub.add_parser("verify-all", parents=[emitted], help="run every invariant suite over a corpus")

@@ -278,7 +278,7 @@ def quantum_vs_chain_check(
     sd = spectral_decomposition(op)
     root_state = np.zeros(tree.n_vertices)
     root_state[tree.root] = 1.0
-    out = pe_distribution(sd, root_state, pe_ancillas(tree.size_bound, eta, delta), with_joint=False)
+    out = pe_distribution(sd, root_state, pe_ancillas(tree.size_bound, eta, delta))
 
     cond = out.vertex_given_zero.copy()
     cond[tree.root] = 0.0

@@ -104,8 +104,8 @@ class PEOutcome:
 
     ``p_zero`` is the probability of the all-zeros ancilla outcome;
     ``vertex_given_zero`` the conditional vertex distribution after seeing
-    it.  ``joint`` (outcome x vertex) is materialized only when the backend
-    could afford it; ``outcome_marginal`` derives from it.
+    it.  ``joint`` (outcome x vertex) is materialized only when the caller
+    asked for it; ``outcome_marginal`` derives from it.
     """
 
     s: int
@@ -125,14 +125,14 @@ def pe_distribution(
     sd: SpectralDecomposition,
     input_state: StateVector | np.ndarray,
     s: int,
-    with_joint: bool | None = None,
+    with_joint: bool = False,
 ) -> PEOutcome:
     """Exact statistics of phase estimation from the spectral decomposition.
 
     The zero-outcome marginal and the conditional vertex distribution are
     always computed (cost independent of ``2^s``).  The full joint is
-    materialized when requested, or by default whenever ``2^s * |V|`` fits
-    the gate-level cap.
+    materialized only with ``with_joint=True``, which raises
+    :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the gate-level cap.
     """
     if s < 1:
         raise ValueError("ancilla count s must be >= 1")
@@ -152,8 +152,6 @@ def pe_distribution(
     cond = np.abs(amp_zero) ** 2
     cond = cond / p_zero if p_zero > 0 else np.zeros(dim)
 
-    if with_joint is None:
-        with_joint = m * dim <= GATE_DIM_CAP
     joint = None
     if with_joint:
         if m * dim > GATE_DIM_CAP:

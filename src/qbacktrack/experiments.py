@@ -12,14 +12,13 @@ accuracy, search statistics, query scaling) are heavier and gated behind
 All randomness descends from one 64-bit master seed: corpus trees draw
 their seeds from ``numpy.random.SeedSequence(master_seed)``, and trial
 generators are spawned per (instance, trial) index, so runs reproduce
-bit for bit and trials can execute in parallel in any order.
+bit for bit.  Everything runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -628,22 +627,22 @@ def grover_scaling(
     k: int | str,
     trials: int,
     seed: int,
-    jobs: int = 1,
 ) -> GroverResult:
     """Query counts of the doubling search on stars, with a log-log fit.
 
-    ``k`` is the marked-leaf count, or ``"all"`` to mark every leaf.  Each
-    (size, trial) pair gets its own spawned generator, so results do not
-    depend on scheduling; the fitted slope is of log mean queries against
-    log size.
+    ``k`` is the marked-leaf count, or ``"all"`` to mark every leaf.  Trial
+    ``t`` on the ``idx``-th size draws from a generator spawned with key
+    ``(idx, t)``; the fitted slope is of log mean queries against log size,
+    so ``n_list`` needs at least two distinct sizes.
     """
     if isinstance(k, str):
         if k != "all":
             raise ValueError("k must be an integer or 'all'")
+    if len(set(n_list)) < 2:
+        raise ValueError(f"the slope fit needs at least two distinct sizes, got {n_list}")
     cfg = EstimateResConfig()
-
-    def run_row(idx_size):
-        idx, size = idx_size
+    rows = []
+    for idx, size in enumerate(n_list):
         k_here = size if k == "all" else int(k)
         if not (1 <= k_here <= size):
             raise ValueError(f"marked count {k_here} outside [1, {size}]")
@@ -659,20 +658,15 @@ def grover_scaling(
                 raise RuntimeError(f"search failed on star({size},{k_here})")
             queries.append(rec.walk_queries)
         q = np.asarray(queries, dtype=float)
-        return GroverRow(
-            size=size,
-            marked=k_here,
-            trials=trials,
-            mean_walk_queries=float(q.mean()),
-            std_walk_queries=float(q.std(ddof=1)) if trials > 1 else 0.0,
+        rows.append(
+            GroverRow(
+                size=size,
+                marked=k_here,
+                trials=trials,
+                mean_walk_queries=float(q.mean()),
+                std_walk_queries=float(q.std(ddof=1)) if trials > 1 else 0.0,
+            )
         )
-
-    items = list(enumerate(n_list))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_row, items))
-    else:
-        rows = [run_row(it) for it in items]
     slope = float(
         np.polyfit(
             np.log([r.size for r in rows]), np.log([r.mean_walk_queries for r in rows]), 1

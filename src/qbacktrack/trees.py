@@ -224,8 +224,8 @@ class MarkingOracle:
     part of an algorithm's query budget.  ``unmark`` supports the find-all
     loop and bumps ``version`` so caches can invalidate.
 
-    Counter updates are plain int increments (atomic under the GIL); for
-    multi-process use, aggregate per worker.
+    ``query_counter += 1`` is a read-modify-write, not an atomic update;
+    share an oracle only between calls made one after another.
     """
 
     def __init__(self, marks: Iterable[bool] | np.ndarray, root: int):

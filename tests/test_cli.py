@@ -104,16 +104,41 @@ class TestRunners:
         row = json.loads(text)[0]
         assert sorted(row["outcome"].split(",")) == ["1", "2"]
 
-    def test_jobs_do_not_change_results(self, star_file, tmp_path):
-        _, a = run_cli(
-            ["estimate-res", "--tree", star_file, "--seed", "5", "--trials", "4"], tmp_path, "a.json"
-        )
-        _, b = run_cli(
-            ["estimate-res", "--tree", star_file, "--seed", "5", "--trials", "4", "--jobs", "3"],
-            tmp_path,
-            "b.json",
-        )
-        assert a == b
+    @pytest.mark.parametrize(
+        "command", ["estimate-res", "find-marked", "find-all", "detect", "grover-scaling"]
+    )
+    def test_jobs_flag_rejected(self, command, star_file, tmp_path, capsys):
+        target = ["--sizes", "8,16"] if command == "grover-scaling" else ["--tree", star_file]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *target, "--jobs", "1"], tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate-res", "find-marked"])
+    def test_trial_rows_do_not_depend_on_trial_count(self, command, star_file, tmp_path):
+        _, two = run_cli([command, "--tree", star_file, "--seed", "5", "--trials", "2"], tmp_path, "a.json")
+        _, four = run_cli([command, "--tree", star_file, "--seed", "5", "--trials", "4"], tmp_path, "b.json")
+        assert json.loads(two) == json.loads(four)[:2]
+
+
+class TestTrialsFlag:
+    @pytest.mark.parametrize(
+        "command", ["estimate-res", "find-marked", "find-all", "detect", "descent-sim", "grover-scaling"]
+    )
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_below_one_rejected(self, command, trials, star_file, tmp_path, capsys):
+        target = ["--sizes", "8,16"] if command == "grover-scaling" else ["--tree", star_file]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *target, "--trials", trials], tmp_path)
+        assert exc.value.code == 2
+        assert "--trials: must be at least 1" in capsys.readouterr().err
+
+    def test_env_below_one_rejected(self, star_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QBACKTRACK_TRIALS", "0")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["estimate-res", "--tree", star_file], tmp_path)
+        assert exc.value.code == 2
+        assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
 class TestDescentSim:

@@ -72,7 +72,7 @@ class TestSpectralPE:
     def test_joint_normalization(self, star_8_2):
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
         sd = spectral_decomposition(op)
-        out = pe_distribution(sd, root_state(9), s=5)
+        out = pe_distribution(sd, root_state(9), s=5, with_joint=True)
         assert out.joint.sum() == pytest.approx(1.0, abs=1e-12)
         marginal = out.outcome_marginal()
         assert marginal[0] == pytest.approx(out.p_zero, abs=1e-13)

@@ -4,6 +4,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from qbacktrack import experiments
 from qbacktrack.descent import descent_step_counts
@@ -91,3 +92,9 @@ def test_verify_all_times_each_suite_apart():
     assert report.bundle_s > 0.0
     assert report.bundle_s + sum(suite.elapsed for suite in report.suites.values()) <= wall
     assert report.as_dict()["bundle_s"] == round(report.bundle_s, 3)
+
+
+@pytest.mark.parametrize("sizes", [[64], [64, 64], []])
+def test_grover_scaling_needs_two_distinct_sizes(sizes):
+    with pytest.raises(ValueError, match="two distinct sizes"):
+        experiments.grover_scaling(sizes, 4, trials=2, seed=0)
