@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimation import MAX_ANCILLAS, ae_outcome_distribution, ae_outcome_grid, pe_ancillas, pe_distribution
-from .trees import MarkedSet, MarkingOracle, Tree, _tree_from_children, shallowest_marked
+from .trees import MarkedSet, MarkingOracle, Tree, shallowest_marked, tree_from_children
 from .walk import SpectralDecomposition, build_walk_operator, spectral_decomposition
 
 __all__ = [
@@ -169,7 +169,7 @@ class _Subtree:
 
 
 class WalkSimulator:
-    """Caches re-rooted subtrees, spectra, and exact PE statistics.
+    """Caches re-rooted subtrees and exact PE statistics.
 
     One instance serves one (tree, oracle) pair; caches are invalidated when
     the oracle's unmark version changes.  Cached values are deterministic
@@ -182,13 +182,11 @@ class WalkSimulator:
         self.oracle = oracle
         self._version = oracle.version
         self._subtrees: dict[int, _Subtree] = {}
-        self._spectra: dict[tuple[int, float], SpectralDecomposition] = {}
         self._pe: dict[tuple[int, float, int], tuple[float, np.ndarray]] = {}
 
     def _fresh(self) -> None:
         if self.oracle.version != self._version:
             self._subtrees.clear()
-            self._spectra.clear()
             self._pe.clear()
             self._version = self.oracle.version
 
@@ -200,7 +198,7 @@ class WalkSimulator:
         tree = self.tree
         ids = tree.subtree_vertices(v)
         local = {g: i for i, g in enumerate(ids)}
-        sub_tree = _tree_from_children(
+        sub_tree = tree_from_children(
             [[local[c] for c in tree.children[g]] for g in ids],
             bounds=(tree.size_bound, tree.depth_bound, tree.degree_bound),
         )
@@ -212,16 +210,9 @@ class WalkSimulator:
         return sub
 
     def spectral(self, v: int, eta: float) -> SpectralDecomposition:
-        self._fresh()
-        key = (v, float(eta))
-        hit = self._spectra.get(key)
-        if hit is not None:
-            return hit
+        """Build and decompose the walk on the subtree re-rooted at ``v``."""
         sub = self.subtree(v)
-        op = build_walk_operator(sub.tree, sub.marked, eta)
-        sd = spectral_decomposition(op)
-        self._spectra[key] = sd
-        return sd
+        return spectral_decomposition(build_walk_operator(sub.tree, sub.marked, eta))
 
     def pe_stats(self, v: int, eta: float, s: int) -> tuple[float, np.ndarray]:
         """Zero-outcome probability and conditional vertex law (local ids)."""

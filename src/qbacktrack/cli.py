@@ -8,7 +8,9 @@ overridden by an environment variable named ``QBACKTRACK_<FLAG>`` (upper
 case).  Output is JSON by default; the commands that print results (all but
 gen-tree and run) also emit CSV rows via ``--out csv``.  All numbers are
 serialized at full precision with sorted keys, so identical specs and seeds
-produce byte-identical files.
+produce byte-identical files.  Input the library rejects with a
+``ValueError`` is a usage error: its message goes to stderr and the exit
+code is 2.
 
 Randomness: one 64-bit master seed per invocation.  Trials run one after
 another in the calling thread.  The run-style commands (estimate-res,
@@ -410,7 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         if save_spec:
             with open(save_spec, "w") as fh:
                 fh.write(spec.to_json() + "\n")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a library rejecting the user's input
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

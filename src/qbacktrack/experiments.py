@@ -640,6 +640,8 @@ def grover_scaling(
             raise ValueError("k must be an integer or 'all'")
     if len(set(n_list)) < 2:
         raise ValueError(f"the slope fit needs at least two distinct sizes, got {n_list}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     cfg = EstimateResConfig()
     rows = []
     for idx, size in enumerate(n_list):

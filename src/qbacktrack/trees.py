@@ -38,6 +38,7 @@ __all__ = [
     "solution_tree",
     "tree_to_json",
     "tree_from_json",
+    "tree_from_children",
 ]
 
 
@@ -159,7 +160,7 @@ def _is_id(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _tree_from_children(
+def tree_from_children(
     children: Sequence[Sequence[int]],
     root: int = 0,
     bounds: tuple[int, int, int] | None = None,
@@ -330,7 +331,7 @@ def build_star(num_leaves: int, num_marked: int) -> tuple[Tree, MarkingOracle]:
     if not (0 <= num_marked <= num_leaves):
         raise ValueError("num_marked must lie in [0, num_leaves]")
     children = [tuple(range(1, num_leaves + 1))] + [()] * num_leaves
-    tree = _tree_from_children(children)
+    tree = tree_from_children(children)
     marks = np.zeros(num_leaves + 1, dtype=bool)
     marks[1 : num_marked + 1] = True
     return tree, MarkingOracle(marks, tree.root)
@@ -341,7 +342,7 @@ def build_path(num_edges: int, mark_leaf: bool) -> tuple[Tree, MarkingOracle]:
     if num_edges < 1:
         raise ValueError("num_edges must be >= 1")
     children = [(v + 1,) for v in range(num_edges)] + [()]
-    tree = _tree_from_children(children)
+    tree = tree_from_children(children)
     marks = np.zeros(num_edges + 1, dtype=bool)
     marks[num_edges] = mark_leaf
     return tree, MarkingOracle(marks, tree.root)
@@ -370,7 +371,7 @@ def build_complete_tree(
             new_level.extend(kids)
         level = new_level
     children.extend(() for _ in level)
-    tree = _tree_from_children(children)
+    tree = tree_from_children(children)
     marks = np.zeros(tree.n_vertices, dtype=bool)
     if mark_leaves and depth > 0:
         marks[level] = True
@@ -413,7 +414,7 @@ def build_random_tree(
         head += 1
     new_id = {old: i for i, old in enumerate(order)}
     children = [tuple(new_id[c] for c in kids[old]) for old in order]
-    tree = _tree_from_children(children)
+    tree = tree_from_children(children)
     marks = np.zeros(T_target, dtype=bool)
     marks[1:] = rng.random(T_target - 1) < mark_prob
     return tree, MarkingOracle(marks, tree.root)
@@ -482,7 +483,7 @@ def build_dpll_tree(
             children.append([])
             payload.append(extended)
             marks.append(False)
-    tree = _tree_from_children(children)
+    tree = tree_from_children(children)
     return tree, MarkingOracle(np.array(marks, dtype=bool), tree.root)
 
 
@@ -583,6 +584,6 @@ def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
         children[row["id"]] = tuple(kids)
         marks[row["id"]] = mark
     root = data["root"]
-    tree = _tree_from_children(children, root)
+    tree = tree_from_children(children, root)
     tree.validate()
     return tree, MarkingOracle(marks, root)

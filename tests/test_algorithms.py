@@ -1,6 +1,7 @@
 """Estimate-Res and Find-Marked behavior, statistics, and query accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,41 @@ class TestSubtree:
                 and not any(oracle.peek(w) for w in tree.path_from_root(u)[int(tree.depth[v]) + 1 : -1])
             }
             assert {int(ids[m]) for m in sub.marked.members} == want
+
+
+class TestWalkSimulator:
+    def test_unmark_invalidates_to_a_fresh_simulator(self):
+        tree, oracle = build_random_tree(40, 3, 0.2, 2)
+        nested = [
+            a for u in oracle.marked_vertices() for a in tree.path_from_root(u)[1:-1] if oracle.peek(a)
+        ]
+        assert nested, "the fixture needs a marked vertex below another"
+        grid = [(eta, s) for eta in (0.5, 2.0, 8.0) for s in (3, 6)]
+        sim = WalkSimulator(tree, oracle)
+        before = [sim.pe_stats(tree.root, eta, s) for eta, s in grid]
+        oracle.unmark(nested[0])
+        fresh = WalkSimulator(tree, oracle)
+        for (eta, s), old in zip(grid, before):
+            p_zero, law = sim.pe_stats(tree.root, eta, s)
+            want_p, want_law = fresh.pe_stats(tree.root, eta, s)
+            assert p_zero == want_p and np.array_equal(law, want_law)
+        # the unmark exposes deeper marks, so a stale cache would differ
+        assert any(not np.array_equal(old[1], sim.pe_stats(tree.root, eta, s)[1])
+                   for (eta, s), old in zip(grid, before))
+
+    def test_search_keeps_no_walk_sized_state(self):
+        tree, oracle = build_star(512, 4)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            sim = WalkSimulator(tree, oracle)
+            for seed in range(5):
+                k_doubling_find(tree, oracle, CFG, np.random.default_rng(seed), sim)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # one dense n x n complex spectrum alone is 16 n^2 = 4.2 MB
+        assert kept < 2**20, f"simulator keeps {kept / 2**20:.2f} MiB"
 
 
 class TestRunRecord:

@@ -141,6 +141,33 @@ class TestTrialsFlag:
         assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """A library ValueError on user input exits 2 with its message, not a traceback.
+
+    ``verify-all --count 0`` is covered by ``TestVerifyAll.test_empty_corpus_rejected``.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grover-scaling", "--sizes", "64"], "two distinct sizes"),
+            (["grover-scaling", "--sizes", "8,16", "--marked", "20"], "marked count 20 outside"),
+            (["gen-tree", "--kind", "star", "--size", "4", "--marked", "9"], "num_marked"),
+            (["find-marked", "--tree", "SELF_LOOP"], "its own or the root's child"),
+        ],
+    )
+    def test_value_error_exits_2(self, argv, message, tmp_path, capsys):
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps(
+            {"root": 0, "vertices": [{"id": 0, "children": [0], "marked": False}]}
+        ))
+        argv = [str(loop) if a == "SELF_LOOP" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, tmp_path)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestDescentSim:
     def test_report_fields(self, star_file, tmp_path):
         code, text = run_cli(
@@ -175,9 +202,11 @@ class TestVerifyAll:
         failures = data["suites"]["kappa_identities"]["failures"]
         assert any(f["check"] == "child_sum" for f in failures)
 
-    def test_empty_corpus_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no trees"):
+    def test_empty_corpus_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["verify-all", "--count", "0", "--seed", "1"], tmp_path)
+        assert exc.value.code == 2
+        assert "no trees" in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -98,3 +98,9 @@ def test_verify_all_times_each_suite_apart():
 def test_grover_scaling_needs_two_distinct_sizes(sizes):
     with pytest.raises(ValueError, match="two distinct sizes"):
         experiments.grover_scaling(sizes, 4, trials=2, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_grover_scaling_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        experiments.grover_scaling([8, 16], 1, trials, seed=0)
