@@ -18,7 +18,8 @@ in which stars are laid down.
 The operator is real orthogonal, so its spectrum comes from the real Schur
 form: 1x1 blocks are +/-1 eigenvalues, 2x2 rotation blocks give conjugate
 eigenphase pairs.  Eigenvalues are written ``exp(2i*theta)`` with theta in
-(-pi/2, pi/2].
+(-pi/2, pi/2].  The eigenbasis is not orthonormal when a repeated +/-1
+eigenvalue comes back as a near-identity 2x2 block (ROADMAP item 0).
 
 Analytic states (all expressed over the vertex basis):
 
@@ -115,10 +116,11 @@ class WalkOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Orthonormal eigenbasis with eigenphases in (-pi/2, pi/2].
+    """Unit eigenvectors with eigenphases in (-pi/2, pi/2].
 
     ``vectors[:, j]`` has eigenvalue ``exp(2i * phases[j])``.  Real
-    eigenvectors are stored as complex with zero imaginary part.
+    eigenvectors are stored as complex with zero imaginary part.  The basis
+    is not always orthonormal: see :func:`spectral_decomposition`.
     """
 
     phases: np.ndarray
@@ -236,33 +238,39 @@ def build_walk_operator(
 
 
 def spectral_decomposition(op: WalkOperator) -> SpectralDecomposition:
-    """Eigenphases and orthonormal eigenvectors from the real Schur form.
+    """Eigenphases and eigenvectors from the real Schur form.
 
     For an orthogonal matrix the quasi-triangular factor is block diagonal:
     1x1 blocks are +/-1 (theta 0 or pi/2), 2x2 blocks are plane rotations
-    giving a conjugate pair.  Each 2x2 block is diagonalized exactly in its
-    own basis, so the assembled eigenvectors stay orthonormal.
+    giving a conjugate pair.  LAPACK's standard form never has two adjacent
+    non-zero sub-diagonal entries, so those entries mark the 2x2 blocks, and
+    one batched ``eig`` over the stacked blocks diagonalizes each in its own
+    basis.
+
+    The basis is orthonormal only when every 2x2 block is a true rotation.
+    A repeated +/-1 eigenvalue can come back as a 2x2 block that is the
+    identity up to rounding; ``eig`` then returns two nearly parallel
+    eigenvectors (ROADMAP item 0).
     """
-    t, q = scipy.linalg.schur(op.matrix, output="real")
-    n = t.shape[0]
-    phases = np.empty(n)
-    vectors = np.empty((n, n), dtype=complex)
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            block = t[i : i + 2, i : i + 2]
-            vals, vecs = np.linalg.eig(block)
-            basis = q[:, i : i + 2].astype(complex)
-            for j in range(2):
-                angle = float(np.angle(vals[j]))
-                phases[i + j] = angle / 2.0
-                col = basis @ vecs[:, j]
-                vectors[:, i + j] = col / np.linalg.norm(col)
-            i += 2
-        else:
-            phases[i] = 0.0 if t[i, i] > 0.0 else np.pi / 2.0
-            vectors[:, i] = q[:, i]
-            i += 1
+    # Each n x n input is dropped once read, so the operator (a temporary in
+    # WalkSimulator.spectral), its matrix and the Schur factor are freed
+    # before the complex basis is allocated: a lower peak RSS.
+    matrix = op.matrix
+    del op
+    t, q = scipy.linalg.schur(matrix, output="real")
+    del matrix
+    pair = np.flatnonzero(np.diagonal(t, -1))[:, None] + np.arange(2)
+    vals, vecs = np.linalg.eig(t[pair[:, :, None], pair[:, None, :]])
+    phases = np.where(np.diagonal(t) > 0.0, 0.0, np.pi / 2.0)
+    phases[pair] = np.angle(vals) / 2.0
+    del t
+    # block x eigenvector x vertex, each column contiguous and normalized by
+    # the dot products np.linalg.norm takes, so it equals a per-block loop's
+    cols = (q[:, pair].transpose(1, 0, 2) @ vecs).transpose(0, 2, 1).copy()
+    real, imag = cols.real[..., None, :], cols.imag[..., None, :]
+    cols /= np.sqrt(real @ real.swapaxes(-1, -2) + imag @ imag.swapaxes(-1, -2))[..., 0]
+    vectors = q.astype(complex)
+    vectors[:, pair] = cols.transpose(2, 0, 1)
     phases.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralDecomposition(phases=phases, vectors=vectors)

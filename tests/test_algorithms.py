@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qbacktrack.algorithms as algorithms
 from qbacktrack import build_path, build_random_tree, build_star, shallowest_marked
 from qbacktrack.algorithms import (
     EstimateResConfig,
@@ -345,6 +346,46 @@ class TestWalkSimulator:
         # the unmark exposes deeper marks, so a stale cache would differ
         assert any(not np.array_equal(old[1], sim.pe_stats(tree.root, eta, s)[1])
                    for (eta, s), old in zip(grid, before))
+
+    def test_ae_law_computed_once_per_stage(self, monkeypatch):
+        tree, oracle = build_star(64, 4)
+        sim = WalkSimulator(tree, oracle)
+        computed, stages = [], set()
+        original_dist, original_law = algorithms.ae_outcome_distribution, sim.ae_law
+
+        def counted_dist(*args):
+            computed.append(args)
+            return original_dist(*args)
+
+        def recorded_law(*args):
+            stages.add(args)
+            return original_law(*args)
+
+        monkeypatch.setattr(algorithms, "ae_outcome_distribution", counted_dist)
+        monkeypatch.setattr(sim, "ae_law", recorded_law)
+        shared = [k_doubling_find(tree, oracle, CFG, np.random.default_rng(seed), sim)[1]
+                  for seed in range(50)]
+        assert len(computed) == len(stages) > 0
+        monkeypatch.undo()
+        for seed, rec in enumerate(shared):
+            _, fresh = k_doubling_find(tree, oracle, CFG, np.random.default_rng(seed))
+            assert rec.as_row() == fresh.as_row()
+
+    def test_unmark_invalidates_the_ae_law(self):
+        tree, oracle = build_star(64, 4)
+        sim = WalkSimulator(tree, oracle)
+        s_ae = CFG.ae_ancillas(CFG.resolve_gamma2(tree.depth_bound))
+        eta = 1.0 / 64
+        s_pe = CFG.pe_ancillas(tree.size_bound, eta)
+        before = sim.ae_law(tree.root, eta, s_pe, s_ae)
+        for seed in range(5):
+            estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed), sim)
+        oracle.unmark(oracle.marked_vertices()[0])
+        assert not np.array_equal(before, sim.ae_law(tree.root, eta, s_pe, s_ae))
+        for seed in range(5):
+            got, got_rec = estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed), sim)
+            want, want_rec = estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed))
+            assert got == want and got_rec.as_row() == want_rec.as_row()
 
     def test_search_keeps_no_walk_sized_state(self):
         tree, oracle = build_star(512, 4)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,10 @@ from qbacktrack import (
     build_random_tree,
     build_star,
     build_walk_operator,
+    SpectralDecomposition,
     kappa_assignment,
     path_superposition_coefficients,
+    pe_distribution,
     phi_m_state,
     phi_perp_state,
     phi_state,
@@ -215,6 +218,90 @@ class TestSpectrum:
         root[0] = 1.0
         lam = sd.amplitudes(root)
         assert np.sum(np.abs(lam) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="near-identity 2x2 Schur blocks (ROADMAP item 0)")
+    def test_degenerate_star_basis_is_orthonormal(self):
+        tree, oracle = build_star(64, 4)
+        sd = spectral_decomposition(build_walk_operator(tree, oracle, 1.0))
+        gram = sd.vectors.conj().T @ sd.vectors
+        assert np.linalg.norm(gram - np.eye(tree.n_vertices)) <= 1e-10
+
+
+def loop_spectral_decomposition(op):
+    """Reference decomposition: one ``eig`` per 2x2 Schur block, in a Python loop.
+
+    Also returns the block starts the loop found and the Schur factor ``t``.
+    """
+    t, q = scipy.linalg.schur(op.matrix, output="real")
+    n = t.shape[0]
+    phases = np.empty(n)
+    vectors = np.empty((n, n), dtype=complex)
+    starts = []
+    i = 0
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            starts.append(i)
+            vals, vecs = np.linalg.eig(t[i : i + 2, i : i + 2])
+            basis = q[:, i : i + 2].astype(complex)
+            for j in range(2):
+                phases[i + j] = float(np.angle(vals[j])) / 2.0
+                col = basis @ vecs[:, j]
+                vectors[:, i + j] = col / np.linalg.norm(col)
+            i += 2
+        else:
+            phases[i] = 0.0 if t[i, i] > 0.0 else np.pi / 2.0
+            vectors[:, i] = q[:, i]
+            i += 1
+    return SpectralDecomposition(phases=phases, vectors=vectors), starts, t
+
+
+def assert_matches_loop(tree, oracle, eta):
+    op = build_walk_operator(tree, oracle, eta)
+    got = spectral_decomposition(op)
+    want, starts, t = loop_spectral_decomposition(op)
+    assert np.flatnonzero(np.diagonal(t, -1)).tolist() == starts
+    assert np.array_equal(got.phases, want.phases)
+    assert np.abs(got.vectors - want.vectors).max(initial=0.0) <= 1e-14
+    root = np.zeros(tree.n_vertices)
+    root[0] = 1.0
+    for s in (3, 8):
+        a, b = pe_distribution(got, root, s), pe_distribution(want, root, s)
+        assert abs(a.p_zero - b.p_zero) <= 1e-13
+        assert np.abs(a.vertex_given_zero - b.vertex_given_zero).max() <= 1e-13
+
+
+class TestBatchedBlocks:
+    """The batched 2x2 post-processing matches the per-block loop."""
+
+    @pytest.mark.parametrize("fixture", ["single_edge", "star_8_2", "star_64_4", "path_4"])
+    def test_fixtures(self, fixture, request):
+        inst = request.getfixturevalue(fixture)
+        for eta in (inst.eta_bar, 0.3, 1.0):
+            assert_matches_loop(inst.tree, inst.oracle, eta)
+
+    def test_corpus(self):
+        for inst in default_corpus(count=30):
+            for eta in (0.05, 1.0, 9.0):
+                assert_matches_loop(inst.tree, inst.oracle, eta)
+
+    def test_degenerate_star(self):
+        assert_matches_loop(*build_star(64, 4), 1.0)
+
+    def test_large_star(self):
+        assert_matches_loop(*build_star(512, 4), 1.0 / 128)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(min_value=2, max_value=60),
+    degree=st.integers(min_value=2, max_value=5),
+    prob=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eta=st.floats(min_value=1e-6, max_value=1e3),
+)
+def test_batched_blocks_match_loop(size, degree, prob, seed, eta):
+    tree, oracle = build_random_tree(size, degree, prob, seed)
+    assert_matches_loop(tree, oracle, eta)
 
 
 class TestStates:
