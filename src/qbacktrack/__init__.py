@@ -37,9 +37,7 @@ from .resistance import (
 from .walk import (
     SpectralDecomposition,
     SpectralGapReport,
-    StateVector,
     WalkOperator,
-    XiVector,
     beta_angle,
     build_walk_operator,
     path_superposition_coefficients,

@@ -60,6 +60,8 @@ INFINITE = float("inf")
 
 # Amplitude-estimation ancillas: 2^s_ae >= AE_TAIL_FACTOR / gamma2.
 AE_TAIL_FACTOR = 16.0
+# Amplitude-estimation error delta_ae of the estimation loop, in [gamma2, 1/8).
+DELTA_AE = 0.1
 # Upper end of the descent precision delta.
 DESCENT_DELTA_CAP = 0.5
 # Phase-estimation rounds find_marked may spend before giving up.
@@ -73,10 +75,10 @@ class EstimateResConfig:
     """Tunables of the estimation loop and the descent.
 
     Defaults satisfy every constraint of the failure-rate analysis with
-    slack: ``gamma1 > 2``, ``gamma2 <= 1/(8 sqrt(n))`` (resolved per tree
-    when left as None), step factor in (1, 2], and the amplitude-estimation
-    error ``delta_ae`` in [gamma2, 1/8).  The constants of the analysis are
-    all 1.  ``repetitions`` uses the natural logarithm.  ``k_guess`` scales
+    slack: ``gamma1 > 2``, ``0 < gamma2 <= 1/(8 sqrt(n))`` (resolved per
+    tree when left as None) and at most the amplitude-estimation error
+    ``DELTA_AE``, and step factor in (1, 2].  The constants of the analysis
+    are all 1.  ``repetitions`` uses the natural logarithm.  ``k_guess`` scales
     the descent precision ``delta = 1 / log2(k_guess * (eta + 1))``, capped
     at ``DESCENT_DELTA_CAP``.
     """
@@ -85,22 +87,23 @@ class EstimateResConfig:
     gamma1: float = 4.0
     gamma2: float | None = None
     step: float = 2.0
-    delta_ae: float = 0.1
     k_guess: int = 1
 
     def validate(self, depth_bound: int) -> None:
         if not (0.0 < self.delta0 < 1.0):
             raise ValueError("delta0 must lie in (0, 1)")
-        if not (self.gamma1 > 2.0):
-            raise ValueError("gamma1 must exceed 2")
+        if not (2.0 < self.gamma1 < math.inf):
+            raise ValueError(f"gamma1 must be finite and exceed 2, got {self.gamma1}")
         if not (1.0 < self.step <= 2.0):
             raise ValueError("step factor must lie in (1, 2]")
         gamma2 = self.resolve_gamma2(depth_bound)
+        if not (gamma2 > 0.0):
+            raise ValueError(f"gamma2 must be positive, got {gamma2}")
         limit = 1.0 / (8.0 * math.sqrt(max(1, depth_bound)))
         if gamma2 > limit * (1.0 + 1e-12):
             raise ValueError(f"gamma2 = {gamma2} exceeds 1/(8 sqrt(n)) = {limit}")
-        if not (gamma2 <= self.delta_ae < 0.125):
-            raise ValueError("delta_ae must lie in [gamma2, 1/8)")
+        if gamma2 > DELTA_AE:
+            raise ValueError(f"gamma2 = {gamma2} exceeds the amplitude-estimation error {DELTA_AE}")
 
     def resolve_gamma2(self, depth_bound: int) -> float:
         if self.gamma2 is not None:
@@ -116,11 +119,11 @@ class EstimateResConfig:
     def pe_ancillas(self, size_bound: int, eta: float) -> int:
         """Ancillas of the estimation loop's phase estimation.
 
-        ``2^s >= sqrt(T eta / delta_ae^3)``: the precision enters as
-        ``delta_ae^(3/2)``, not as the ``delta^3`` of
+        ``2^s >= sqrt(T eta / DELTA_AE^3)``: the precision enters as
+        ``DELTA_AE^(3/2)``, not as the ``delta^3`` of
         :func:`~qbacktrack.estimation.pe_ancillas` that the descent uses.
         """
-        target = math.sqrt(size_bound * eta / self.delta_ae**3)
+        target = math.sqrt(size_bound * eta / DELTA_AE**3)
         return min(MAX_ANCILLAS, max(1, math.ceil(math.log2(max(2.0, target)))))
 
     def descent_delta(self, eta: float) -> float:

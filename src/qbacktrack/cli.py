@@ -2,15 +2,12 @@
 
 Subcommands: gen-tree, resistance, spectrum, estimate-res, find-marked,
 find-all, detect, descent-sim, grover-scaling, verify-all, and run (replay a
-saved experiment spec).  The defaults of ``--seed``, ``--trials``,
-``--count``, ``--delta0``, ``--gamma1``, ``--gamma2`` and ``--step`` can be
-overridden by an environment variable named ``QBACKTRACK_<FLAG>`` (upper
-case).  Output is JSON by default; the commands that print results (all but
-gen-tree and run) also emit CSV rows via ``--out csv``.  All numbers are
-serialized at full precision with sorted keys, so identical specs and seeds
-produce byte-identical files.  Input the library rejects with a
-``ValueError`` is a usage error: its message goes to stderr and the exit
-code is 2.
+saved experiment spec).  Output is JSON by default; the commands that print
+results (all but gen-tree and run) also emit CSV rows via ``--out csv``.
+All numbers are serialized at full precision with sorted keys, so identical
+specs and seeds produce byte-identical files.  Input the library rejects
+with a ``ValueError`` is a usage error: its message goes to stderr and the
+exit code is 2.
 
 Randomness: one 64-bit master seed per invocation.  Trials run one after
 another in the calling thread.  The run-style commands (estimate-res,
@@ -25,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -57,13 +53,6 @@ from .trees import (
     tree_to_json,
 )
 from .walk import build_walk_operator, spectral_decomposition
-
-ENV_PREFIX = "QBACKTRACK_"
-
-
-def _env(flag: str, fallback):
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
-
 
 def _json_default(value):
     if isinstance(value, float) and math.isinf(value):
@@ -314,7 +303,7 @@ def cmd_run(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for ``--trials``; a string default (the environment) is checked too."""
+    """argparse type for ``--trials``: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -323,12 +312,12 @@ def _positive_int(text: str) -> int:
 
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree", required=True, help="tree JSON file")
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    p.add_argument("--trials", type=_positive_int, default=_env("trials", "1"))
-    p.add_argument("--delta0", type=float, default=_env("delta0", None))
-    p.add_argument("--gamma1", type=float, default=_env("gamma1", None))
-    p.add_argument("--gamma2", type=float, default=_env("gamma2", None))
-    p.add_argument("--step", type=float, default=_env("step", None))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--delta0", type=float, default=None)
+    p.add_argument("--gamma1", type=float, default=None)
+    p.add_argument("--gamma2", type=float, default=None)
+    p.add_argument("--step", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mark-prob", type=float, default=0.1)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--branching", type=int, default=2)
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cnf", help="JSON file with {'clauses': [...], 'var_order': [...]}")
     p.set_defaults(func=cmd_gen_tree)
 
@@ -378,20 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descent-sim", parents=[emitted], help="descent chain: exact vs Monte Carlo")
     p.add_argument("--tree", required=True)
-    p.add_argument("--trials", type=_positive_int, default=_env("trials", "100000"))
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    p.add_argument("--trials", type=_positive_int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_descent_sim)
 
     p = sub.add_parser("grover-scaling", parents=[emitted], help="query scaling on marked stars")
     p.add_argument("--sizes", default="64,128,256,512")
     p.add_argument("--marked", default="4", help="marked leaves per star, or 'all'")
-    p.add_argument("--trials", type=_positive_int, default=_env("trials", "5"))
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    p.add_argument("--trials", type=_positive_int, default=5)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_grover_scaling)
 
     p = sub.add_parser("verify-all", parents=[emitted], help="run every invariant suite over a corpus")
-    p.add_argument("--count", type=int, default=int(_env("count", 500)))
-    p.add_argument("--seed", type=int, default=int(_env("seed", 20240913)))
+    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--seed", type=int, default=20240913)
     p.add_argument("--full", action="store_true", help="include statistical suites")
     p.add_argument("--fault", default=None, help="inject a named fault (kappa_perturbation)")
     p.set_defaults(func=cmd_verify_all)

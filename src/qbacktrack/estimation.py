@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import SpectralDecomposition, StateVector, WalkOperator
+from .walk import SpectralDecomposition, WalkOperator
 
 __all__ = [
     "ResourceLimitError",
@@ -123,7 +123,7 @@ class PEOutcome:
 
 def pe_distribution(
     sd: SpectralDecomposition,
-    input_state: StateVector | np.ndarray,
+    input_state: np.ndarray,
     s: int,
     with_joint: bool = False,
 ) -> PEOutcome:
@@ -138,8 +138,7 @@ def pe_distribution(
         raise ValueError("ancilla count s must be >= 1")
     if s > MAX_ANCILLAS:
         raise ResourceLimitError(f"s = {s} exceeds the cap of {MAX_ANCILLAS}")
-    state = input_state.amplitudes if isinstance(input_state, StateVector) else input_state
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(input_state, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
     m = 1 << s
@@ -165,17 +164,14 @@ def pe_distribution(
     return PEOutcome(s=s, p_zero=p_zero, vertex_given_zero=cond, joint=joint)
 
 
-def gate_level_pe(
-    op: WalkOperator, input_state: StateVector | np.ndarray, s: int
-) -> PEOutcome:
+def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> PEOutcome:
     """Literal circuit simulation: ancillas, controlled powers, inverse QFT.
 
     Runs on the full ``2^s x |V|`` register, applying the walk matrix once
     per controlled power, then a fast Fourier transform over the ancilla
     index.  Matches :func:`pe_distribution` to floating-point accuracy.
     """
-    state = input_state.amplitudes if isinstance(input_state, StateVector) else input_state
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(input_state, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
     m = 1 << s

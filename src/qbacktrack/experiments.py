@@ -23,7 +23,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algorithms import EstimateResConfig, WalkSimulator, estimate_res, find_all, find_marked, k_doubling_find
+from .algorithms import (
+    DELTA_AE, EstimateResConfig, WalkSimulator, estimate_res, find_all, find_marked, k_doubling_find
+)
 from .descent import (
     absorption_fit,
     absorption_pmf,
@@ -291,7 +293,7 @@ def _suite_fixed_points(suite: SuiteResult, b: _TreeBundle) -> None:
         phi = phi_state(b.st, b.ka, eta)
         suite.update(
             b.name,
-            float(np.linalg.norm(op.matrix @ phi.amplitudes - phi.amplitudes)),
+            float(np.linalg.norm(op.matrix @ phi - phi)),
             1e-10,
             f"phi_fixed@{eta:.3g}",
         )
@@ -299,14 +301,14 @@ def _suite_fixed_points(suite: SuiteResult, b: _TreeBundle) -> None:
             pm = phi_m_state(tree, marked, m, eta)
             suite.update(
                 b.name,
-                float(np.linalg.norm(op.matrix @ pm.amplitudes - pm.amplitudes)),
+                float(np.linalg.norm(op.matrix @ pm - pm)),
                 1e-10,
                 f"path_vector_fixed@{eta:.3g}",
             )
         expected_overlap = math.sin(math.atan(math.sqrt(eta) * b.ka.kappa[tree.root]))
         suite.update(
             b.name,
-            abs(phi.amplitudes[tree.root] - expected_overlap),
+            abs(phi[tree.root] - expected_overlap),
             1e-12,
             f"root_overlap@{eta:.3g}",
         )
@@ -320,20 +322,21 @@ def _suite_witness(suite: SuiteResult, b: _TreeBundle) -> None:
         perp = phi_perp_state(b.st, b.ka, eta)
         suite.update(
             b.name,
-            float(np.linalg.norm(op.projector_a() @ xi.alpha)),
+            float(np.linalg.norm(op.projector_a() @ xi)),
             1e-10,
             f"witness_killed_by_even_projector@{eta:.3g}",
         )
         suite.update(
             b.name,
-            float(np.linalg.norm(op.projector_b() @ xi.alpha - perp.amplitudes)),
+            float(np.linalg.norm(op.projector_b() @ xi - perp)),
             1e-10,
             f"witness_maps_to_perp@{eta:.3g}",
         )
         if eta >= 1.0 / (size_bound - 1):
             beta = beta_angle(b.ka.kappa[b.st.root], eta)
             bound = 2 * (size_bound - 1) * eta * math.cos(beta) ** 2
-            suite.require(b.name, xi.norm**2 <= bound + 1e-12, f"witness_norm_bound@{eta:.3g}")
+            xi_sq = float(np.linalg.norm(xi)) ** 2
+            suite.require(b.name, xi_sq <= bound + 1e-12, f"witness_norm_bound@{eta:.3g}")
     perp = phi_perp_state(b.st, b.ka, b.rp.eta_root)
     xi = xi_vector(b.st, b.ka, b.rp.eta_root)
     for eps in (1e-3, 1e-2, 1e-1):
@@ -346,7 +349,7 @@ def _suite_precision(suite: SuiteResult, b: _TreeBundle) -> None:
     if b.st.tree.n_vertices > PRECISION_SIZE_CAP:
         return
     eta_bar = b.rp.eta_root
-    lam2 = np.abs(b.sd.amplitudes(phi_perp_state(b.st, b.ka, eta_bar).amplitudes)) ** 2
+    lam2 = np.abs(b.sd.amplitudes(phi_perp_state(b.st, b.ka, eta_bar))) ** 2
     for delta in (0.2, 0.1, 0.05):
         s = pe_ancillas(b.st.tree.size_bound, eta_bar, delta)
         leak = float(np.sum(lam2 * pe_kernel(b.sd.phases, s)))
@@ -467,7 +470,7 @@ def suite_estimate_res_statistics(
     """Accuracy and existence statistics of the resistance estimator.
 
     On the 64-leaf star with 4 marked, at least 95% of seeded runs must land
-    within ``16 * delta_ae * eta * (1 + ENVELOPE_MARGIN)`` of the true 1/4; on
+    within ``16 * DELTA_AE * eta * (1 + ENVELOPE_MARGIN)`` of the true 1/4; on
     unmarked fixtures at least 95% must report infinity.
     """
     result = SuiteResult("estimate_res_statistics")
@@ -476,7 +479,7 @@ def suite_estimate_res_statistics(
     tree, oracle = build_star(64, 4)
     sim = WalkSimulator(tree, oracle)
     seeds = np.random.SeedSequence(master_seed).spawn(runs)
-    envelope = 16.0 * cfg.delta_ae * 0.25 * (1.0 + ENVELOPE_MARGIN)
+    envelope = 16.0 * DELTA_AE * 0.25 * (1.0 + ENVELOPE_MARGIN)
     hits = 0
     for sq in seeds:
         est, _ = estimate_res(tree, oracle, tree.root, cfg, np.random.default_rng(sq), sim)

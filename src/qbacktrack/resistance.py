@@ -87,9 +87,6 @@ class KappaAssignment:
 
     kappa: np.ndarray
 
-    def root_value(self, root: int) -> float:
-        return float(self.kappa[root])
-
 
 def resistance_profile(st: SolutionTree) -> ResistanceProfile:
     """Bottom-up series/parallel recursion over the full tree."""

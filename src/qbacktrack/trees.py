@@ -242,8 +242,6 @@ class MarkingOracle:
         self.query_counter += 1
         return bool(self._marks[v])
 
-    is_marked = __call__
-
     def peek(self, v: int) -> bool:
         """Read a mark without counting a query."""
         return bool(self._marks[v])
@@ -404,8 +402,7 @@ def build_random_tree(
         capacity[host] -= 1
         if capacity[host] == 0:
             del capacity[host]
-        if d > 1:
-            capacity[new] = d - 1
+        capacity[new] = d - 1
     # breadth-first relabel
     order = [0]
     head = 0

@@ -46,8 +46,6 @@ from .trees import MarkedSet, MarkingOracle, SolutionTree, Tree, shallowest_mark
 __all__ = [
     "WalkOperator",
     "SpectralDecomposition",
-    "StateVector",
-    "XiVector",
     "SpectralGapReport",
     "psi_v",
     "build_walk_operator",
@@ -63,48 +61,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Amplitudes over the vertex basis; ``beta`` populated where meaningful."""
-
-    amplitudes: np.ndarray
-    beta: float | None = None
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.amplitudes / self.norm, beta=self.beta)
-
-
-@dataclass(frozen=True)
-class XiVector:
-    """Coefficients of the spectral-gap witness vector."""
-
-    alpha: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.alpha))
-
-
-@dataclass(frozen=True)
 class WalkOperator:
-    """One step of the walk: ``matrix = r_b @ r_a`` on span(V).
-
-    ``even_mask`` flags vertices at even depth (the root's side).  ``marked``
-    is the shallowest marked set used for the identity blocks; vertices below
-    it never acquire amplitude when starting from the root, so marking
-    conventions deeper down are unobservable.
-    """
+    """One step of the walk: ``matrix = r_b @ r_a`` on span(V)."""
 
     tree: Tree
     eta: float
     matrix: np.ndarray
     r_a: np.ndarray
     r_b: np.ndarray
-    even_mask: np.ndarray
-    marked: frozenset[int]
 
     def projector_a(self) -> np.ndarray:
         """Projector onto the +1 eigenspace of ``r_a`` (reflections: (R+I)/2)."""
@@ -158,7 +122,7 @@ def _star_weights(tree: Tree, eta: float) -> tuple[np.ndarray, np.ndarray]:
     return centre, leg
 
 
-def psi_v(tree: Tree, v: int, eta: float, marked: frozenset[int] | MarkedSet | None = None) -> StateVector:
+def psi_v(tree: Tree, v: int, eta: float, marked: frozenset[int] | MarkedSet | None = None) -> np.ndarray:
     """The local diffusion state at an unmarked vertex.
 
     Root: ``(|r> + sqrt(eta) * sum_children) / sqrt(1 + d_r * eta)``.
@@ -173,7 +137,7 @@ def psi_v(tree: Tree, v: int, eta: float, marked: frozenset[int] | MarkedSet | N
     amp = np.zeros(tree.n_vertices)
     amp[v] = centre[v]
     amp[list(tree.children[v])] = leg[v]
-    return StateVector(amp)
+    return amp
 
 
 def _reflection(owner: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -224,17 +188,7 @@ def build_walk_operator(
     up_amp[tree.root] = 0.0  # the root sits in no odd star
     r_a = _reflection(np.where(even, idx, up), np.where(even, own_amp, up_amp))
     r_b = _reflection(np.where(even, up, idx), np.where(even, up_amp, own_amp))
-    matrix = r_b @ r_a
-    even.setflags(write=False)
-    return WalkOperator(
-        tree=tree,
-        eta=eta,
-        matrix=matrix,
-        r_a=r_a,
-        r_b=r_b,
-        even_mask=even,
-        marked=frozenset(members),
-    )
+    return WalkOperator(tree=tree, eta=eta, matrix=r_b @ r_a, r_a=r_a, r_b=r_b)
 
 
 def spectral_decomposition(op: WalkOperator) -> SpectralDecomposition:
@@ -287,7 +241,7 @@ def _alternating_sign(depth: np.ndarray) -> np.ndarray:
 
 def phi_m_state(
     tree: Tree, marked: MarkedSet, m: int, eta: float, normalized: bool = True
-) -> StateVector:
+) -> np.ndarray:
     """Alternating-sign path vector for one marked vertex.
 
     ``sqrt(eta)`` at the root, then ``(-1)^depth`` along the root-to-m path.
@@ -300,26 +254,25 @@ def phi_m_state(
     for v in tree.path_from_root(m):
         if v != tree.root:
             amp[v] = (-1.0) ** int(tree.depth[v])
-    state = StateVector(amp)
-    return state.normalized() if normalized else state
+    return amp / np.linalg.norm(amp) if normalized else amp
 
 
-def phi_state(st: SolutionTree, ka, eta: float) -> StateVector:
+def phi_state(st: SolutionTree, ka, eta: float) -> np.ndarray:
     """The normalized kappa-weighted superposition of all path vectors."""
     tree = st.tree
     beta = beta_angle(ka.kappa[tree.root], eta)
     amp = np.cos(beta) * _alternating_sign(tree.depth) * ka.kappa
     amp[tree.root] = np.sin(beta)
-    return StateVector(amp, beta=beta)
+    return amp
 
 
-def phi_perp_state(st: SolutionTree, ka, eta: float) -> StateVector:
+def phi_perp_state(st: SolutionTree, ka, eta: float) -> np.ndarray:
     """The state completing the root: orthogonal to phi and to every path vector."""
     tree = st.tree
     beta = beta_angle(ka.kappa[tree.root], eta)
     amp = -np.sin(beta) * _alternating_sign(tree.depth) * ka.kappa
     amp[tree.root] = np.cos(beta)
-    return StateVector(amp, beta=beta)
+    return amp
 
 
 def path_superposition_coefficients(st: SolutionTree, ka, eta: float) -> dict[int, float]:
@@ -328,7 +281,7 @@ def path_superposition_coefficients(st: SolutionTree, ka, eta: float) -> dict[in
     return {int(m): float(ka.kappa[m] * np.cos(beta)) for m in st.leaf_set.members}
 
 
-def xi_vector(st: SolutionTree, ka, eta: float) -> XiVector:
+def xi_vector(st: SolutionTree, ka, eta: float) -> np.ndarray:
     """The spectral-gap witness: killed by P_A, mapped to phi_perp by P_B.
 
     ``alpha_root = cos(beta)``; down the tree the coefficient is
@@ -357,7 +310,7 @@ def xi_vector(st: SolutionTree, ka, eta: float) -> XiVector:
             value += ka.kappa[v]
         alpha[v] = sin_b * value
     alpha.setflags(write=False)
-    return XiVector(alpha=alpha)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -372,10 +325,10 @@ class SpectralGapReport:
 
 
 def spectral_gap_check(
-    sd: SpectralDecomposition, phi_perp: StateVector, xi: XiVector, eps: float
+    sd: SpectralDecomposition, phi_perp: np.ndarray, xi: np.ndarray, eps: float
 ) -> SpectralGapReport:
     """Check ``||P_eps phi_perp|| <= eps * ||xi||`` at threshold ``eps``."""
     if not (0.0 < eps <= np.pi / 2):
         raise ValueError("eps must lie in (0, pi/2]")
-    norm = sd.small_phase_projector_norm(phi_perp.amplitudes, eps)
-    return SpectralGapReport(eps=eps, p_eps_norm=norm, xi_norm=xi.norm)
+    norm = sd.small_phase_projector_norm(phi_perp, eps)
+    return SpectralGapReport(eps=eps, p_eps_norm=norm, xi_norm=float(np.linalg.norm(xi)))

@@ -9,6 +9,7 @@ import pytest
 import qbacktrack.algorithms as algorithms
 from qbacktrack import build_path, build_random_tree, build_star, shallowest_marked
 from qbacktrack.algorithms import (
+    DELTA_AE,
     EstimateResConfig,
     RunRecord,
     WalkSimulator,
@@ -44,11 +45,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             EstimateResConfig(step=2.5).validate(4)
         with pytest.raises(ValueError):
-            EstimateResConfig(delta_ae=0.2).validate(4)
+            EstimateResConfig(gamma2=0.11).validate(1)  # within 1/8 but above DELTA_AE
         with pytest.raises(ValueError):
             EstimateResConfig(delta0=0.0).validate(4)
         with pytest.raises(ValueError):
             EstimateResConfig(gamma2=0.25).validate(16)
+
+    @pytest.mark.parametrize(
+        "name, value", [("gamma2", 0.0), ("gamma2", -1.0), ("gamma2", math.nan), ("gamma1", math.inf)]
+    )
+    def test_bad_gammas_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            EstimateResConfig(**{name: value}).validate(4)
 
     def test_repetition_count(self):
         assert CFG.repetitions() == math.ceil(4.0 * math.log(20))
@@ -62,7 +70,7 @@ class TestEstimateRes:
             rng = np.random.default_rng(seed)
             est, _ = estimate_res(tree, oracle, tree.root, CFG, rng, sim)
             estimates.append(est)
-        envelope = 16 * CFG.delta_ae * 0.25 * 1.5
+        envelope = 16 * DELTA_AE * 0.25 * 1.5
         hits = [abs(e - 0.25) <= envelope for e in estimates if math.isfinite(e)]
         assert sum(hits) >= 0.95 * len(estimates)
 
@@ -72,7 +80,7 @@ class TestEstimateRes:
         for seed in range(30):
             est, _ = estimate_res(tree, oracle, 0, CFG, np.random.default_rng(seed), sim)
             assert math.isfinite(est)
-            assert abs(est - 1.0) <= 16 * CFG.delta_ae * 1.5
+            assert abs(est - 1.0) <= 16 * DELTA_AE * 1.5
 
     def test_unmarked_returns_infinity(self):
         tree, oracle = build_path(5, False)

@@ -133,13 +133,6 @@ class TestTrialsFlag:
         assert exc.value.code == 2
         assert "--trials: must be at least 1" in capsys.readouterr().err
 
-    def test_env_below_one_rejected(self, star_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QBACKTRACK_TRIALS", "0")
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["estimate-res", "--tree", star_file], tmp_path)
-        assert exc.value.code == 2
-        assert "--trials: must be at least 1" in capsys.readouterr().err
-
 
 class TestUsageErrors:
     """A library ValueError on user input exits 2 with its message, not a traceback.
@@ -166,6 +159,15 @@ class TestUsageErrors:
             run_cli(argv, tmp_path)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma2", "0"), ("--gamma2", "-1"), ("--gamma2", "nan"), ("--gamma1", "inf")]
+    )
+    def test_bad_gamma_exits_2_naming_it(self, flag, value, star_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["estimate-res", "--tree", star_file, flag, value], tmp_path)
+        assert exc.value.code == 2
+        assert f"error: {flag[2:]} " in capsys.readouterr().err
 
 
 class TestDescentSim:
@@ -227,7 +229,9 @@ class TestReproducibility:
         _, b = run_cli(["find-marked", "--tree", star_file, "--seed", "9"], tmp_path, "b.json")
         assert a == b
 
-    def test_env_override(self, star_file, tmp_path, monkeypatch):
+    def test_environment_is_ignored(self, star_file, tmp_path, monkeypatch):
+        _, plain = run_cli(["estimate-res", "--tree", star_file], tmp_path, "a.json")
         monkeypatch.setenv("QBACKTRACK_TRIALS", "3")
-        code, text = run_cli(["estimate-res", "--tree", star_file, "--seed", "1"], tmp_path)
-        assert len(json.loads(text)) == 3
+        monkeypatch.setenv("QBACKTRACK_SEED", "5")
+        _, with_env = run_cli(["estimate-res", "--tree", star_file], tmp_path, "b.json")
+        assert with_env == plain

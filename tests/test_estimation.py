@@ -1,5 +1,7 @@
 """Phase/amplitude estimation statistics and backend cross-validation."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,22 +9,31 @@ from qbacktrack import (
     ResourceLimitError,
     ae_outcome_distribution,
     ae_outcome_grid,
+    beta_angle,
     build_random_tree,
     build_star,
     build_walk_operator,
     gate_level_pe,
+    kappa_assignment,
     pe_ancillas,
     pe_distribution,
     pe_kernel,
     pearson_chi2,
     phi_perp_state,
     phi_state,
+    resistance_profile,
+    shallowest_marked,
+    solution_tree,
     spectral_decomposition,
     total_variation,
+    tree_from_json,
 )
 from qbacktrack.algorithms import EstimateResConfig
 from qbacktrack.estimation import pe_kernel_amplitude
 from conftest import make_instance
+
+
+SEED109_TREE = pathlib.Path(__file__).parent / "data" / "seed109_tree.json"
 
 
 def root_state(n, root=0):
@@ -97,7 +108,7 @@ class TestSpectralPE:
         perp = phi_perp_state(star_64_4.st, star_64_4.ka, eta)
         for delta in (0.2, 0.1, 0.05):
             s = pe_ancillas(star_64_4.tree.size_bound, eta, delta)
-            lam = sd.amplitudes(perp.amplitudes)
+            lam = sd.amplitudes(perp)
             leak = float(np.sum(np.abs(lam) ** 2 * pe_kernel(sd.phases, s)))
             assert leak <= 10.0 * delta**2
 
@@ -145,6 +156,45 @@ class TestBackendEquivalence:
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
         with pytest.raises(ResourceLimitError):
             gate_level_pe(op, root_state(65), s=18)
+
+
+class TestSeed109Tree:
+    """The tree on which ``find_all`` misses every mark: ``findall_random`` seed 109, job 8, tree 13.
+
+    Written by ``tree_to_json`` from ``perfbench.workloads.FindallRandom(109).make_inputs(8)[13]``.
+    The root's weight on eigenphase 0 is exactly ``sin^2(beta)``, so an exact
+    backend gives that p_zero up to the kernel's leak at the loop's ``s``.
+    """
+
+    ETA = 16 / 3
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        tree, oracle = tree_from_json(SEED109_TREE.read_text())
+        st = solution_tree(tree, shallowest_marked(tree, oracle))
+        rp = resistance_profile(st)
+        beta = beta_angle(kappa_assignment(st, rp).kappa[tree.root], self.ETA)
+        op = build_walk_operator(tree, oracle, self.ETA)
+        s = EstimateResConfig().pe_ancillas(tree.size_bound, self.ETA)
+        gate = gate_level_pe(op, root_state(tree.n_vertices), s)
+        return tree, oracle, rp, beta, op, s, gate
+
+    def test_fixture_is_the_reported_tree(self, case):
+        tree, oracle, rp, _, _, s, _ = case
+        assert tree.n_vertices == 64
+        assert oracle.marked_vertices() == [44, 56]
+        assert rp.eta_root == pytest.approx(6.2, abs=1e-12)
+        assert s == 10
+
+    def test_gate_level_p_zero_is_sin2_beta(self, case):
+        _, _, _, beta, _, _, gate = case
+        assert gate.p_zero == pytest.approx(np.sin(beta) ** 2, abs=1e-5)
+
+    @pytest.mark.xfail(strict=True, reason="near-identity 2x2 Schur blocks (ROADMAP item 0)")
+    def test_spectral_p_zero_matches_gate_level(self, case):
+        tree, _, _, _, op, s, gate = case
+        spectral = pe_distribution(spectral_decomposition(op), root_state(tree.n_vertices), s)
+        assert spectral.p_zero == pytest.approx(gate.p_zero, abs=1e-10)
 
 
 class TestAmplitudeEstimation:
@@ -225,7 +275,7 @@ class TestPeAncillas:
         assert pe_ancillas(2, 1e-9, 0.99) == 1
 
     def test_estimation_loop_uses_delta_three_halves(self):
-        # the estimation loop's law sqrt(T eta / delta_ae^3) differs from
+        # the estimation loop's law sqrt(T eta / DELTA_AE^3) differs from
         # the descent's sqrt(T eta) / delta^3
         assert EstimateResConfig().pe_ancillas(65, 1 / 64) == 5
         assert pe_ancillas(65, 1 / 64, 0.1) == 10

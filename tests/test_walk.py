@@ -47,12 +47,12 @@ def random_instances(count, size=40, mark_prob=0.15, start_seed=0):
 class TestPsi:
     def test_root_of_two_leaf_star_at_unit_eta(self):
         tree, _ = build_star(2, 0)
-        amp = psi_v(tree, 0, 1.0).amplitudes
+        amp = psi_v(tree, 0, 1.0)
         assert np.allclose(amp, np.ones(3) / np.sqrt(3))
 
     def test_internal_vertex_counts_full_degree(self):
         tree, _ = build_path(3, False)
-        amp = psi_v(tree, 1, 0.7).amplitudes
+        amp = psi_v(tree, 1, 0.7)
         # degree 2 (parent + one child): weight 1/sqrt(2) on itself and child
         assert amp[1] == pytest.approx(1 / np.sqrt(2))
         assert amp[2] == pytest.approx(1 / np.sqrt(2))
@@ -60,12 +60,12 @@ class TestPsi:
 
     def test_root_limit_small_eta(self):
         tree, _ = build_star(4, 0)
-        amp = psi_v(tree, 0, 1e-300).amplitudes
+        amp = psi_v(tree, 0, 1e-300)
         assert amp[0] == pytest.approx(1.0)
 
     def test_childless_nonroot_vertex_is_axis_state(self):
         tree, _ = build_path(2, False)
-        amp = psi_v(tree, 2, 0.3).amplitudes
+        amp = psi_v(tree, 2, 0.3)
         assert amp[2] == pytest.approx(1.0)
         assert np.count_nonzero(amp) == 1
 
@@ -84,7 +84,7 @@ def rank_one_assembly(tree, oracle, eta):
     for v in range(n):
         if v in members:
             continue
-        psi = psi_v(tree, v, eta).amplitudes
+        psi = psi_v(tree, v, eta)
         target = r_a if tree.depth[v] % 2 == 0 else r_b
         target -= 2.0 * np.outer(psi, psi)
     return r_b @ r_a, r_a, r_b
@@ -176,7 +176,7 @@ class TestOperator:
             op = build_walk_operator(single_edge.tree, single_edge.oracle, eta)
             marked = single_edge.st.leaf_set
             phi_m = phi_m_state(single_edge.tree, marked, 1, eta)
-            assert np.linalg.norm(op.matrix @ phi_m.amplitudes - phi_m.amplitudes) < 1e-14
+            assert np.linalg.norm(op.matrix @ phi_m - phi_m) < 1e-14
 
     def test_unmarked_star_root_not_fixed(self):
         tree, oracle = build_star(5, 0)
@@ -308,11 +308,11 @@ class TestStates:
     def test_phi_m_sign_alternation(self, path_4):
         marked = path_4.st.leaf_set
         state = phi_m_state(path_4.tree, marked, 4, 0.5, normalized=False)
-        assert state.amplitudes[0] == pytest.approx(np.sqrt(0.5))
-        assert state.amplitudes[1] == -1.0
-        assert state.amplitudes[2] == 1.0
-        assert state.amplitudes[3] == -1.0
-        assert state.amplitudes[4] == 1.0
+        assert state[0] == pytest.approx(np.sqrt(0.5))
+        assert state[1] == -1.0
+        assert state[2] == 1.0
+        assert state[3] == -1.0
+        assert state[4] == 1.0
 
     def test_phi_m_requires_marked(self, star_8_2):
         with pytest.raises(ValueError):
@@ -324,36 +324,36 @@ class TestStates:
             for eta in (eta0 / 4, eta0, 4 * eta0):
                 op = build_walk_operator(inst.tree, inst.oracle, eta)
                 phi = phi_state(inst.st, inst.ka, eta)
-                assert np.linalg.norm(op.matrix @ phi.amplitudes - phi.amplitudes) < 1e-10
-                assert phi.norm == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(op.matrix @ phi - phi) < 1e-10
+                assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
                 expected = np.sin(np.arctan(np.sqrt(eta) * inst.ka.kappa[inst.tree.root]))
-                assert phi.amplitudes[inst.tree.root] == pytest.approx(expected, abs=1e-12)
+                assert phi[inst.tree.root] == pytest.approx(expected, abs=1e-12)
 
     def test_every_path_vector_fixed(self):
         for inst in random_instances(4):
             op = build_walk_operator(inst.tree, inst.oracle, inst.eta_bar)
             for m in inst.st.leaf_set.members:
                 pm = phi_m_state(inst.tree, inst.st.leaf_set, m, inst.eta_bar)
-                assert np.linalg.norm(op.matrix @ pm.amplitudes - pm.amplitudes) < 1e-10
+                assert np.linalg.norm(op.matrix @ pm - pm) < 1e-10
 
     def test_star_half_overlap_at_optimum(self, star_64_4):
         phi = phi_state(star_64_4.st, star_64_4.ka, star_64_4.eta_bar)
-        assert phi.amplitudes[0] ** 2 == pytest.approx(0.5, abs=1e-12)
+        assert phi[0] ** 2 == pytest.approx(0.5, abs=1e-12)
 
     def test_phi_perp_completes_the_root(self):
         for inst in random_instances(5):
             eta = 1.7 * inst.eta_bar
             phi = phi_state(inst.st, inst.ka, eta)
             perp = phi_perp_state(inst.st, inst.ka, eta)
-            assert abs(np.dot(phi.amplitudes, perp.amplitudes)) < 1e-14
-            beta = phi.beta
-            recon = np.sin(beta) * phi.amplitudes + np.cos(beta) * perp.amplitudes
+            assert abs(np.dot(phi, perp)) < 1e-14
+            beta = beta_angle(inst.ka.kappa[inst.tree.root], eta)
+            recon = np.sin(beta) * phi + np.cos(beta) * perp
             root = np.zeros(inst.tree.n_vertices)
             root[inst.tree.root] = 1.0
             assert np.linalg.norm(recon - root) < 1e-14
             for m in inst.st.leaf_set.members:
                 pm = phi_m_state(inst.tree, inst.st.leaf_set, m, eta)
-                assert abs(np.dot(perp.amplitudes, pm.amplitudes)) < 1e-12
+                assert abs(np.dot(perp, pm)) < 1e-12
 
     def test_superposition_coefficients_rebuild_phi(self, star_8_2):
         eta = 0.9
@@ -361,9 +361,9 @@ class TestStates:
         rebuilt = np.zeros(star_8_2.tree.n_vertices)
         for m, c in coeffs.items():
             pm = phi_m_state(star_8_2.tree, star_8_2.st.leaf_set, m, eta, normalized=False)
-            rebuilt += c * pm.amplitudes
+            rebuilt += c * pm
         phi = phi_state(star_8_2.st, star_8_2.ka, eta)
-        assert np.allclose(rebuilt, phi.amplitudes, atol=1e-12)
+        assert np.allclose(rebuilt, phi, atol=1e-12)
 
 
 class TestXi:
@@ -373,8 +373,8 @@ class TestXi:
                 op = build_walk_operator(inst.tree, inst.oracle, eta)
                 xi = xi_vector(inst.st, inst.ka, eta)
                 perp = phi_perp_state(inst.st, inst.ka, eta)
-                assert np.linalg.norm(op.projector_a() @ xi.alpha) < 1e-10
-                assert np.linalg.norm(op.projector_b() @ xi.alpha - perp.amplitudes) < 1e-10
+                assert np.linalg.norm(op.projector_a() @ xi) < 1e-10
+                assert np.linalg.norm(op.projector_b() @ xi - perp) < 1e-10
 
     def test_norm_bound(self):
         for inst in random_instances(6):
@@ -383,7 +383,7 @@ class TestXi:
                 xi = xi_vector(inst.st, inst.ka, eta)
                 beta = beta_angle(inst.ka.kappa[inst.tree.root], eta)
                 bound = 2 * (t_bound - 1) * eta * np.cos(beta) ** 2
-                assert xi.norm**2 <= bound + 1e-12
+                assert np.linalg.norm(xi) ** 2 <= bound + 1e-12
 
     def test_marked_vertex_coefficients(self):
         for inst in random_instances(6):
@@ -392,16 +392,16 @@ class TestXi:
             beta = beta_angle(inst.ka.kappa[inst.tree.root], eta)
             for m in inst.st.leaf_set.members:
                 if inst.tree.depth[m] % 2 == 0:
-                    assert abs(xi.alpha[m]) < 1e-12
+                    assert abs(xi[m]) < 1e-12
                 else:
-                    assert xi.alpha[m] == pytest.approx(
+                    assert xi[m] == pytest.approx(
                         inst.ka.kappa[m] * np.sin(beta), abs=1e-12
                     )
 
     def test_root_coefficient(self, star_8_2):
         xi = xi_vector(star_8_2.st, star_8_2.ka, 0.5)
         beta = beta_angle(star_8_2.ka.kappa[0], 0.5)
-        assert xi.alpha[0] == pytest.approx(np.cos(beta))
+        assert xi[0] == pytest.approx(np.cos(beta))
 
 
 class TestSpectralGap:
@@ -422,7 +422,7 @@ class TestSpectralGap:
         xi = xi_vector(star_8_2.st, star_8_2.ka, star_8_2.eta_bar)
         report = spectral_gap_check(sd, perp, xi, np.pi / 2)
         assert report.p_eps_norm == pytest.approx(1.0, abs=1e-12)
-        if xi.norm >= 2 / np.pi:
+        if np.linalg.norm(xi) >= 2 / np.pi:
             assert report.satisfied
 
     def test_single_edge_perp_has_no_small_phase(self, single_edge):
@@ -430,4 +430,4 @@ class TestSpectralGap:
         sd = spectral_decomposition(op)
         perp = phi_perp_state(single_edge.st, single_edge.ka, 0.7)
         # phi_perp coincides with the root diffusion state: pure eigenvalue -1
-        assert sd.small_phase_projector_norm(perp.amplitudes, 1e-6) < 1e-12
+        assert sd.small_phase_projector_norm(perp, 1e-6) < 1e-12
