@@ -66,6 +66,8 @@ DELTA_AE = 0.1
 DESCENT_DELTA_CAP = 0.5
 # Phase-estimation rounds find_marked may spend before giving up.
 MAX_PE_ROUNDS = 10_000
+# Amplitude-estimation repetitions per eta stage, gamma1 * ln(1/delta0), at most.
+MAX_REPETITIONS = 1_000_000
 # Consecutive empty find_marked runs after which find_all stops.
 FIND_ALL_RETRIES = 4
 
@@ -78,7 +80,8 @@ class EstimateResConfig:
     slack: ``gamma1 > 2``, ``0 < gamma2 <= 1/(8 sqrt(n))`` (resolved per
     tree when left as None) and at most the amplitude-estimation error
     ``DELTA_AE``, and step factor in (1, 2].  The constants of the analysis
-    are all 1.  ``repetitions`` uses the natural logarithm.  ``k_guess`` scales
+    are all 1.  ``repetitions`` uses the natural logarithm and may not exceed
+    ``MAX_REPETITIONS``.  ``k_guess`` scales
     the descent precision ``delta = 1 / log2(k_guess * (eta + 1))``, capped
     at ``DESCENT_DELTA_CAP``.
     """
@@ -94,6 +97,12 @@ class EstimateResConfig:
             raise ValueError("delta0 must lie in (0, 1)")
         if not (2.0 < self.gamma1 < math.inf):
             raise ValueError(f"gamma1 must be finite and exceed 2, got {self.gamma1}")
+        reps = self.gamma1 * math.log(1.0 / self.delta0)
+        if not reps <= MAX_REPETITIONS:
+            raise ValueError(
+                f"gamma1 = {self.gamma1} asks for gamma1 * ln(1/delta0) = {reps:.3g} repetitions"
+                f" per stage, above the cap of {MAX_REPETITIONS}"
+            )
         if not (1.0 < self.step <= 2.0):
             raise ValueError("step factor must lie in (1, 2]")
         gamma2 = self.resolve_gamma2(depth_bound)

@@ -4,11 +4,13 @@ Two backends compute the same distributions:
 
 * the spectral backend evaluates the estimation kernel on the walk
   operator's eigendecomposition, giving exact outcome probabilities with no
-  simulator shot noise;
+  simulator shot noise; the full joint law costs one sine per
+  (outcome, eigenphase) pair and one matrix product per block of outcomes;
 * the gate-level backend simulates the literal circuit (ancilla register,
-  controlled powers of the walk, inverse Fourier transform) on the full
-  ``2^s x |V|`` statevector, as an independent cross-check on small
-  instances.
+  ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) on the
+  full ``2^s x |V|`` statevector, as an independent cross-check on small
+  instances: ``s`` matrix products fill the register and an FFT per vertex
+  row transforms it.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
 ``w`` carries amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w / M))`` with
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -49,6 +52,15 @@ __all__ = [
 
 MAX_ANCILLAS = 24
 GATE_DIM_CAP = 2**22
+# pi = _PI_SPLIT[0] + _PI_SPLIT[1] + _PI_SPLIT[2] to about 1e-30: the first two
+# parts have 24 significant bits, so their products with any outcome index
+# below 2^MAX_ANCILLAS are exact.
+_PI = Decimal("3.14159265358979323846264338327950288")
+_PI_1 = float(np.float32(_PI))
+_PI_2 = float(np.float32(_PI - Decimal(_PI_1)))
+_PI_SPLIT = (_PI_1, _PI_2, float(_PI - Decimal(_PI_1) - Decimal(_PI_2)))
+# Entries per block of the joint-law loops: bounds their temporaries.
+_BLOCK_ENTRIES = 1 << 18
 
 
 class ResourceLimitError(RuntimeError):
@@ -72,30 +84,59 @@ def pe_kernel(theta: np.ndarray | float, s: int) -> np.ndarray:
     ``sin^2(M theta) / (M sin theta)^2`` with the resonant limit 1 where
     theta is a multiple of pi.
     """
-    m = 1 << s
-    theta = np.asarray(theta, dtype=float)
-    out = _dirichlet_ratio(theta, m) ** 2
+    out = _dirichlet_ratio(np.asarray(theta, dtype=float), s, None) ** 2
     return out if out.shape else float(out)
 
 
-def _dirichlet_ratio(half: np.ndarray, m: int) -> np.ndarray:
-    """``sin(M x) / (M sin x)`` with the correct signed limit at multiples of pi."""
+def _dirichlet_ratio(theta: np.ndarray, s: int, omega: np.ndarray | None) -> np.ndarray:
+    """``sin(M half) / (M sin half)`` at ``half = theta - pi w / M``, one sine an entry.
+
+    ``theta`` and the integer ``omega`` broadcast against each other; None
+    stands for outcome 0.  The numerator needs no sine per entry, as
+    ``sin(M half) = (-1)^w sin(M theta)``.  Otherwise ``half`` is reduced into
+    [-pi/2, pi/2) (adding pi negates the ratio, which is negated back) and
+    formed with pi split in three, so that near a resonance it is accurate
+    to rounding, as the numerator is.  There the signed limit
+    ``cos(M half) / cos(half)`` is taken.
+    """
+    m = 1 << s
+    num = np.sin(m * theta)
+    half = theta
+    wrap = None
+    if omega is not None:
+        wrap = theta - np.pi * omega / m < -np.pi / 2
+        w = omega - m * wrap
+        for part in _PI_SPLIT:
+            half = half - part * w / m
+        num = num * (1 - 2 * (omega & 1))
     den = np.sin(half)
     resonant = np.abs(den) < 1e-13
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            resonant,
-            np.cos(m * half) / np.cos(half),
-            np.sin(m * half) / (m * np.where(resonant, 1.0, den)),
-        )
+    ratio = np.asarray(num / (m * np.where(resonant, 1.0, den)))
+    if resonant.any():
+        ratio[resonant] = np.cos(m * half[resonant]) / np.cos(half[resonant])
+    if wrap is not None:
+        np.negative(ratio, out=ratio, where=wrap)
+    return ratio
 
 
 def pe_kernel_amplitude(theta: np.ndarray, s: int, omega: np.ndarray | int = 0) -> np.ndarray:
-    """Complex ancilla amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w/M))``."""
+    """Complex ancilla amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w/M))``.
+
+    ``theta`` and ``omega`` broadcast against each other.  With
+    ``half = theta - pi w / M`` the amplitude is
+    ``sin(M half) / (M sin half) * exp(i (M-1) half)``, and the phase factor
+    splits as ``exp(i (M-1) theta) exp(-i pi (M-1) w / M)``, so an entry of
+    the broadcast costs one sine (see :func:`_dirichlet_ratio`).
+    """
     m = 1 << s
     theta = np.asarray(theta, dtype=float)
-    half = theta - np.pi * omega / m
-    return _dirichlet_ratio(half, m) * np.exp(1j * (m - 1) * half)
+    phase = np.exp(1j * (m - 1) * theta)
+    if np.ndim(omega) or omega:
+        omega = np.asarray(omega, dtype=np.int64)
+        phase = phase * np.exp(-1j * np.pi / m * ((m - 1) * omega % (2 * m)))
+    else:
+        omega = None
+    return _dirichlet_ratio(theta, s, omega) * phase
 
 
 @dataclass(frozen=True)
@@ -157,21 +198,36 @@ def pe_distribution(
             raise ResourceLimitError(
                 f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries"
             )
-        omegas = np.arange(m)
-        kernel = pe_kernel_amplitude(sd.phases[:, None], s, omegas[None, :])  # eig x omega
-        amps = sd.vectors @ (lam[:, None] * kernel)  # vertex x omega
-        joint = (np.abs(amps) ** 2).T.copy()  # omega x vertex
+        joint = np.empty((m, dim))
+        rows = max(1, _BLOCK_ENTRIES // dim)
+        basis_t = sd.vectors.T
+        for w0 in range(0, m, rows):
+            omegas = np.arange(w0, min(w0 + rows, m))
+            kernel = pe_kernel_amplitude(sd.phases, s, omegas[:, None])  # omega x eig
+            kernel *= lam
+            joint[w0 : w0 + rows] = _abs2(kernel @ basis_t)  # omega x vertex
     return PEOutcome(s=s, p_zero=p_zero, vertex_given_zero=cond, joint=joint)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """``|z|^2`` without the square root of ``abs``."""
+    return z.real**2 + z.imag**2
 
 
 def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> PEOutcome:
     """Literal circuit simulation: ancillas, controlled powers, inverse QFT.
 
-    Runs on the full ``2^s x |V|`` register, applying the walk matrix once
-    per controlled power, then a fast Fourier transform over the ancilla
-    index.  Matches :func:`pe_distribution` to floating-point accuracy.
+    Ancilla ``j`` controls ``W^(2^j)``, the walk matrix squared ``j`` times,
+    so the register ``|x>|W^x psi>`` fills by doubling: its columns
+    ``2^j .. 2^(j+1) - 1`` are ``W^(2^j)`` times columns ``0 .. 2^j - 1``.
+    The register is stored vertex x ancilla index in the dtype of the state
+    and the walk (a real input stays real); the inverse Fourier transform
+    over the ancilla index then runs as an FFT along its rows, a few vertex
+    rows at a time.  No eigendecomposition is used, so this matches
+    :func:`pe_distribution` to floating-point accuracy as an independent
+    check.
     """
-    state = np.asarray(input_state, dtype=complex)
+    state = np.asarray(input_state)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
     m = 1 << s
@@ -180,16 +236,20 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> PEOutcom
         raise ResourceLimitError(
             f"statevector of size 2^{s} x {dim} exceeds the cap of 2^22 amplitudes"
         )
-    register = np.empty((m, dim), dtype=complex)
-    current = state.copy()
-    for x in range(m):
-        register[x] = current
-        if x + 1 < m:
-            current = op.matrix @ current
-    register /= np.sqrt(m)
-    # inverse QFT on the ancilla index: out[w] = (1/sqrt(M)) sum_x e^{-2pi i wx/M}
-    register = np.fft.fft(register, axis=0) / np.sqrt(m)
-    joint = np.abs(register) ** 2
+    register = np.empty((dim, m), dtype=np.result_type(state, op.matrix))
+    register[:, 0] = state
+    power = op.matrix
+    for j in range(s):
+        width = 1 << j
+        register[:, width : 2 * width] = power @ register[:, :width]
+        if j + 1 < s:
+            power = power @ power
+    # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x]
+    joint = np.empty((m, dim))
+    rows = max(1, _BLOCK_ENTRIES // m)
+    for v0 in range(0, dim, rows):
+        spectrum = np.fft.fft(register[v0 : v0 + rows], axis=1)
+        joint[:, v0 : v0 + rows] = _abs2(spectrum).T / float(m * m)
     p_zero = float(joint[0].sum())
     cond = joint[0] / p_zero if p_zero > 0 else np.zeros(dim)
     return PEOutcome(s=s, p_zero=p_zero, vertex_given_zero=cond, joint=joint)
@@ -224,7 +284,8 @@ def ae_outcome_distribution(theta: float, s: int) -> np.ndarray:
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance between two distributions on the same support."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+    diff = np.asarray(p) - np.asarray(q)
+    return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
 def pearson_chi2(observed: np.ndarray, probs: np.ndarray) -> tuple[float, int, float]:

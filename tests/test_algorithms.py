@@ -10,6 +10,7 @@ import qbacktrack.algorithms as algorithms
 from qbacktrack import build_path, build_random_tree, build_star, shallowest_marked
 from qbacktrack.algorithms import (
     DELTA_AE,
+    MAX_REPETITIONS,
     EstimateResConfig,
     RunRecord,
     WalkSimulator,
@@ -60,6 +61,16 @@ class TestConfig:
 
     def test_repetition_count(self):
         assert CFG.repetitions() == math.ceil(4.0 * math.log(20))
+
+    @pytest.mark.parametrize("gamma1", [1e308, 1e7, MAX_REPETITIONS / math.log(20) * 1.001])
+    def test_gamma1_past_the_repetition_cap_rejected_by_name(self, gamma1):
+        with pytest.raises(ValueError, match=f"^gamma1 .* cap of {MAX_REPETITIONS}$"):
+            EstimateResConfig(gamma1=gamma1).validate(4)
+
+    def test_repetitions_up_to_the_cap_accepted(self):
+        cfg = EstimateResConfig(gamma1=MAX_REPETITIONS / math.log(20) * 0.999)
+        cfg.validate(4)
+        assert cfg.repetitions() <= MAX_REPETITIONS
 
 
 class TestEstimateRes:

@@ -161,7 +161,14 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--gamma2", "0"), ("--gamma2", "-1"), ("--gamma2", "nan"), ("--gamma1", "inf")]
+        "flag, value",
+        [
+            ("--gamma2", "0"),
+            ("--gamma2", "-1"),
+            ("--gamma2", "nan"),
+            ("--gamma1", "inf"),
+            ("--gamma1", "1e308"),
+        ],
     )
     def test_bad_gamma_exits_2_naming_it(self, flag, value, star_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

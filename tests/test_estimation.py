@@ -1,9 +1,12 @@
 """Phase/amplitude estimation statistics and backend cross-validation."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbacktrack import (
     ResourceLimitError,
@@ -42,6 +45,57 @@ def root_state(n, root=0):
     return e
 
 
+def loop_dirichlet_ratio(half, m):
+    """Reference ``sin(M half) / (M sin half)``, signed limit at multiples of pi."""
+    den = np.sin(half)
+    resonant = np.abs(den) < 1e-13
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            resonant,
+            np.cos(m * half) / np.cos(half),
+            np.sin(m * half) / (m * np.where(resonant, 1.0, den)),
+        )
+
+
+def loop_kernel_amplitude(theta, s, omega=0):
+    """Reference kernel amplitude: the per-entry expression in ``half``.
+
+    ``sin(M half) / (M sin half) * exp(i (M-1) half)`` with
+    ``half = theta - pi w / M``, five transcendentals an entry.
+    """
+    m = 1 << s
+    half = np.asarray(theta, dtype=float) - np.pi * omega / m
+    return loop_dirichlet_ratio(half, m) * np.exp(1j * (m - 1) * half)
+
+
+def loop_gate_level_pe(op, state, s):
+    """Reference circuit: the walk applied one step at a time, ``2^s - 1`` matvecs.
+
+    Returns the joint (outcome x vertex) and p_zero of the literal register
+    ``|x>|W^x psi>`` after the inverse QFT over the ancilla index.
+    """
+    m = 1 << s
+    register = np.empty((m, state.shape[0]), dtype=complex)
+    current = np.asarray(state, dtype=complex)
+    for x in range(m):
+        register[x] = current
+        current = op.matrix @ current
+    joint = np.abs(np.fft.fft(register, axis=0)) ** 2 / m**2
+    return joint, float(joint[0].sum())
+
+
+def assert_gate_matches_loop(op, state, s):
+    want, p_zero = loop_gate_level_pe(op, state, s)
+    got = gate_level_pe(op, state, s)
+    assert total_variation(got.joint, want) <= 1e-12
+    assert abs(got.p_zero - p_zero) <= 1e-12
+
+
+def unit_state(rng, n, complex_input):
+    raw = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_input else 0.0)
+    return raw / np.linalg.norm(raw)
+
+
 class TestKernel:
     def test_fixed_point_resonance(self):
         assert pe_kernel(0.0, 5) == pytest.approx(1.0)
@@ -69,6 +123,36 @@ class TestKernel:
         thetas = np.linspace(-1.5, 1.5, 11)
         amp = pe_kernel_amplitude(thetas, 4)
         assert np.allclose(np.abs(amp) ** 2, pe_kernel(thetas, 4), atol=1e-13)
+
+    @pytest.mark.parametrize("s", range(1, 25))
+    def test_zero_outcome_is_bit_identical_to_references(self, s):
+        rng = np.random.default_rng(s)
+        edge = [0.0, -0.0, np.pi / 2, -np.pi / 2 + 1e-9, 1e-12, -1e-12, np.pi / 4, 1e-14]
+        thetas = np.concatenate([edge, rng.uniform(-np.pi / 2, np.pi / 2, 200)])
+        got, want = pe_kernel_amplitude(thetas, s), loop_kernel_amplitude(thetas, s)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for theta in (0.0, np.pi / 2, 1e-12, -1e-12):
+            got, want = pe_kernel_amplitude(theta, s), loop_kernel_amplitude(theta, s)
+            assert got.shape == want.shape == ()
+            assert np.array_equal(got.reshape(1).view(np.uint64), want.reshape(1).view(np.uint64))
+        # the amplitude-estimation law reads the kernel at theta +/- grid, up to pi
+        thetas = np.concatenate([thetas, [np.pi, np.pi - 1e-12, 3.0]])
+        want = loop_dirichlet_ratio(thetas, 1 << s) ** 2
+        assert np.array_equal(pe_kernel(thetas, s).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("s", [3, 8, 12])
+    def test_every_outcome_matches_reference_and_stays_unitary(self, s):
+        # thetas near -pi/2 resonate with an outcome at half = -pi, where the
+        # one-sine form must reduce half before taking its sine; pi/4 + 1e-11
+        # sits 1e-11 off the outcome M/4, where pi w / M must carry pi's tail
+        m = 1 << s
+        rng = np.random.default_rng(s)
+        edge = [0.0, np.pi / 2, -np.pi / 2 + 1e-9, -1.43273769, np.pi / 4, np.pi / 4 + 1e-11, -1e-12]
+        thetas = np.concatenate([edge, rng.uniform(-np.pi / 2, np.pi / 2, 60)])[:, None]
+        omegas = np.arange(m)[None, :]
+        got = pe_kernel_amplitude(thetas, s, omegas)
+        assert np.abs(got - loop_kernel_amplitude(thetas, s, omegas)).max() <= 1e-11
+        assert np.abs((np.abs(got) ** 2).sum(axis=1) - 1.0).max() <= 1e-13
 
 
 class TestSpectralPE:
@@ -156,6 +240,74 @@ class TestBackendEquivalence:
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
         with pytest.raises(ResourceLimitError):
             gate_level_pe(op, root_state(65), s=18)
+
+
+class TestGateLevelMatchesLoop:
+    """Controlled ``W^(2^j)`` powers give the circuit of ``2^s - 1`` single steps."""
+
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_stars(self, star_8_2, star_64_4, s):
+        for inst in (star_8_2, star_64_4):
+            op = build_walk_operator(inst.tree, inst.oracle, inst.eta_bar)
+            assert_gate_matches_loop(op, root_state(inst.tree.n_vertices), s)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_random_trees_and_superpositions(self, complex_input):
+        rng = np.random.default_rng(3)
+        for seed in (1, 5, 9):
+            tree, oracle = build_random_tree(30, 3, 0.2, seed)
+            op = build_walk_operator(tree, oracle, 0.6)
+            for s in (1, 4, 10):
+                assert_gate_matches_loop(op, unit_state(rng, tree.n_vertices, complex_input), s)
+
+    def test_joint_is_a_contiguous_outcome_by_vertex_array(self, star_8_2):
+        op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
+        joint = gate_level_pe(op, root_state(9), 6).joint
+        assert joint.shape == (64, 9) and joint.dtype == np.float64 and joint.flags.c_contiguous
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    size=st.integers(min_value=2, max_value=40),
+    degree=st.integers(min_value=2, max_value=5),
+    prob=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eta=st.floats(min_value=1e-3, max_value=1e2),
+    s=st.integers(min_value=1, max_value=10),
+    complex_input=st.booleans(),
+)
+def test_gate_level_matches_loop(size, degree, prob, seed, eta, s, complex_input):
+    tree, oracle = build_random_tree(size, degree, prob, seed)
+    op = build_walk_operator(tree, oracle, eta)
+    state = unit_state(np.random.default_rng(seed), tree.n_vertices, complex_input)
+    assert_gate_matches_loop(op, state, s)
+
+
+class TestJointMemory:
+    """The s = 17 backend-equivalence instance stays within three joints of memory."""
+
+    S = 17
+
+    @pytest.fixture(scope="class")
+    def star(self):
+        tree, oracle = build_star(31, 4)
+        op = build_walk_operator(tree, oracle, 0.25)
+        return op, spectral_decomposition(op), root_state(tree.n_vertices)
+
+    @pytest.mark.parametrize("backend", ["gate_level", "spectral"])
+    def test_tracemalloc_peak(self, star, backend):
+        op, sd, root = star
+        joint_bytes = (1 << self.S) * root.shape[0] * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            if backend == "gate_level":
+                gate_level_pe(op, root, self.S)
+            else:
+                pe_distribution(sd, root, self.S, with_joint=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * joint_bytes
 
 
 class TestSeed109Tree:
