@@ -25,7 +25,6 @@ from .trees import (
     tree_to_json,
 )
 from .resistance import (
-    KappaAssignment,
     KappaReport,
     ResistanceProfile,
     kappa_assignment,
@@ -36,7 +35,6 @@ from .resistance import (
 )
 from .walk import (
     SpectralDecomposition,
-    SpectralGapReport,
     WalkOperator,
     beta_angle,
     build_walk_operator,
@@ -46,7 +44,6 @@ from .walk import (
     phi_state,
     psi_v,
     spectral_decomposition,
-    spectral_gap_check,
     xi_vector,
 )
 from .estimation import (

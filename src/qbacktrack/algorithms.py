@@ -466,9 +466,7 @@ def classical_descent(
     per-level test failed.
     """
     sim = sim if sim is not None else WalkSimulator(tree, oracle)
-    level_cfg = replace(
-        cfg, delta0=min(cfg.delta0, 1.0 / max(2, tree.depth_bound)), k_guess=1
-    )
+    level_cfg = replace(cfg, delta0=min(cfg.delta0, 1.0 / max(2, tree.depth_bound)))
     rec = RunRecord()
     v = tree.root
     eta_t, sub_rec = estimate_res(tree, oracle, v, level_cfg, rng, sim)

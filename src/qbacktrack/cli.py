@@ -23,20 +23,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .algorithms import (
-    EstimateResConfig,
-    WalkSimulator,
-    classical_descent,
-    detect_existence,
-    estimate_res,
-    find_all,
-    find_marked,
-    k_doubling_find,
+    EstimateResConfig, WalkSimulator, detect_existence, estimate_res, find_all, find_marked
 )
 from .descent import descent_chain, exact_hitting_times, hitting_time_bound, simulate_descent
 from .experiments import default_corpus, grover_scaling, verify_all
@@ -88,16 +81,8 @@ def _load_tree(args):
 
 
 def _config_from(args) -> EstimateResConfig:
-    kwargs = {}
-    if args.delta0 is not None:
-        kwargs["delta0"] = args.delta0
-    if args.gamma1 is not None:
-        kwargs["gamma1"] = args.gamma1
-    if args.gamma2 is not None:
-        kwargs["gamma2"] = args.gamma2
-    if args.step is not None:
-        kwargs["step"] = args.step
-    return EstimateResConfig(**kwargs)
+    names = ("delta0", "gamma1", "gamma2", "step")
+    return EstimateResConfig(**{k: getattr(args, k) for k in names if getattr(args, k) is not None})
 
 
 def _trial_rngs(seed: int, trials: int):
@@ -167,12 +152,12 @@ def cmd_resistance(args) -> int:
         return 0
     st = solution_tree(tree, marked)
     rp = resistance_profile(st)
-    ka = kappa_assignment(st, rp)
+    kappa = kappa_assignment(st, rp)
     _emit(
         {
             "eta_bar_root": rp.eta_root,
             "eta_max": rp.eta_max,
-            "kappa": {str(v): float(ka.kappa[v]) for v in sorted(st.vertices)},
+            "kappa": {str(v): float(kappa[v]) for v in sorted(st.vertices)},
         },
         args,
     )
@@ -241,8 +226,7 @@ def cmd_descent_sim(args) -> int:
         return 1
     st = solution_tree(tree, marked)
     rp = resistance_profile(st)
-    ka = kappa_assignment(st, rp)
-    dc = descent_chain(st, ka)
+    dc = descent_chain(st, kappa_assignment(st, rp))
     exact = exact_hitting_times(dc).root_value
     mean, err = simulate_descent(dc, args.trials, np.random.default_rng(args.seed))
     bound = hitting_time_bound(dc)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import pe_ancillas, pe_distribution, pearson_chi2, total_variation
-from .resistance import KappaAssignment, kappa_assignment, kappa_eta, resistance_profile
+from .resistance import kappa_assignment, kappa_eta, resistance_profile
 from .trees import MarkingOracle, SolutionTree, Tree, shallowest_marked, solution_tree
 from .walk import build_walk_operator, spectral_decomposition
 
@@ -56,11 +56,12 @@ class DescentChain:
 
     ``targets[v]``/``probs[v]`` give the jump distribution out of ``v``
     (strict descendants in the solution tree, weights ``kappa^2``); marked
-    leaves are absorbing and carry empty rows.
+    leaves are absorbing and carry empty rows.  ``kappa`` is the weight
+    array the law was built from.
     """
 
     st: SolutionTree
-    ka: KappaAssignment
+    kappa: np.ndarray
     targets: dict[int, np.ndarray]
     probs: dict[int, np.ndarray]
 
@@ -69,7 +70,7 @@ class DescentChain:
         return self.st.tree.root
 
 
-def descent_chain(st: SolutionTree, ka: KappaAssignment) -> DescentChain:
+def descent_chain(st: SolutionTree, kappa: np.ndarray) -> DescentChain:
     targets: dict[int, np.ndarray] = {}
     probs: dict[int, np.ndarray] = {}
     order = st.bfs_order()
@@ -86,10 +87,10 @@ def descent_chain(st: SolutionTree, ka: KappaAssignment) -> DescentChain:
             probs[v] = np.empty(0)
             continue
         tgt = np.asarray(descendants[v], dtype=np.int64)
-        weight = ka.kappa[tgt] ** 2
+        weight = kappa[tgt] ** 2
         targets[v] = tgt
         probs[v] = weight / weight.sum()
-    return DescentChain(st=st, ka=ka, targets=targets, probs=probs)
+    return DescentChain(st=st, kappa=kappa, targets=targets, probs=probs)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def absorption_pmf(dc: DescentChain) -> np.ndarray:
 
 def hitting_time_bound(dc: DescentChain) -> float:
     """The absorption-time bound ``log2(|M| * (eta_root + 1))``."""
-    eta_root = kappa_eta(dc.st, dc.ka)[dc.root]
+    eta_root = kappa_eta(dc.st, dc.kappa)[dc.root]
     return math.log2(len(dc.st.leaf_set.members) * (eta_root + 1.0))
 
 
@@ -149,8 +150,8 @@ def per_vertex_hitting_bound(dc: DescentChain) -> np.ndarray:
     ``E_v <= sum_m (kappa_m / kappa_v) log2(kappa_v (eta(v) + 1) / kappa_m)``
     over the marked leaves below ``v``.
     """
-    kappa = dc.ka.kappa
-    eta = kappa_eta(dc.st, dc.ka)
+    kappa = dc.kappa
+    eta = kappa_eta(dc.st, kappa)
     out = np.full(dc.st.tree.n_vertices, np.nan)
     for v in dc.st.bfs_order():
         total = 0.0
@@ -270,9 +271,7 @@ def quantum_vs_chain_check(
     """
     marked = shallowest_marked(tree, oracle)
     st = solution_tree(tree, marked)
-    rp = resistance_profile(st)
-    ka = kappa_assignment(st, rp)
-    dc = descent_chain(st, ka)
+    dc = descent_chain(st, kappa_assignment(st, resistance_profile(st)))
 
     op = build_walk_operator(tree, marked, eta)
     sd = spectral_decomposition(op)

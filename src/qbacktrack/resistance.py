@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import MarkedSet, SolutionTree
+from .trees import SolutionTree
 
 __all__ = [
     "ResistanceProfile",
-    "KappaAssignment",
     "KappaReport",
     "resistance_profile",
     "resistance_bruteforce",
@@ -79,13 +78,6 @@ class KappaReport:
     def __repr__(self) -> str:
         status = "ok" if self.passed else "FAIL " + ",".join(self.failures)
         return f"KappaReport({status}, max_residual={self.max_residual:.3e})"
-
-
-@dataclass(frozen=True)
-class KappaAssignment:
-    """Vertex weights kappa, zero outside the solution tree, all positive on it."""
-
-    kappa: np.ndarray
 
 
 def resistance_profile(st: SolutionTree) -> ResistanceProfile:
@@ -146,14 +138,15 @@ def resistance_bruteforce(st: SolutionTree) -> float:
     return float(voltage[index[tree.root]])
 
 
-def kappa_assignment(st: SolutionTree, rp: ResistanceProfile) -> KappaAssignment:
+def kappa_assignment(st: SolutionTree, rp: ResistanceProfile) -> np.ndarray:
     """Construct kappa from resistance ratios, then normalize.
 
     Top-down over the solution tree with the child/parent ratio
     ``eta(v) / (eta(c) + 1)``, starting from 1 at the root, then one global
     rescale so that the squared weights over non-root vertices sum to one.
-    The identities this must imply are checked separately by
-    :func:`verify_kappa`.
+    Returns a read-only array over all vertices: zero off the solution tree,
+    positive on it.  The identities this must imply are checked separately
+    by :func:`verify_kappa`.
     """
     tree = st.tree
     n = tree.n_vertices
@@ -167,7 +160,7 @@ def kappa_assignment(st: SolutionTree, rp: ResistanceProfile) -> KappaAssignment
     scale = np.sqrt(np.sum(kappa[mask] ** 2))
     kappa /= scale
     kappa.setflags(write=False)
-    return KappaAssignment(kappa=kappa)
+    return kappa
 
 
 def subtree_energy(st: SolutionTree, kappa: np.ndarray) -> np.ndarray:
@@ -178,20 +171,20 @@ def subtree_energy(st: SolutionTree, kappa: np.ndarray) -> np.ndarray:
     return energy
 
 
-def kappa_eta(st: SolutionTree, ka: KappaAssignment) -> np.ndarray:
+def kappa_eta(st: SolutionTree, kappa: np.ndarray) -> np.ndarray:
     """Resistance implied by kappa: subtree energy over kappa squared, minus one.
 
     Finite only on solution-tree vertices (``nan`` elsewhere); used to check
     that the weights reproduce the recursion's resistances.
     """
-    energy = subtree_energy(st, ka.kappa)
+    energy = subtree_energy(st, kappa)
     out = np.full(st.tree.n_vertices, np.nan)
     for v in st.bfs_order():
-        out[v] = energy[v] / ka.kappa[v] ** 2 - 1.0
+        out[v] = energy[v] / kappa[v] ** 2 - 1.0
     return out
 
 
-def verify_kappa(st: SolutionTree, ka: KappaAssignment, tol: float = 1e-10) -> KappaReport:
+def verify_kappa(st: SolutionTree, kappa: np.ndarray, tol: float = 1e-10) -> KappaReport:
     """Check every identity the kappa weights must satisfy.
 
     Residuals reported per identity:
@@ -210,7 +203,6 @@ def verify_kappa(st: SolutionTree, ka: KappaAssignment, tol: float = 1e-10) -> K
     * ``sign_uniform``      -- all weights on the solution tree share one sign
     """
     tree = st.tree
-    kappa = ka.kappa
     members = st.leaf_set.members
     order = st.bfs_order()
 

@@ -9,6 +9,11 @@ in breadth-first order so that matrix indexing stays stable; the JSON loader
 accepts any dense labelling.  Trees and oracles are immutable after
 construction except for the oracle's query counter and its unmark overlay.
 
+:func:`tree_from_children` is the one place a tree is checked: every
+generator, the JSON loader and the walk simulator's re-rooting build their
+trees through it, and it derives parents and depths from the children lists
+instead of trusting them.
+
 By convention the root is never marked.  If a raw marking says otherwise, the
 oracle records the fact (``root_was_marked``) and reports the root unmarked
 from then on, so downstream code may always assume an unmarked root.
@@ -17,8 +22,8 @@ from then on, so downstream code may always assume an unmarked root.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,6 +67,9 @@ class NoSolutionTree(ValueError):
 class Tree:
     """A rooted tree on dense integer vertex ids.
 
+    Build one with :func:`tree_from_children`, which checks the children
+    lists and derives ``parent`` and ``depth`` from them.
+
     Parameters
     ----------
     root : int
@@ -93,10 +101,6 @@ class Tree:
     def n_vertices(self) -> int:
         return int(self.parent.shape[0])
 
-    def degree(self, v: int) -> int:
-        base = 0 if v == self.root else 1
-        return base + len(self.children[v])
-
     def subtree_vertices(self, v: int) -> list[int]:
         """Vertices of the subtree rooted at ``v``, in BFS order."""
         order = [v]
@@ -113,46 +117,6 @@ class Tree:
             back.append(int(self.parent[back[-1]]))
         back.reverse()
         return back
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises TreeStructureError."""
-        n = self.n_vertices
-        if not (0 <= self.root < n):
-            raise TreeStructureError("ids", f"root {self.root} out of range")
-        seen_parent = np.full(n, -2, dtype=np.int64)
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                if not (0 <= c < n):
-                    raise TreeStructureError("ids", f"child id {c} out of range")
-                if seen_parent[c] != -2:
-                    raise TreeStructureError(
-                        "multiple_parents", f"vertex {c} has more than one parent"
-                    )
-                seen_parent[c] = v
-        if seen_parent[self.root] != -2:
-            raise TreeStructureError("cycle", "root listed as a child")
-        reached = self.subtree_vertices(self.root)
-        if len(reached) != n:
-            raise TreeStructureError(
-                "disconnected", f"only {len(reached)} of {n} vertices reachable from root"
-            )
-        for v in range(n):
-            want = -1 if v == self.root else seen_parent[v]
-            if int(self.parent[v]) != int(want):
-                raise TreeStructureError(
-                    "ids", f"parent map inconsistent with children lists at vertex {v}"
-                )
-        if int(self.depth[self.root]) != 0:
-            raise TreeStructureError("ids", "root depth must be 0")
-        for v in range(n):
-            if v != self.root and int(self.depth[v]) != int(self.depth[self.parent[v]]) + 1:
-                raise TreeStructureError("ids", f"depth law violated at vertex {v}")
-        if n > self.size_bound:
-            raise TreeStructureError("ids", "size bound smaller than realized size")
-        if int(self.depth.max(initial=0)) > self.depth_bound:
-            raise TreeStructureError("ids", "depth bound smaller than realized depth")
-        if max((self.degree(v) for v in range(n)), default=0) > self.degree_bound:
-            raise TreeStructureError("ids", "degree bound smaller than realized degree")
 
 
 def _is_id(x) -> bool:
@@ -171,7 +135,8 @@ def tree_from_children(
     or the root's child, a vertex with two parents, and vertices the root
     cannot reach (tagged ``"cycle"`` when every non-root vertex has a
     parent, ``"disconnected"`` otherwise).  ``bounds`` gives the size,
-    depth and degree bounds; by default they are the realized ones.
+    depth and degree bounds; by default they are the realized ones, and
+    bounds below them are rejected (tagged ``"ids"``).
     """
     n = len(children)
     if not (_is_id(root) and 0 <= root < n):
@@ -201,9 +166,12 @@ def tree_from_children(
         orphans = any(parent[v] == -1 for v in range(n) if v != root)
         tag = "disconnected" if orphans else "cycle"
         raise TreeStructureError(tag, f"{n - len(order)} vertices unreachable from root")
+    degree = max((len(kids) + (v != root) for v, kids in enumerate(children)), default=0)
+    realized = (n, int(depth.max(initial=0)), degree)
     if bounds is None:
-        degree = max((len(kids) + (v != root) for v, kids in enumerate(children)), default=0)
-        bounds = (n, int(depth.max(initial=0)), degree)
+        bounds = realized
+    elif not all(b >= r for b, r in zip(bounds, realized)):
+        raise TreeStructureError("ids", f"bounds {tuple(bounds)} fall below the realized {realized}")
     parent.setflags(write=False)
     depth.setflags(write=False)
     return Tree(
@@ -281,9 +249,6 @@ class MarkedSet:
     def below(self, v: int) -> frozenset[int]:
         return self.per_subtree.get(v, frozenset())
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class SolutionTree:
@@ -312,9 +277,6 @@ class SolutionTree:
     @property
     def root(self) -> int:
         return self.tree.root
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +511,13 @@ def tree_to_json(tree: Tree, oracle: MarkingOracle) -> str:
 def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
     """Parse and validate the interchange format.
 
-    Rejects cycles, forests, repeated parents, non-dense ids, a
-    ``"children"`` that is not a list and a ``"marked"`` that is neither a
-    boolean nor absent with a :class:`TreeStructureError` naming the
-    violation.  Ids are kept as given
-    (dense 0..n-1 required); generators always emit breadth-first ids but the
-    loader does not insist on that ordering.
+    Rejects non-dense ids, a ``"children"`` that is not a list and a
+    ``"marked"`` that is neither a boolean nor absent with a
+    :class:`TreeStructureError` naming the violation; cycles, forests and
+    repeated parents are rejected by :func:`tree_from_children`, the one
+    place a tree is checked.  Ids are kept as given (dense 0..n-1 required);
+    generators always emit breadth-first ids but the loader does not insist
+    on that ordering.
     """
     data = json.loads(text) if isinstance(text, str) else text
     if not isinstance(data, dict) or "root" not in data or "vertices" not in data:
@@ -582,5 +545,4 @@ def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
         marks[row["id"]] = mark
     root = data["root"]
     tree = tree_from_children(children, root)
-    tree.validate()
     return tree, MarkingOracle(marks, root)

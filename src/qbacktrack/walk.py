@@ -46,7 +46,6 @@ from .trees import MarkedSet, MarkingOracle, SolutionTree, Tree, shallowest_mark
 __all__ = [
     "WalkOperator",
     "SpectralDecomposition",
-    "SpectralGapReport",
     "psi_v",
     "build_walk_operator",
     "spectral_decomposition",
@@ -56,7 +55,6 @@ __all__ = [
     "phi_perp_state",
     "path_superposition_coefficients",
     "xi_vector",
-    "spectral_gap_check",
 ]
 
 
@@ -257,31 +255,33 @@ def phi_m_state(
     return amp / np.linalg.norm(amp) if normalized else amp
 
 
-def phi_state(st: SolutionTree, ka, eta: float) -> np.ndarray:
+def phi_state(st: SolutionTree, kappa: np.ndarray, eta: float) -> np.ndarray:
     """The normalized kappa-weighted superposition of all path vectors."""
     tree = st.tree
-    beta = beta_angle(ka.kappa[tree.root], eta)
-    amp = np.cos(beta) * _alternating_sign(tree.depth) * ka.kappa
+    beta = beta_angle(kappa[tree.root], eta)
+    amp = np.cos(beta) * _alternating_sign(tree.depth) * kappa
     amp[tree.root] = np.sin(beta)
     return amp
 
 
-def phi_perp_state(st: SolutionTree, ka, eta: float) -> np.ndarray:
+def phi_perp_state(st: SolutionTree, kappa: np.ndarray, eta: float) -> np.ndarray:
     """The state completing the root: orthogonal to phi and to every path vector."""
     tree = st.tree
-    beta = beta_angle(ka.kappa[tree.root], eta)
-    amp = -np.sin(beta) * _alternating_sign(tree.depth) * ka.kappa
+    beta = beta_angle(kappa[tree.root], eta)
+    amp = -np.sin(beta) * _alternating_sign(tree.depth) * kappa
     amp[tree.root] = np.cos(beta)
     return amp
 
 
-def path_superposition_coefficients(st: SolutionTree, ka, eta: float) -> dict[int, float]:
+def path_superposition_coefficients(
+    st: SolutionTree, kappa: np.ndarray, eta: float
+) -> dict[int, float]:
     """Per-leaf coefficients of phi over the path vectors: ``kappa_m * cos(beta)``."""
-    beta = beta_angle(ka.kappa[st.tree.root], eta)
-    return {int(m): float(ka.kappa[m] * np.cos(beta)) for m in st.leaf_set.members}
+    beta = beta_angle(kappa[st.tree.root], eta)
+    return {int(m): float(kappa[m] * np.cos(beta)) for m in st.leaf_set.members}
 
 
-def xi_vector(st: SolutionTree, ka, eta: float) -> np.ndarray:
+def xi_vector(st: SolutionTree, kappa: np.ndarray, eta: float) -> np.ndarray:
     """The spectral-gap witness: killed by P_A, mapped to phi_perp by P_B.
 
     ``alpha_root = cos(beta)``; down the tree the coefficient is
@@ -293,9 +293,9 @@ def xi_vector(st: SolutionTree, ka, eta: float) -> np.ndarray:
     tree = st.tree
     if tree.n_vertices < 2:
         raise ValueError("witness vector needs a nontrivial tree")
-    beta = beta_angle(ka.kappa[tree.root], eta)
+    beta = beta_angle(kappa[tree.root], eta)
     sin_b = np.sin(beta)
-    inv_kr = 1.0 / ka.kappa[tree.root]
+    inv_kr = 1.0 / kappa[tree.root]
     n = tree.n_vertices
     alpha = np.zeros(n)
     alpha[tree.root] = np.cos(beta)
@@ -304,31 +304,10 @@ def xi_vector(st: SolutionTree, ka, eta: float) -> np.ndarray:
     for v in order:
         if v == tree.root:
             continue
-        prefix[v] = prefix[tree.parent[v]] + ka.kappa[v]
+        prefix[v] = prefix[tree.parent[v]] + kappa[v]
         value = inv_kr - prefix[v]
         if tree.depth[v] % 2 == 1:
-            value += ka.kappa[v]
+            value += kappa[v]
         alpha[v] = sin_b * value
     alpha.setflags(write=False)
     return alpha
-
-
-@dataclass(frozen=True)
-class SpectralGapReport:
-    eps: float
-    p_eps_norm: float
-    xi_norm: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.p_eps_norm <= self.eps * self.xi_norm + 1e-12
-
-
-def spectral_gap_check(
-    sd: SpectralDecomposition, phi_perp: np.ndarray, xi: np.ndarray, eps: float
-) -> SpectralGapReport:
-    """Check ``||P_eps phi_perp|| <= eps * ||xi||`` at threshold ``eps``."""
-    if not (0.0 < eps <= np.pi / 2):
-        raise ValueError("eps must lie in (0, pi/2]")
-    norm = sd.small_phase_projector_norm(phi_perp, eps)
-    return SpectralGapReport(eps=eps, p_eps_norm=norm, xi_norm=float(np.linalg.norm(xi)))

@@ -2,10 +2,10 @@
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from qbacktrack import (
-    KappaAssignment,
     MarkingOracle,
     ResistanceProfile,
     SolutionTree,
@@ -17,6 +17,7 @@ from qbacktrack import (
     shallowest_marked,
     solution_tree,
 )
+from qbacktrack.trees import tree_from_children
 
 
 @dataclass
@@ -27,7 +28,7 @@ class Instance:
     oracle: MarkingOracle
     st: SolutionTree
     rp: ResistanceProfile
-    ka: KappaAssignment
+    kappa: np.ndarray
 
     @property
     def eta_bar(self) -> float:
@@ -39,8 +40,22 @@ def make_instance(builder, *args, **kwargs) -> Instance:
     marked = shallowest_marked(tree, oracle)
     st = solution_tree(tree, marked)
     rp = resistance_profile(st)
-    ka = kappa_assignment(st, rp)
-    return Instance(tree=tree, oracle=oracle, st=st, rp=rp, ka=ka)
+    return Instance(tree=tree, oracle=oracle, st=st, rp=rp, kappa=kappa_assignment(st, rp))
+
+
+def rebuild_matches(tree: Tree) -> Tree:
+    """Rebuild ``tree`` from its children lists and compare what that derives.
+
+    Parents and depths must agree, and the realized bounds of the rebuilt
+    tree must not exceed ``tree``'s.  Returns the rebuilt tree.
+    """
+    rebuilt = tree_from_children(tree.children, tree.root)
+    assert np.array_equal(rebuilt.parent, tree.parent)
+    assert np.array_equal(rebuilt.depth, tree.depth)
+    assert rebuilt.size_bound <= tree.size_bound
+    assert rebuilt.depth_bound <= tree.depth_bound
+    assert rebuilt.degree_bound <= tree.degree_bound
+    return rebuilt
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from qbacktrack.algorithms import (
     find_marked,
     k_doubling_find,
 )
+from conftest import rebuild_matches
 
 CFG = EstimateResConfig()
 
@@ -328,7 +329,7 @@ class TestSubtree:
         sim = WalkSimulator(tree, oracle)
         for v in range(tree.n_vertices):
             sub = sim.subtree(v)
-            sub.tree.validate()
+            rebuild_matches(sub.tree)
             ids = sub.ids
             assert ids[0] == v and sorted(ids) == sorted(tree.subtree_vertices(v))
             assert np.array_equal(sub.tree.depth, tree.depth[ids] - tree.depth[v])

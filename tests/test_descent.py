@@ -31,8 +31,7 @@ from qbacktrack.experiments import DESCENT_MC_ALPHA, default_corpus, fixture_ins
 def chain_for(builder, *args, **kwargs):
     tree, oracle = builder(*args, **kwargs)
     st = solution_tree(tree, shallowest_marked(tree, oracle))
-    ka = kappa_assignment(st, resistance_profile(st))
-    return tree, oracle, descent_chain(st, ka)
+    return tree, oracle, descent_chain(st, kappa_assignment(st, resistance_profile(st)))
 
 
 def brute_force_hitting_time(dc, root):
@@ -103,8 +102,7 @@ class TestHittingTimes:
             if not marked.members:
                 continue
             st = solution_tree(tree, marked)
-            ka = kappa_assignment(st, resistance_profile(st))
-            dc = descent_chain(st, ka)
+            dc = descent_chain(st, kappa_assignment(st, resistance_profile(st)))
             dp = exact_hitting_times(dc).root_value
             assert dp == pytest.approx(brute_force_hitting_time(dc, tree.root), rel=1e-10)
             assert dp <= hitting_time_bound(dc) + 1e-12

@@ -2,6 +2,7 @@
 
 import pathlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,12 +32,9 @@ from qbacktrack import (
     total_variation,
     tree_from_json,
 )
-from qbacktrack.algorithms import EstimateResConfig
+from qbacktrack.algorithms import EstimateResConfig, find_all
 from qbacktrack.estimation import pe_kernel_amplitude
 from conftest import make_instance
-
-
-SEED109_TREE = pathlib.Path(__file__).parent / "data" / "seed109_tree.json"
 
 
 def root_state(n, root=0):
@@ -160,7 +158,7 @@ class TestSpectralPE:
         eta = star_8_2.eta_bar
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, eta)
         sd = spectral_decomposition(op)
-        phi = phi_state(star_8_2.st, star_8_2.ka, eta)
+        phi = phi_state(star_8_2.st, star_8_2.kappa, eta)
         out = pe_distribution(sd, phi, s=6)
         assert out.p_zero == pytest.approx(1.0, abs=1e-12)
 
@@ -189,7 +187,7 @@ class TestSpectralPE:
         eta = star_64_4.eta_bar
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, eta)
         sd = spectral_decomposition(op)
-        perp = phi_perp_state(star_64_4.st, star_64_4.ka, eta)
+        perp = phi_perp_state(star_64_4.st, star_64_4.kappa, eta)
         for delta in (0.2, 0.1, 0.05):
             s = pe_ancillas(star_64_4.tree.size_bound, eta, delta)
             lam = sd.amplitudes(perp)
@@ -310,43 +308,77 @@ class TestJointMemory:
         assert peak <= 3 * joint_bytes
 
 
-class TestSeed109Tree:
-    """The tree on which ``find_all`` misses every mark: ``findall_random`` seed 109, job 8, tree 13.
+def _loop_ancillas(size_bound, eta):
+    return EstimateResConfig().pe_ancillas(size_bound, eta)
 
-    Written by ``tree_to_json`` from ``perfbench.workloads.FindallRandom(109).make_inputs(8)[13]``.
-    The root's weight on eigenphase 0 is exactly ``sin^2(beta)``, so an exact
-    backend gives that p_zero up to the kernel's leak at the loop's ``s``.
+
+def _descent_ancillas(size_bound, eta):
+    return pe_ancillas(size_bound, eta, EstimateResConfig().descent_delta(eta))
+
+
+# key: (seed, job, tree) in findall_random; eta_bar: the exact root resistance;
+# eta, law, s: the weight under test, the ancilla law at it and the s it gives;
+# tol: how close gate-level p_zero comes to sin^2(beta) at that s
+MISS_TREES = {
+    "seed109": dict(
+        key=(109, 8, 13), n=64, marks=[44, 56], eta_bar=6.2,
+        eta=16 / 3, law=_loop_ancillas, s=10, tol=1e-5,
+    ),
+    "seed1011": dict(
+        key=(1011, 5, 15), n=69, marks=[50, 58], eta_bar=42 / 13,
+        eta=3.246232094272086, law=_descent_ancillas, s=8, tol=1e-3,
+    ),
+}
+
+
+class TestFindAllMissTree:
+    """Trees on which ``find_all`` misses every mark in ``findall_random``.
+
+    Each file is written by ``tree_to_json`` from
+    ``perfbench.workloads.FindallRandom(seed).make_inputs(job)[tree]``.  The
+    root's weight on eigenphase 0 is exactly ``sin^2(beta)``, so an exact
+    backend gives that p_zero up to the kernel's leak at ``s``.
+
+    * seed 109: every root estimate is inf; the estimation loop's phase
+      estimation at eta = 16/3 already reads the wrong p_zero.
+    * seed 1011: the root estimate is sound (3.2462 against eta_bar 42/13),
+      and ``find_marked`` descends with it; the descent's phase estimation at
+      that eta reads the wrong p_zero and vertex law.
     """
 
-    ETA = 16 / 3
-
-    @pytest.fixture(scope="class")
-    def case(self):
-        tree, oracle = tree_from_json(SEED109_TREE.read_text())
-        st = solution_tree(tree, shallowest_marked(tree, oracle))
-        rp = resistance_profile(st)
-        beta = beta_angle(kappa_assignment(st, rp).kappa[tree.root], self.ETA)
-        op = build_walk_operator(tree, oracle, self.ETA)
-        s = EstimateResConfig().pe_ancillas(tree.size_bound, self.ETA)
-        gate = gate_level_pe(op, root_state(tree.n_vertices), s)
-        return tree, oracle, rp, beta, op, s, gate
+    @pytest.fixture(scope="class", params=sorted(MISS_TREES))
+    def case(self, request):
+        case = SimpleNamespace(**MISS_TREES[request.param])
+        path = pathlib.Path(__file__).parent / "data" / f"{request.param}_tree.json"
+        case.tree, case.oracle = tree_from_json(path.read_text())
+        st = solution_tree(case.tree, shallowest_marked(case.tree, case.oracle))
+        case.rp = resistance_profile(st)
+        case.beta = beta_angle(kappa_assignment(st, case.rp)[case.tree.root], case.eta)
+        case.op = build_walk_operator(case.tree, case.oracle, case.eta)
+        case.gate = gate_level_pe(case.op, root_state(case.tree.n_vertices), case.s)
+        return case
 
     def test_fixture_is_the_reported_tree(self, case):
-        tree, oracle, rp, _, _, s, _ = case
-        assert tree.n_vertices == 64
-        assert oracle.marked_vertices() == [44, 56]
-        assert rp.eta_root == pytest.approx(6.2, abs=1e-12)
-        assert s == 10
+        assert case.tree.n_vertices == case.n
+        assert case.oracle.marked_vertices() == case.marks
+        assert case.rp.eta_root == pytest.approx(case.eta_bar, abs=1e-12)
+        assert case.law(case.tree.size_bound, case.eta) == case.s
 
     def test_gate_level_p_zero_is_sin2_beta(self, case):
-        _, _, _, beta, _, _, gate = case
-        assert gate.p_zero == pytest.approx(np.sin(beta) ** 2, abs=1e-5)
+        assert case.gate.p_zero == pytest.approx(np.sin(case.beta) ** 2, abs=case.tol)
 
     @pytest.mark.xfail(strict=True, reason="near-identity 2x2 Schur blocks (ROADMAP item 0)")
     def test_spectral_p_zero_matches_gate_level(self, case):
-        tree, _, _, _, op, s, gate = case
-        spectral = pe_distribution(spectral_decomposition(op), root_state(tree.n_vertices), s)
-        assert spectral.p_zero == pytest.approx(gate.p_zero, abs=1e-10)
+        sd = spectral_decomposition(case.op)
+        spectral = pe_distribution(sd, root_state(case.tree.n_vertices), case.s)
+        assert spectral.p_zero == pytest.approx(case.gate.p_zero, abs=1e-10)
+
+    @pytest.mark.xfail(strict=True, reason="near-identity 2x2 Schur blocks (ROADMAP item 0)")
+    def test_find_all_recovers_every_mark(self, case):
+        # the generator findall_random hands this find_all call
+        rng = np.random.default_rng(np.random.SeedSequence([*case.key, 2]))
+        found, _ = find_all(case.tree, case.oracle, EstimateResConfig(), rng)
+        assert sorted(found) == case.marks
 
 
 class TestAmplitudeEstimation:

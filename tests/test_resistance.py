@@ -18,6 +18,7 @@ from qbacktrack import (
     solution_tree,
     verify_kappa,
 )
+from qbacktrack.trees import tree_from_children
 
 
 def make_solution(builder, *args, **kwargs):
@@ -95,46 +96,44 @@ class TestKappa:
         # and the child-sum rule forces kappa_r = k w = sqrt(k)
         for n, k in [(8, 4), (64, 4), (6, 1)]:
             _, _, st_ = make_solution(build_star, n, k)
-            ka = kappa_assignment(st_, resistance_profile(st_))
-            assert ka.kappa[0] == pytest.approx(np.sqrt(k), rel=1e-12)
+            kappa = kappa_assignment(st_, resistance_profile(st_))
+            assert kappa[0] == pytest.approx(np.sqrt(k), rel=1e-12)
             for m in range(1, k + 1):
-                assert ka.kappa[m] == pytest.approx(1.0 / np.sqrt(k), rel=1e-12)
+                assert kappa[m] == pytest.approx(1.0 / np.sqrt(k), rel=1e-12)
 
     def test_path_uniform_weights(self):
         # the child-sum rule forces equality along a path; normalization
         # over the n non-root vertices fixes the value at 1/sqrt(n)
         for n in (1, 3, 6):
             _, _, st_ = make_solution(build_path, n, True)
-            ka = kappa_assignment(st_, resistance_profile(st_))
+            kappa = kappa_assignment(st_, resistance_profile(st_))
             assert np.allclose(
-                [ka.kappa[v] for v in range(n + 1)], 1.0 / np.sqrt(n), atol=1e-12
+                [kappa[v] for v in range(n + 1)], 1.0 / np.sqrt(n), atol=1e-12
             )
 
     def test_single_edge_unit_weights(self):
         _, _, st_ = make_solution(build_star, 1, 1)
-        ka = kappa_assignment(st_, resistance_profile(st_))
-        assert ka.kappa[0] == pytest.approx(1.0)
-        assert ka.kappa[1] == pytest.approx(1.0)
+        kappa = kappa_assignment(st_, resistance_profile(st_))
+        assert kappa[0] == pytest.approx(1.0)
+        assert kappa[1] == pytest.approx(1.0)
 
     def test_identity_suite_on_star(self):
         _, _, st_ = make_solution(build_star, 8, 4)
-        ka = kappa_assignment(st_, resistance_profile(st_))
-        report = verify_kappa(st_, ka, tol=1e-12)
+        kappa = kappa_assignment(st_, resistance_profile(st_))
+        report = verify_kappa(st_, kappa, tol=1e-12)
         assert report.passed, report.residuals
 
     def test_perturbation_breaks_child_sum(self):
         _, _, st_ = make_solution(build_star, 8, 4)
-        ka = kappa_assignment(st_, resistance_profile(st_))
-        kappa = ka.kappa.copy()
+        kappa = kappa_assignment(st_, resistance_profile(st_)).copy()
         kappa[1] += 1e-3
-        broken = type(ka)(kappa=kappa)
-        report = verify_kappa(st_, broken, tol=1e-10)
+        report = verify_kappa(st_, kappa, tol=1e-10)
         assert "child_sum" in report.failures
 
     def test_single_edge_identities_trivial(self):
         _, _, st_ = make_solution(build_star, 1, 1)
-        ka = kappa_assignment(st_, resistance_profile(st_))
-        report = verify_kappa(st_, ka, tol=1e-14)
+        kappa = kappa_assignment(st_, resistance_profile(st_))
+        report = verify_kappa(st_, kappa, tol=1e-14)
         assert report.passed
 
     def test_kappa_reproduces_resistance_everywhere(self):
@@ -145,16 +144,16 @@ class TestKappa:
                 continue
             st_ = solution_tree(tree, marked)
             rp = resistance_profile(st_)
-            ka = kappa_assignment(st_, rp)
-            implied = kappa_eta(st_, ka)
+            kappa = kappa_assignment(st_, rp)
+            implied = kappa_eta(st_, kappa)
             for v in st_.vertices:
                 assert implied[v] == pytest.approx(rp.eta_bar[v], rel=1e-9, abs=1e-12)
 
     def test_root_anchor_inverse_square(self):
         _, _, st_ = make_solution(build_star, 12, 3)
         rp = resistance_profile(st_)
-        ka = kappa_assignment(st_, rp)
-        assert 1.0 / ka.kappa[0] ** 2 == pytest.approx(rp.eta_root, rel=1e-12)
+        kappa = kappa_assignment(st_, rp)
+        assert 1.0 / kappa[0] ** 2 == pytest.approx(rp.eta_root, rel=1e-12)
 
     def test_children_order_is_irrelevant(self):
         tree, oracle = build_random_tree(60, 4, 0.2, seed=9)
@@ -162,25 +161,17 @@ class TestKappa:
         if not marked.members:
             pytest.skip("no marks")
         st_ = solution_tree(tree, marked)
-        ka = kappa_assignment(st_, resistance_profile(st_))
+        kappa = kappa_assignment(st_, resistance_profile(st_))
 
         rng = np.random.default_rng(0)
         shuffled = tuple(
             tuple(rng.permutation(list(kids)).tolist()) for kids in tree.children
         )
-        tree2 = type(tree)(
-            root=tree.root,
-            parent=tree.parent,
-            children=shuffled,
-            depth=tree.depth,
-            size_bound=tree.size_bound,
-            depth_bound=tree.depth_bound,
-            degree_bound=tree.degree_bound,
-        )
+        tree2 = tree_from_children(shuffled, tree.root)
         marked2 = shallowest_marked(tree2, oracle.copy())
         st2 = solution_tree(tree2, marked2)
-        ka2 = kappa_assignment(st2, resistance_profile(st2))
-        assert np.allclose(ka.kappa, ka2.kappa, atol=1e-12)
+        kappa2 = kappa_assignment(st2, resistance_profile(st2))
+        assert np.allclose(kappa, kappa2, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

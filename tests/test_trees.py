@@ -21,6 +21,8 @@ from qbacktrack import (
     tree_from_json,
     tree_to_json,
 )
+from qbacktrack.trees import tree_from_children
+from conftest import rebuild_matches
 
 
 def brute_force_satisfying(cnf, var_order):
@@ -83,8 +85,7 @@ class TestGenerators:
 
     def test_random_tree_respects_bounds(self):
         tree, _ = build_random_tree(200, 3, 0.05, seed=1)
-        tree.validate()
-        assert max(tree.degree(v) for v in range(tree.n_vertices)) <= 3
+        assert rebuild_matches(tree).degree_bound <= 3
 
     def test_bfs_labelling(self):
         tree, _ = build_random_tree(60, 4, 0.0, seed=5)
@@ -306,6 +307,15 @@ class TestJson:
         assert err.value.violation == "schema"
 
 
+@pytest.mark.parametrize("bounds", [(2, 2, 2), (3, 1, 2), (3, 2, 1)], ids=["size", "depth", "degree"])
+def test_bounds_below_realized_rejected(bounds):
+    path = [(1,), (2,), ()]  # 3 vertices, depth 2, degree 2
+    assert tree_from_children(path, bounds=(3, 2, 2)).degree_bound == 2
+    with pytest.raises(TreeStructureError) as err:
+        tree_from_children(path, bounds=bounds)
+    assert err.value.violation == "ids"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     size=st.integers(min_value=2, max_value=60),
@@ -315,7 +325,7 @@ class TestJson:
 )
 def test_generated_trees_satisfy_invariants(size, degree, prob, seed):
     tree, oracle = build_random_tree(size, degree, prob, seed)
-    tree.validate()
+    rebuild_matches(tree)
     marked = shallowest_marked(tree, oracle)
     # members form an antichain: no member is an ancestor of another
     for m in marked.members:

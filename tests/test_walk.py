@@ -23,7 +23,6 @@ from qbacktrack import (
     shallowest_marked,
     solution_tree,
     spectral_decomposition,
-    spectral_gap_check,
     xi_vector,
 )
 from conftest import make_instance
@@ -323,10 +322,10 @@ class TestStates:
             eta0 = inst.eta_bar
             for eta in (eta0 / 4, eta0, 4 * eta0):
                 op = build_walk_operator(inst.tree, inst.oracle, eta)
-                phi = phi_state(inst.st, inst.ka, eta)
+                phi = phi_state(inst.st, inst.kappa, eta)
                 assert np.linalg.norm(op.matrix @ phi - phi) < 1e-10
                 assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
-                expected = np.sin(np.arctan(np.sqrt(eta) * inst.ka.kappa[inst.tree.root]))
+                expected = np.sin(np.arctan(np.sqrt(eta) * inst.kappa[inst.tree.root]))
                 assert phi[inst.tree.root] == pytest.approx(expected, abs=1e-12)
 
     def test_every_path_vector_fixed(self):
@@ -337,16 +336,16 @@ class TestStates:
                 assert np.linalg.norm(op.matrix @ pm - pm) < 1e-10
 
     def test_star_half_overlap_at_optimum(self, star_64_4):
-        phi = phi_state(star_64_4.st, star_64_4.ka, star_64_4.eta_bar)
+        phi = phi_state(star_64_4.st, star_64_4.kappa, star_64_4.eta_bar)
         assert phi[0] ** 2 == pytest.approx(0.5, abs=1e-12)
 
     def test_phi_perp_completes_the_root(self):
         for inst in random_instances(5):
             eta = 1.7 * inst.eta_bar
-            phi = phi_state(inst.st, inst.ka, eta)
-            perp = phi_perp_state(inst.st, inst.ka, eta)
+            phi = phi_state(inst.st, inst.kappa, eta)
+            perp = phi_perp_state(inst.st, inst.kappa, eta)
             assert abs(np.dot(phi, perp)) < 1e-14
-            beta = beta_angle(inst.ka.kappa[inst.tree.root], eta)
+            beta = beta_angle(inst.kappa[inst.tree.root], eta)
             recon = np.sin(beta) * phi + np.cos(beta) * perp
             root = np.zeros(inst.tree.n_vertices)
             root[inst.tree.root] = 1.0
@@ -357,12 +356,12 @@ class TestStates:
 
     def test_superposition_coefficients_rebuild_phi(self, star_8_2):
         eta = 0.9
-        coeffs = path_superposition_coefficients(star_8_2.st, star_8_2.ka, eta)
+        coeffs = path_superposition_coefficients(star_8_2.st, star_8_2.kappa, eta)
         rebuilt = np.zeros(star_8_2.tree.n_vertices)
         for m, c in coeffs.items():
             pm = phi_m_state(star_8_2.tree, star_8_2.st.leaf_set, m, eta, normalized=False)
             rebuilt += c * pm
-        phi = phi_state(star_8_2.st, star_8_2.ka, eta)
+        phi = phi_state(star_8_2.st, star_8_2.kappa, eta)
         assert np.allclose(rebuilt, phi, atol=1e-12)
 
 
@@ -371,8 +370,8 @@ class TestXi:
         for inst in random_instances(6):
             for eta in (inst.eta_bar, 4 * inst.eta_bar, inst.eta_bar / 4):
                 op = build_walk_operator(inst.tree, inst.oracle, eta)
-                xi = xi_vector(inst.st, inst.ka, eta)
-                perp = phi_perp_state(inst.st, inst.ka, eta)
+                xi = xi_vector(inst.st, inst.kappa, eta)
+                perp = phi_perp_state(inst.st, inst.kappa, eta)
                 assert np.linalg.norm(op.projector_a() @ xi) < 1e-10
                 assert np.linalg.norm(op.projector_b() @ xi - perp) < 1e-10
 
@@ -380,27 +379,27 @@ class TestXi:
         for inst in random_instances(6):
             t_bound = inst.tree.size_bound
             for eta in (inst.eta_bar, 4 * inst.eta_bar, max(inst.eta_bar / 4, 1.0 / (t_bound - 1))):
-                xi = xi_vector(inst.st, inst.ka, eta)
-                beta = beta_angle(inst.ka.kappa[inst.tree.root], eta)
+                xi = xi_vector(inst.st, inst.kappa, eta)
+                beta = beta_angle(inst.kappa[inst.tree.root], eta)
                 bound = 2 * (t_bound - 1) * eta * np.cos(beta) ** 2
                 assert np.linalg.norm(xi) ** 2 <= bound + 1e-12
 
     def test_marked_vertex_coefficients(self):
         for inst in random_instances(6):
             eta = inst.eta_bar
-            xi = xi_vector(inst.st, inst.ka, eta)
-            beta = beta_angle(inst.ka.kappa[inst.tree.root], eta)
+            xi = xi_vector(inst.st, inst.kappa, eta)
+            beta = beta_angle(inst.kappa[inst.tree.root], eta)
             for m in inst.st.leaf_set.members:
                 if inst.tree.depth[m] % 2 == 0:
                     assert abs(xi[m]) < 1e-12
                 else:
                     assert xi[m] == pytest.approx(
-                        inst.ka.kappa[m] * np.sin(beta), abs=1e-12
+                        inst.kappa[m] * np.sin(beta), abs=1e-12
                     )
 
     def test_root_coefficient(self, star_8_2):
-        xi = xi_vector(star_8_2.st, star_8_2.ka, 0.5)
-        beta = beta_angle(star_8_2.ka.kappa[0], 0.5)
+        xi = xi_vector(star_8_2.st, star_8_2.kappa, 0.5)
+        beta = beta_angle(star_8_2.kappa[0], 0.5)
         assert xi[0] == pytest.approx(np.cos(beta))
 
 
@@ -409,25 +408,24 @@ class TestSpectralGap:
         for inst in random_instances(5):
             op = build_walk_operator(inst.tree, inst.oracle, inst.eta_bar)
             sd = spectral_decomposition(op)
-            perp = phi_perp_state(inst.st, inst.ka, inst.eta_bar)
-            xi = xi_vector(inst.st, inst.ka, inst.eta_bar)
+            perp = phi_perp_state(inst.st, inst.kappa, inst.eta_bar)
+            xi_norm = np.linalg.norm(xi_vector(inst.st, inst.kappa, inst.eta_bar))
             for eps in (1e-3, 1e-2, 1e-1):
-                report = spectral_gap_check(sd, perp, xi, eps)
-                assert report.satisfied
+                assert sd.small_phase_projector_norm(perp, eps) <= eps * xi_norm + 1e-12
 
     def test_whole_space_threshold(self, star_8_2):
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, star_8_2.eta_bar)
         sd = spectral_decomposition(op)
-        perp = phi_perp_state(star_8_2.st, star_8_2.ka, star_8_2.eta_bar)
-        xi = xi_vector(star_8_2.st, star_8_2.ka, star_8_2.eta_bar)
-        report = spectral_gap_check(sd, perp, xi, np.pi / 2)
-        assert report.p_eps_norm == pytest.approx(1.0, abs=1e-12)
-        if np.linalg.norm(xi) >= 2 / np.pi:
-            assert report.satisfied
+        perp = phi_perp_state(star_8_2.st, star_8_2.kappa, star_8_2.eta_bar)
+        xi_norm = np.linalg.norm(xi_vector(star_8_2.st, star_8_2.kappa, star_8_2.eta_bar))
+        p_eps = sd.small_phase_projector_norm(perp, np.pi / 2)
+        assert p_eps == pytest.approx(1.0, abs=1e-12)
+        if xi_norm >= 2 / np.pi:
+            assert p_eps <= np.pi / 2 * xi_norm + 1e-12
 
     def test_single_edge_perp_has_no_small_phase(self, single_edge):
         op = build_walk_operator(single_edge.tree, single_edge.oracle, 0.7)
         sd = spectral_decomposition(op)
-        perp = phi_perp_state(single_edge.st, single_edge.ka, 0.7)
+        perp = phi_perp_state(single_edge.st, single_edge.kappa, 0.7)
         # phi_perp coincides with the root diffusion state: pure eigenvalue -1
         assert sd.small_phase_projector_norm(perp, 1e-6) < 1e-12
