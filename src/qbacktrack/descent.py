@@ -12,6 +12,13 @@ Beyond the mean, :func:`absorption_pmf` gives the exact law of the
 absorption time, and :func:`absorption_fit` tests sampled step counts
 against it.
 
+:func:`descent_step_counts` samples the chain on the caller's stream as a
+per-step ``Generator.choice(row.size, p=row)`` loop would: it takes the
+same doubles, returns the same counts and leaves the generator in the same
+state.  It builds each row's CDF once, then costs one ``bisect`` per step
+instead of one ``choice`` call, and asks the generator for at most
+``BLOCK`` doubles at a time, never more than the loop would take.
+
 ``quantum_vs_chain_check`` ties the chain back to the walk: conditioned on
 the zero ancilla outcome at the optimal weight, the non-root vertex law of
 phase estimation approaches the chain's first-step law as the preparation
@@ -21,6 +28,7 @@ precision grows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +56,10 @@ __all__ = [
 
 # The corpus bound of quantum_vs_chain_check is this multiple of delta.
 CHAIN_TV_FACTOR = 10.0
+# Most doubles descent_step_counts asks of the generator in one call.
+BLOCK = 1 << 16
+# The row-sum tolerance of Generator.choice: sqrt of float64 eps.
+ROW_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -161,24 +173,67 @@ def per_vertex_hitting_bound(dc: DescentChain) -> np.ndarray:
     return out
 
 
+def _row_cdf(probs: np.ndarray, targets: np.ndarray) -> list[float]:
+    """The normalised CDF ``Generator.choice(targets.size, p=probs)`` searches.
+
+    The row passes the checks ``choice`` makes first: same length as its
+    targets and non-empty, no NaN, no negative entry, a sum within
+    ``ROW_SUM_ATOL`` of 1.  Each raises ``ValueError``.
+    """
+    if probs.shape != targets.shape or probs.size == 0:
+        raise ValueError("a chain row must be non-empty and as long as its targets")
+    total = float(probs.sum())
+    if math.isnan(total):
+        raise ValueError("chain row probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("chain row probabilities are not non-negative")
+    if abs(total - 1.0) > ROW_SUM_ATOL:
+        raise ValueError("chain row probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def descent_step_counts(
     dc: DescentChain, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Monte Carlo absorption times from the root, one step count per trial."""
+    """Monte Carlo absorption times from the root, one step count per trial.
+
+    Each step takes the next double of ``rng`` and returns the
+    ``bisect_right`` of it in the row's normalised CDF: the double and the
+    index ``rng.choice(row.size, p=row)`` would take, so the counts and
+    ``rng``'s state afterwards equal a per-step ``choice`` loop's.  The
+    doubles come from ``rng.random(min(trials - t, BLOCK))`` with ``t`` the
+    trial in progress; each trial left takes at least one, so no block
+    overdraws and the calls' sizes sum to ``counts.sum()``.  Every row is
+    checked once, up front, including rows no trial reaches.  Cost: one
+    pass over the rows, then one bisect per step; memory is one block.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     members = dc.st.leaf_set.members
-    counts = np.empty(trials, dtype=np.int64)
+    rows = {
+        v: (_row_cdf(dc.probs[v], dc.targets[v]), dc.targets[v].tolist())
+        for v in dc.targets
+        if v not in members
+    }
+    root = dc.root
+    counts = [0] * trials
+    block: list[float] = []
+    pos = 0
     for t in range(trials):
-        v = dc.root
+        v = root
         steps = 0
-        while v not in members:
-            row_t = dc.targets[v]
-            row_p = dc.probs[v]
-            v = int(row_t[rng.choice(row_t.shape[0], p=row_p)])
+        while v in rows:
+            if pos == len(block):
+                block = rng.random(min(trials - t, BLOCK)).tolist()
+                pos = 0
+            cdf, tgt = rows[v]
+            v = tgt[bisect_right(cdf, block[pos])]
+            pos += 1
             steps += 1
         counts[t] = steps
-    return counts
+    return np.asarray(counts, dtype=np.int64)
 
 
 def _mean_stderr(counts: np.ndarray) -> tuple[float, float]:

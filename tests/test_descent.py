@@ -1,9 +1,12 @@
-"""Descent chain: transition law, hitting times, and the quantum link."""
+"""Descent chain: transition law, hitting times, the sampler's stream, and the quantum link."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from qbacktrack import (
     build_path,
@@ -15,6 +18,7 @@ from qbacktrack import (
     solution_tree,
 )
 from qbacktrack.descent import (
+    BLOCK,
     absorption_fit,
     absorption_pmf,
     descent_chain,
@@ -26,6 +30,7 @@ from qbacktrack.descent import (
     simulate_descent,
 )
 from qbacktrack.experiments import DESCENT_MC_ALPHA, default_corpus, fixture_instances
+from qbacktrack.trees import MarkedSet, SolutionTree, tree_from_children
 
 
 def chain_for(builder, *args, **kwargs):
@@ -182,6 +187,167 @@ class TestMonteCarlo:
         _, _, dc = chain_for(build_star, 2, 1)
         with pytest.raises(ValueError):
             simulate_descent(dc, 0, np.random.default_rng(0))
+
+
+def choice_step_counts(dc, trials, rng):
+    """Reference sampler: one ``rng.choice`` per trial per step."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    members = dc.st.leaf_set.members
+    counts = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        v = dc.root
+        steps = 0
+        while v not in members:
+            row_t = dc.targets[v]
+            row_p = dc.probs[v]
+            v = int(row_t[rng.choice(row_t.shape[0], p=row_p)])
+            steps += 1
+        counts[t] = steps
+    return counts
+
+
+def assert_same_stream(dc, trials, seed):
+    """The sampler's counts and the generator's state afterwards equal the reference's."""
+    want_rng = np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)
+    want = choice_step_counts(dc, trials, want_rng)
+    got = descent_step_counts(dc, trials, got_rng)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+CRITERION_9_CHAINS = {
+    "single_edge": (build_star, 1, 1),
+    "star_10_4": (build_star, 10, 4),
+    "path_5": (build_path, 5, True),
+    "random_40": (build_random_tree, 40, 3, 0.1, 9),
+}
+
+
+class TestSamplerStream:
+    @pytest.mark.parametrize("name", sorted(CRITERION_9_CHAINS))
+    def test_criterion_9_chains(self, name):
+        _, _, dc = chain_for(*CRITERION_9_CHAINS[name])
+        assert_same_stream(dc, 20_000, 20240913 + 7)
+
+    @pytest.mark.parametrize("master_seed", [1, 2])
+    def test_corpus_descent_phase(self, master_seed):
+        checked = 0
+        for i, inst in enumerate(default_corpus(count=20, master_seed=master_seed)):
+            if not inst.has_marks:
+                continue
+            st = solution_tree(inst.tree, inst.marked)
+            dc = descent_chain(st, kappa_assignment(st, resistance_profile(st)))
+            trials = math.ceil(2000 / exact_hitting_times(dc).root_value)
+            assert_same_stream(dc, trials, [master_seed, i])
+            checked += 1
+        assert checked >= 10
+
+    def test_absorbing_root_draws_nothing(self):
+        tree = tree_from_children([()])
+        marked = MarkedSet(members=frozenset({0}), per_subtree={0: frozenset({0})})
+        dc = descent_chain(SolutionTree(tree, frozenset({0}), marked), np.ones(1))
+        assert not assert_same_stream(dc, 50, 5).any()
+        rng = RecordingRng(5)
+        descent_step_counts(dc, 50, rng)
+        assert rng.sizes == []
+
+    def test_draw_on_a_cdf_step_goes_right(self):
+        # root row of path_2 is (to 1, to 2); put its first CDF step exactly
+        # on the first double of seed 0, which choice sends past the step
+        _, _, dc = chain_for(build_path, 2, True)
+        u = np.random.default_rng(0).random()
+        row = np.array([u, 1.0 - u])
+        assert row.cumsum().tolist() == [u, 1.0]
+        counts = assert_same_stream(with_row(dc, dc.root, row), 1, 0)
+        assert counts.tolist() == [1]
+
+    def test_more_trials_than_one_block(self):
+        _, _, dc = chain_for(build_path, 3, True)
+        assert_same_stream(dc, BLOCK + 1_000, 11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=hst.integers(2, 40),
+        degree=hst.integers(2, 4),
+        mark_prob=hst.floats(0.05, 0.6),
+        tree_seed=hst.integers(0, 2**32 - 1),
+        trials=hst.integers(1, 300),
+        rng_seed=hst.integers(0, 2**63 - 1),
+    )
+    def test_random_trees(self, size, degree, mark_prob, tree_seed, trials, rng_seed):
+        tree, oracle = build_random_tree(size, degree, mark_prob, tree_seed)
+        marked = shallowest_marked(tree, oracle)
+        assume(marked.members)
+        st = solution_tree(tree, marked)
+        dc = descent_chain(st, kappa_assignment(st, resistance_profile(st)))
+        assert_same_stream(dc, trials, rng_seed)
+
+
+class RecordingRng:
+    """Forwards ``random(size)`` to a real generator and records each ``size``."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+class TestSamplerDraws:
+    @pytest.mark.parametrize("name", ["star_10_4", "path_5", "random_40"])
+    def test_blocks_bounded_and_never_overdraw(self, name):
+        _, _, dc = chain_for(*CRITERION_9_CHAINS[name])
+        rng = RecordingRng(3)
+        counts = descent_step_counts(dc, 3 * BLOCK + 17, rng)
+        assert rng.sizes[0] == BLOCK
+        assert max(rng.sizes) <= BLOCK
+        assert sum(rng.sizes) == counts.sum()
+
+
+def with_row(dc, v, row):
+    return replace(dc, probs={**dc.probs, v: np.asarray(row, dtype=float)})
+
+
+class TestRowChecks:
+    """The checks ``Generator.choice`` made on each row it sampled, now made up front."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan, 0.25, 0.25, 0.25, 0.25], "NaN"),
+            ([-0.25, 0.5, 0.25, 0.25, 0.25], "non-negative"),
+            ([0.25, 0.25, 0.25, 0.25, 0.25], "sum to 1"),
+            ([0.5, 0.5], "as long as its targets"),
+            ([], "non-empty"),
+        ],
+    )
+    def test_bad_root_row_rejected(self, row, message):
+        _, _, dc = chain_for(build_path, 5, True)
+        bad = with_row(dc, dc.root, row)
+        with pytest.raises(ValueError):
+            choice_step_counts(bad, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            descent_step_counts(bad, 10, np.random.default_rng(0))
+
+    def test_sum_within_tolerance_accepted(self):
+        _, _, dc = chain_for(build_path, 5, True)
+        close = with_row(dc, dc.root, [0.2, 0.2, 0.2, 0.2, 0.2 + 1e-9])
+        assert_same_stream(close, 200, 0)
+
+    def test_row_no_trial_reaches_is_checked(self):
+        # at seed 4 the one trial jumps from the root of path_5 straight to
+        # the marked leaf, so the reference never reads vertex 4's row
+        _, _, dc = chain_for(build_path, 5, True)
+        bad = with_row(dc, 4, [np.nan])
+        assert choice_step_counts(bad, 1, np.random.default_rng(4)).tolist() == [1]
+        with pytest.raises(ValueError, match="NaN"):
+            descent_step_counts(bad, 1, np.random.default_rng(4))
 
 
 class TestQuantumLink:
