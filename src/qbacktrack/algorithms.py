@@ -19,7 +19,12 @@ The two central procedures:
 
 Randomness is injected through an explicit numpy ``Generator``; identical
 seeds reproduce runs bit for bit.  Measurement statistics are exact (no shot
-noise); only algorithm-level sampling consumes randomness.
+noise); only algorithm-level sampling consumes randomness.  Each sample is a
+search of the next doubles of the generator in a CDF that
+:class:`WalkSimulator` builds once per law with
+:func:`~qbacktrack.estimation.choice_cdf`: the doubles and indices a
+``Generator.choice(..., p=law)`` call would take, so runs and the generator's
+state afterwards equal a per-draw ``choice`` loop's.
 
 Query accounting (:class:`RunRecord`): ``walk_queries`` counts controlled
 applications of the walk operator (a phase-estimation circuit with ``s``
@@ -39,7 +44,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import MAX_ANCILLAS, ae_outcome_distribution, ae_outcome_grid, pe_ancillas, pe_distribution
+from .estimation import (
+    MAX_ANCILLAS, ae_outcome_distribution, ae_outcome_grid, choice_cdf, pe_ancillas, pe_distribution
+)
 from .trees import MarkedSet, MarkingOracle, Tree, shallowest_marked, tree_from_children
 from .walk import SpectralDecomposition, build_walk_operator, spectral_decomposition
 
@@ -190,8 +197,8 @@ class WalkSimulator:
     One instance serves one (tree, oracle) pair; caches are invalidated when
     the oracle's unmark version changes.  Cached values are deterministic
     functions of the tree, so sharing an instance across seeded runs only
-    removes recomputation, never randomness.  Each AE law holds
-    ``2^(s_ae - 1) + 1`` floats.
+    removes recomputation, never randomness.  Laws are cached as the CDFs
+    the samplers search; each AE law holds ``2^(s_ae - 1) + 1`` floats.
     """
 
     def __init__(self, tree: Tree, oracle: MarkingOracle):
@@ -199,7 +206,7 @@ class WalkSimulator:
         self.oracle = oracle
         self._version = oracle.version
         self._subtrees: dict[int, _Subtree] = {}
-        self._pe: dict[tuple[int, float, int], tuple[float, np.ndarray]] = {}
+        self._pe: dict[tuple[int, float, int], tuple[float, np.ndarray | None]] = {}
         self._ae: dict[tuple[int, float, int, int], np.ndarray] = {}
 
     def _fresh(self) -> None:
@@ -233,8 +240,12 @@ class WalkSimulator:
         sub = self.subtree(v)
         return spectral_decomposition(build_walk_operator(sub.tree, sub.marked, eta))
 
-    def pe_stats(self, v: int, eta: float, s: int) -> tuple[float, np.ndarray]:
-        """Zero-outcome probability and conditional vertex law (local ids)."""
+    def pe_stats(self, v: int, eta: float, s: int) -> tuple[float, np.ndarray | None]:
+        """Zero-outcome probability and the CDF of the vertex law given it.
+
+        The CDF runs over local ids and is None when the probability is 0:
+        the descent then never samples a vertex, so the law is never checked.
+        """
         self._fresh()
         key = (v, float(eta), s)
         hit = self._pe.get(key)
@@ -245,12 +256,18 @@ class WalkSimulator:
         root_state = np.zeros(sub.size)
         root_state[0] = 1.0
         out = pe_distribution(sd, root_state, s)
-        value = (float(np.clip(out.p_zero, 0.0, 1.0)), out.vertex_given_zero)
+        p_zero = float(np.clip(out.p_zero, 0.0, 1.0))
+        cdf = None
+        if p_zero > 0.0:
+            cond = out.vertex_given_zero
+            cdf = choice_cdf(cond / cond.sum())
+            cdf.setflags(write=False)
+        value = (p_zero, cdf)
         self._pe[key] = value
         return value
 
     def ae_law(self, v: int, eta: float, s_pe: int, s_ae: int) -> np.ndarray:
-        """Normalized AE outcome law of one ``estimate_res`` stage at ``v``."""
+        """CDF of the normalized AE outcome law of one ``estimate_res`` stage at ``v``."""
         self._fresh()
         key = (v, float(eta), s_pe, s_ae)
         hit = self._ae.get(key)
@@ -258,17 +275,19 @@ class WalkSimulator:
             return hit
         p_zero, _ = self.pe_stats(v, eta, s_pe)
         probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), s_ae)
-        law = probs / probs.sum()
-        law.setflags(write=False)
-        self._ae[key] = law
-        return law
+        cdf = choice_cdf(probs / probs.sum())
+        cdf.setflags(write=False)
+        self._ae[key] = cdf
+        return cdf
 
 
-def _most_frequent(draws: np.ndarray) -> float:
-    """Mode of the estimate multiset; ties resolved toward pi/4."""
-    values, counts = np.unique(draws, return_counts=True)
-    best = values[counts == counts.max()]
-    return float(best[np.argmin(np.abs(best - np.pi / 4.0))])
+def _modal_estimate(grid: np.ndarray, counts: np.ndarray) -> float:
+    """Most frequent estimate, from counts per grid cell; ties resolved toward pi/4.
+
+    Among cells equally far from pi/4 the lower one wins.
+    """
+    modes = grid[counts == counts.max()]
+    return float(modes[np.argmin(np.abs(modes - np.pi / 4.0))])
 
 
 def estimate_res(
@@ -297,21 +316,20 @@ def estimate_res(
     s_ae = cfg.ae_ancillas(gamma2)
     reps = cfg.repetitions()
     grid = ae_outcome_grid(s_ae)
+    window = np.abs(grid - np.pi / 4.0) <= np.pi / 16.0
 
     i = 0
     while True:
         eta = min(cfg.step**i / d, n)
         if eta > 0.0:
             s_pe = cfg.pe_ancillas(size_bound, eta)
-            law = sim.ae_law(v, eta, s_pe, s_ae)
+            cdf = sim.ae_law(v, eta, s_pe, s_ae)
             rec.f_queries += sub.size
             rec.h_queries += sub.size
-            draws = grid[rng.choice(grid.shape[0], size=reps, p=law)]
+            counts = np.bincount(cdf.searchsorted(rng.random(reps), side="right"), minlength=grid.size)
             rec.walk_queries += reps * (2**s_pe - 1) * (2 ** (s_ae + 1) - 1)
-            within = np.abs(draws - np.pi / 4.0) <= np.pi / 16.0
-            if 2 * int(within.sum()) > reps:
-                beta = _most_frequent(draws)
-                tan_b = math.tan(beta)
+            if 2 * int(counts[window].sum()) > reps:
+                tan_b = math.tan(_modal_estimate(grid, counts))
                 estimate = INFINITE if tan_b == 0.0 else eta / tan_b**2
                 rec.outcome = estimate
                 return estimate, rec
@@ -367,14 +385,14 @@ def find_marked(
             break
         rounds += 1
         s = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta_t, cfg.descent_delta(eta_t)))
-        p_zero, cond = sim.pe_stats(v, eta_t, s)
+        p_zero, cdf = sim.pe_stats(v, eta_t, s)
         sub = sim.subtree(v)
         rec.walk_queries += 2**s - 1
         rec.f_queries += sub.size
         rec.h_queries += sub.size
         if rng.random() >= p_zero:
             continue  # ancilla missed the zero outcome; rerun at the same vertex
-        local = int(rng.choice(cond.shape[0], p=cond / cond.sum()))
+        local = int(cdf.searchsorted(rng.random(), side="right"))
         v = int(sub.ids[local])
         rec.steps += 1
         rec.f_queries += 1

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import pe_ancillas, pe_distribution, pearson_chi2, total_variation
+from .estimation import choice_cdf, pe_ancillas, pe_distribution, pearson_chi2, total_variation
 from .resistance import kappa_assignment, kappa_eta, resistance_profile
 from .trees import MarkingOracle, SolutionTree, Tree, shallowest_marked, solution_tree
 from .walk import build_walk_operator, spectral_decomposition
@@ -58,8 +58,6 @@ __all__ = [
 CHAIN_TV_FACTOR = 10.0
 # Most doubles descent_step_counts asks of the generator in one call.
 BLOCK = 1 << 16
-# The row-sum tolerance of Generator.choice: sqrt of float64 eps.
-ROW_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -174,24 +172,14 @@ def per_vertex_hitting_bound(dc: DescentChain) -> np.ndarray:
 
 
 def _row_cdf(probs: np.ndarray, targets: np.ndarray) -> list[float]:
-    """The normalised CDF ``Generator.choice(targets.size, p=probs)`` searches.
+    """:func:`~qbacktrack.estimation.choice_cdf` of a chain row, as a list.
 
-    The row passes the checks ``choice`` makes first: same length as its
-    targets and non-empty, no NaN, no negative entry, a sum within
-    ``ROW_SUM_ATOL`` of 1.  Each raises ``ValueError``.
+    The row must also be non-empty and as long as its targets, else
+    ``ValueError``.
     """
     if probs.shape != targets.shape or probs.size == 0:
         raise ValueError("a chain row must be non-empty and as long as its targets")
-    total = float(probs.sum())
-    if math.isnan(total):
-        raise ValueError("chain row probabilities contain NaN")
-    if (probs < 0).any():
-        raise ValueError("chain row probabilities are not non-negative")
-    if abs(total - 1.0) > ROW_SUM_ATOL:
-        raise ValueError("chain row probabilities do not sum to 1")
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
+    return choice_cdf(probs).tolist()
 
 
 def descent_step_counts(

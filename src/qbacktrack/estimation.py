@@ -46,6 +46,7 @@ __all__ = [
     "gate_level_pe",
     "ae_outcome_grid",
     "ae_outcome_distribution",
+    "choice_cdf",
     "total_variation",
     "pearson_chi2",
 ]
@@ -61,6 +62,8 @@ _PI_2 = float(np.float32(_PI - Decimal(_PI_1)))
 _PI_SPLIT = (_PI_1, _PI_2, float(_PI - Decimal(_PI_1) - Decimal(_PI_2)))
 # Entries per block of the joint-law loops: bounds their temporaries.
 _BLOCK_ENTRIES = 1 << 18
+# The probability-sum tolerance of Generator.choice: sqrt of float64 eps.
+PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class ResourceLimitError(RuntimeError):
@@ -280,6 +283,27 @@ def ae_outcome_distribution(theta: float, s: int) -> np.ndarray:
     probs[0] = pe_kernel(theta, s)
     probs[-1] = pe_kernel(theta - np.pi / 2, s)
     return probs
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalised CDF ``Generator.choice(probs.size, p=probs)`` searches.
+
+    ``probs`` passes the checks ``choice`` makes first: no NaN, no negative
+    entry, a sum within ``PROB_SUM_ATOL`` of 1.  Each raises ``ValueError``.
+    ``cdf.searchsorted(rng.random(size), side="right")`` then takes the
+    doubles and returns the indices that ``rng.choice(probs.size, size, p=probs)``
+    would, and leaves ``rng`` in the same state.
+    """
+    total = float(probs.sum())
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > PROB_SUM_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -89,8 +89,12 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
     def amplitudes(self, state: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of ``state`` in the eigenbasis."""
-        return self.vectors.conj().T @ np.asarray(state, dtype=complex)
+        """Expansion coefficients of ``state`` in the eigenbasis.
+
+        Formed as ``conj(V^T conj(state))``, which allocates no conjugate
+        copy of the n x n basis.
+        """
+        return (self.vectors.T @ np.asarray(state, dtype=complex).conj()).conj()
 
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * np.exp(2j * self.phases)) @ self.vectors.conj().T
@@ -203,14 +207,25 @@ def spectral_decomposition(op: WalkOperator) -> SpectralDecomposition:
     A repeated +/-1 eigenvalue can come back as a 2x2 block that is the
     identity up to rounding; ``eig`` then returns two nearly parallel
     eigenvectors (ROADMAP item 0).
+
+    The Schur form comes from the routine and workspace size that a default
+    ``scipy.linalg.schur(matrix, output="real")`` call uses, so the factors
+    are the same bytes; it runs in place on a private copy, and
+    ``op.matrix`` is left as it was.
     """
     # Each n x n input is dropped once read, so the operator (a temporary in
     # WalkSimulator.spectral), its matrix and the Schur factor are freed
-    # before the complex basis is allocated: a lower peak RSS.
+    # before the complex basis is allocated: a lower peak RSS.  schur's own
+    # workspace query keeps a copy of the matrix and n x n Schur vectors
+    # alive through the real call, so the query runs apart and is dropped,
+    # and the real call overwrites a private Fortran-ordered copy in place.
     matrix = op.matrix
     del op
-    t, q = scipy.linalg.schur(matrix, output="real")
+    lwork = int(scipy.linalg.lapack.dgees(lambda x, y: None, matrix, lwork=-1)[-2][0])
+    a = np.array(matrix, order="F")
     del matrix
+    t, q = scipy.linalg.schur(a, output="real", lwork=lwork, overwrite_a=True)
+    del a
     pair = np.flatnonzero(np.diagonal(t, -1))[:, None] + np.arange(2)
     vals, vecs = np.linalg.eig(t[pair[:, :, None], pair[:, None, :]])
     phases = np.where(np.diagonal(t) > 0.0, 0.0, np.pi / 2.0)

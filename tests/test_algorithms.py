@@ -5,9 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbacktrack.algorithms as algorithms
-from qbacktrack import build_path, build_random_tree, build_star, shallowest_marked
+from qbacktrack import (
+    PEOutcome,
+    ae_outcome_distribution,
+    ae_outcome_grid,
+    build_path,
+    build_random_tree,
+    build_star,
+    shallowest_marked,
+)
 from qbacktrack.algorithms import (
     DELTA_AE,
     MAX_REPETITIONS,
@@ -173,6 +183,69 @@ class TestEstimateRes:
             if 2 * int(np.sum(np.abs(draws - np.pi / 4) <= np.pi / 16)) > reps:
                 failures += 1
         assert failures / trials <= CFG.delta0
+
+
+def most_frequent(draws):
+    """Reference mode: most frequent estimate value, ties resolved toward pi/4."""
+    values, counts = np.unique(draws, return_counts=True)
+    best = values[counts == counts.max()]
+    return float(best[np.argmin(np.abs(best - np.pi / 4.0))])
+
+
+def choice_estimate_res(tree, v, cfg, rng, sim):
+    """Reference estimation loop: one ``rng.choice`` per stage over the normalized AE law."""
+    d = max(1, tree.degree_bound)
+    n = float(tree.depth_bound)
+    s_ae = cfg.ae_ancillas(cfg.resolve_gamma2(tree.depth_bound))
+    grid = ae_outcome_grid(s_ae)
+    reps = cfg.repetitions()
+    i = 0
+    while True:
+        eta = min(cfg.step**i / d, n)
+        p_zero, _ = sim.pe_stats(v, eta, cfg.pe_ancillas(tree.size_bound, eta))
+        probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), s_ae)
+        draws = grid[rng.choice(grid.size, size=reps, p=probs / probs.sum())]
+        if 2 * int(np.sum(np.abs(draws - np.pi / 4) <= np.pi / 16)) > reps:
+            tan_b = math.tan(most_frequent(draws))
+            return math.inf if tan_b == 0.0 else eta / tan_b**2
+        if eta >= n:
+            return math.inf
+        i += 1
+
+
+class TestStageSampler:
+    """The stage draws and the mode equal the ``choice`` loop's, on the same stream."""
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [(build_star, (64, 4)), (build_random_tree, (40, 3, 0.1, 9)), (build_path, (4, False))],
+    )
+    def test_estimates_and_stream_equal_choice_loop(self, build, args):
+        tree, oracle = build(*args)
+        sim = WalkSimulator(tree, oracle)
+        for v in (tree.root, *tree.children[tree.root][:2]):
+            for seed in range(15):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, _ = estimate_res(tree, oracle, v, CFG, got_rng, sim)
+                assert got == choice_estimate_res(tree, v, CFG, want_rng, sim)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        s=st.integers(min_value=3, max_value=10),
+        cells=st.lists(st.integers(min_value=0, max_value=2**9), min_size=1, max_size=40),
+        tie=st.integers(min_value=0, max_value=2**8),
+    )
+    def test_mode_equals_most_frequent(self, s, cells, tie):
+        grid = ae_outcome_grid(s)
+        idx = [c % grid.size for c in cells]
+        # two cells equally far from pi/4 (in exact arithmetic), tied at the top count
+        quarter = 1 << (s - 2)
+        k = tie % (quarter + 1)
+        top = max(np.bincount(idx)) + 1
+        for draws in (idx, idx + [quarter - k] * top + [quarter + k] * top):
+            counts = np.bincount(draws, minlength=grid.size)
+            assert algorithms._modal_estimate(grid, counts) == most_frequent(grid[draws])
 
 
 class TestDetect:
@@ -406,6 +479,15 @@ class TestWalkSimulator:
             got, got_rec = estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed), sim)
             want, want_rec = estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed))
             assert got == want and got_rec.as_row() == want_rec.as_row()
+
+    def test_vertex_law_checked_only_when_the_zero_outcome_can_occur(self, monkeypatch):
+        tree, oracle = build_star(8, 2)
+        nan_law = np.full(tree.n_vertices, np.nan)
+        monkeypatch.setattr(algorithms, "pe_distribution", lambda sd, state, s: PEOutcome(s, 0.0, nan_law))
+        assert WalkSimulator(tree, oracle).pe_stats(tree.root, 1.0, 4) == (0.0, None)
+        monkeypatch.setattr(algorithms, "pe_distribution", lambda sd, state, s: PEOutcome(s, 0.5, nan_law))
+        with pytest.raises(ValueError, match="NaN"):
+            WalkSimulator(tree, oracle).pe_stats(tree.root, 1.0, 4)
 
     def test_search_keeps_no_walk_sized_state(self):
         tree, oracle = build_star(512, 4)

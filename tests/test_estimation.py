@@ -33,7 +33,7 @@ from qbacktrack import (
     tree_from_json,
 )
 from qbacktrack.algorithms import EstimateResConfig, find_all
-from qbacktrack.estimation import pe_kernel_amplitude
+from qbacktrack.estimation import choice_cdf, pe_kernel_amplitude
 from conftest import make_instance
 
 
@@ -493,3 +493,58 @@ class TestPearsonChi2:
         chi2, df, p = pearson_chi2([3, 1], [0.5, 0.5])
         assert df == 0
         assert np.isnan(chi2) and np.isnan(p)
+
+
+def choice_laws():
+    """AE stage laws at random theta and s, and Dirichlet laws, normalized as the search does."""
+    ae = st.builds(
+        lambda theta, s: ae_outcome_distribution(theta, s),
+        st.floats(min_value=0.0, max_value=np.pi / 2),
+        st.integers(min_value=1, max_value=12),
+    )
+    dirichlet = st.builds(
+        lambda size, alpha, seed: np.random.default_rng(seed).dirichlet(np.full(size, alpha)),
+        st.integers(min_value=1, max_value=300),
+        st.floats(min_value=0.05, max_value=5.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    return st.one_of(ae, dirichlet).map(lambda probs: probs / probs.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law=choice_laws(),
+    reps=st.one_of(st.none(), st.integers(min_value=1, max_value=500)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_choice_cdf_draws_equal_choice(law, reps, seed):
+    want_rng = np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)
+    want = want_rng.choice(law.size, size=reps, p=law)
+    got = choice_cdf(law).searchsorted(got_rng.random(reps), side="right")
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestChoiceCdf:
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ([np.nan, 0.5, 0.5], "NaN"),
+            ([-0.25, 0.75, 0.5], "non-negative"),
+            ([0.25, 0.25, 0.25], "sum to 1"),
+            ([], "sum to 1"),
+        ],
+    )
+    def test_bad_law_rejected_as_choice_rejects_it(self, law, message):
+        law = np.asarray(law, dtype=float)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(max(law.size, 1), p=law)
+        with pytest.raises(ValueError, match=message):
+            choice_cdf(law)
+
+    def test_last_entry_is_one(self):
+        law = np.random.default_rng(3).dirichlet(np.ones(50))
+        cdf = choice_cdf(law)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)

@@ -1,5 +1,7 @@
 """Walk operator structure, spectrum, and the analytic fixed-point states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -224,6 +226,53 @@ class TestSpectrum:
         sd = spectral_decomposition(build_walk_operator(tree, oracle, 1.0))
         gram = sd.vectors.conj().T @ sd.vectors
         assert np.linalg.norm(gram - np.eye(tree.n_vertices)) <= 1e-10
+
+
+class TestSchurCall:
+    """The in-place Schur call keeps the default call's values and frees its transient."""
+
+    @pytest.mark.parametrize(
+        "build, args, eta",
+        [(build_star, (64, 4), 1.0), (build_star, (512, 4), 1.0 / 128), (build_random_tree, (60, 3, 0.1, 5), 0.4)],
+    )
+    def test_factors_equal_default_schur_and_input_kept(self, monkeypatch, build, args, eta):
+        tree, oracle = build(*args)
+        op = build_walk_operator(tree, oracle, eta)
+        matrix = op.matrix.copy()
+        want_t, want_q = scipy.linalg.schur(op.matrix, output="real")
+        seen, schur = [], scipy.linalg.schur
+
+        def recording(*a, **kw):
+            seen.append(schur(*a, **kw))
+            return seen[-1]
+
+        monkeypatch.setattr(scipy.linalg, "schur", recording)
+        sd = spectral_decomposition(op)
+        [(t, q)] = seen
+        assert t.tobytes() == want_t.tobytes() and q.tobytes() == want_q.tobytes()
+        assert op.matrix.tobytes() == matrix.tobytes()
+        state = np.random.default_rng(0).normal(size=(tree.n_vertices, 2)) @ [1.0, 1.0j]
+        assert np.array_equal(sd.amplitudes(state), sd.vectors.conj().T @ state)
+
+    def test_star_512_transient_memory(self):
+        tree, oracle = build_star(512, 4)
+        marked = shallowest_marked(tree, oracle)
+        root = np.zeros(tree.n_vertices)
+        root[0] = 1.0
+        tracemalloc.start()
+        try:
+            sd = spectral_decomposition(build_walk_operator(tree, marked, 1.0))
+            decompose_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pe_distribution(sd, root, 8)
+            pe_added = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # the three n x n walk arrays are 6.0 MiB; a conjugate copy of the
+        # complex basis alone would be 4.0 MiB
+        assert decompose_peak < 7 * 2**20, f"build + decompose peaked at {decompose_peak / 2**20:.2f} MiB"
+        assert pe_added < 2**20, f"pe_distribution added {pe_added / 2**20:.2f} MiB"
 
 
 def loop_spectral_decomposition(op):
