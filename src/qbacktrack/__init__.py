@@ -49,13 +49,13 @@ from .walk import (
 from .estimation import (
     GATE_DIM_CAP,
     MAX_ANCILLAS,
-    PEOutcome,
     ResourceLimitError,
     ae_outcome_distribution,
     ae_outcome_grid,
     gate_level_pe,
     pe_ancillas,
     pe_distribution,
+    pe_joint,
     pe_kernel,
     pearson_chi2,
     total_variation,

@@ -255,11 +255,10 @@ class WalkSimulator:
         sub = self.subtree(v)
         root_state = np.zeros(sub.size)
         root_state[0] = 1.0
-        out = pe_distribution(sd, root_state, s)
-        p_zero = float(np.clip(out.p_zero, 0.0, 1.0))
+        p_zero, cond = pe_distribution(sd, root_state, s)
+        p_zero = float(np.clip(p_zero, 0.0, 1.0))
         cdf = None
         if p_zero > 0.0:
-            cond = out.vertex_given_zero
             cdf = choice_cdf(cond / cond.sum())
             cdf.setflags(write=False)
         value = (p_zero, cdf)

@@ -130,8 +130,12 @@ def cmd_gen_tree(args) -> int:
     elif kind == "complete":
         tree, oracle = build_complete_tree(args.depth, args.branching, bool(args.marked))
     elif kind == "dpll":
+        if not args.cnf:
+            raise ValueError("--kind dpll needs --cnf FILE")
         with open(args.cnf) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or not {"clauses", "var_order"} <= data.keys():
+            raise ValueError(f"{args.cnf}: expected a JSON object with 'clauses' and 'var_order'")
         tree, oracle = build_dpll_tree(data["clauses"], data["var_order"])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)

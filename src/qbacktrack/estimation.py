@@ -1,16 +1,18 @@
 """Exact measurement statistics of phase and amplitude estimation.
 
-Two backends compute the same distributions:
+The algorithms read one event of phase estimation, the all-zeros ancilla
+outcome and the vertex law given it.  :func:`pe_distribution` is the one home
+of that outcome-0 law, exact from the walk's eigendecomposition at a cost
+independent of ``2^s``.  Two backends give the full joint (outcome x vertex)
+law and cross-check each other on small instances:
 
-* the spectral backend evaluates the estimation kernel on the walk
-  operator's eigendecomposition, giving exact outcome probabilities with no
-  simulator shot noise; the full joint law costs one sine per
-  (outcome, eigenphase) pair and one matrix product per block of outcomes;
-* the gate-level backend simulates the literal circuit (ancilla register,
+* :func:`pe_joint` evaluates the kernel on the eigendecomposition, one sine
+  per (outcome, eigenphase) pair and one matrix product per block of
+  outcomes;
+* :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) on the
-  full ``2^s x |V|`` statevector, as an independent cross-check on small
-  instances: ``s`` matrix products fill the register and an FFT per vertex
-  row transforms it.
+  full ``2^s x |V|`` statevector: ``s`` matrix products fill the register
+  and an FFT per vertex row transforms it.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
 ``w`` carries amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w / M))`` with
@@ -27,7 +29,6 @@ window test around ``pi/4``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -36,13 +37,13 @@ from .walk import SpectralDecomposition, WalkOperator
 
 __all__ = [
     "ResourceLimitError",
-    "PEOutcome",
     "MAX_ANCILLAS",
     "GATE_DIM_CAP",
     "pe_ancillas",
     "pe_kernel",
     "pe_kernel_amplitude",
     "pe_distribution",
+    "pe_joint",
     "gate_level_pe",
     "ae_outcome_grid",
     "ae_outcome_distribution",
@@ -142,42 +143,8 @@ def pe_kernel_amplitude(theta: np.ndarray, s: int, omega: np.ndarray | int = 0) 
     return _dirichlet_ratio(theta, s, omega) * phase
 
 
-@dataclass(frozen=True)
-class PEOutcome:
-    """Measurement statistics of one phase-estimation run.
-
-    ``p_zero`` is the probability of the all-zeros ancilla outcome;
-    ``vertex_given_zero`` the conditional vertex distribution after seeing
-    it.  ``joint`` (outcome x vertex) is materialized only when the caller
-    asked for it; ``outcome_marginal`` derives from it.
-    """
-
-    s: int
-    p_zero: float
-    vertex_given_zero: np.ndarray
-    joint: np.ndarray | None = None
-
-    def outcome_marginal(self) -> np.ndarray:
-        if self.joint is None:
-            raise ResourceLimitError(
-                "joint distribution was not materialized for this instance"
-            )
-        return self.joint.sum(axis=1)
-
-
-def pe_distribution(
-    sd: SpectralDecomposition,
-    input_state: np.ndarray,
-    s: int,
-    with_joint: bool = False,
-) -> PEOutcome:
-    """Exact statistics of phase estimation from the spectral decomposition.
-
-    The zero-outcome marginal and the conditional vertex distribution are
-    always computed (cost independent of ``2^s``).  The full joint is
-    materialized only with ``with_joint=True``, which raises
-    :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the gate-level cap.
-    """
+def _spectral_amplitudes(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
+    """Eigenbasis amplitudes of a unit input, after the checks both spectral laws make."""
     if s < 1:
         raise ValueError("ancilla count s must be >= 1")
     if s > MAX_ANCILLAS:
@@ -185,31 +152,47 @@ def pe_distribution(
     state = np.asarray(input_state, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
-    m = 1 << s
-    dim = state.shape[0]
-    lam = sd.amplitudes(state)
-    mu = pe_kernel_amplitude(sd.phases, s)
-    weighted = lam * mu
+    return sd.amplitudes(state)
+
+
+def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> tuple[float, np.ndarray]:
+    """The outcome-0 law of phase estimation: ``(p_zero, vertex_given_zero)``.
+
+    ``p_zero`` is the probability of the all-zeros ancilla outcome and
+    ``vertex_given_zero`` the vertex distribution given it (zeros when
+    ``p_zero`` is 0), a fresh array.  Cost is independent of ``2^s``.
+    """
+    lam = _spectral_amplitudes(sd, input_state, s)
+    weighted = lam * pe_kernel_amplitude(sd.phases, s)
     amp_zero = sd.vectors @ weighted
     p_zero = float(np.sum(np.abs(weighted) ** 2))
     cond = np.abs(amp_zero) ** 2
-    cond = cond / p_zero if p_zero > 0 else np.zeros(dim)
+    cond = cond / p_zero if p_zero > 0 else np.zeros(lam.shape[0])
+    return p_zero, cond
 
-    joint = None
-    if with_joint:
-        if m * dim > GATE_DIM_CAP:
-            raise ResourceLimitError(
-                f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries"
-            )
-        joint = np.empty((m, dim))
-        rows = max(1, _BLOCK_ENTRIES // dim)
-        basis_t = sd.vectors.T
-        for w0 in range(0, m, rows):
-            omegas = np.arange(w0, min(w0 + rows, m))
-            kernel = pe_kernel_amplitude(sd.phases, s, omegas[:, None])  # omega x eig
-            kernel *= lam
-            joint[w0 : w0 + rows] = _abs2(kernel @ basis_t)  # omega x vertex
-    return PEOutcome(s=s, p_zero=p_zero, vertex_given_zero=cond, joint=joint)
+
+def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
+    """Joint (ancilla outcome x vertex) law of phase estimation, ``2^s x |V|``.
+
+    Raises :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the
+    gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
+    unnormalised; the full array serves as the cross-check of
+    :func:`gate_level_pe`.
+    """
+    lam = _spectral_amplitudes(sd, input_state, s)
+    m = 1 << s
+    dim = lam.shape[0]
+    if m * dim > GATE_DIM_CAP:
+        raise ResourceLimitError(f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries")
+    joint = np.empty((m, dim))
+    rows = max(1, _BLOCK_ENTRIES // dim)
+    basis_t = sd.vectors.T
+    for w0 in range(0, m, rows):
+        omegas = np.arange(w0, min(w0 + rows, m))
+        kernel = pe_kernel_amplitude(sd.phases, s, omegas[:, None])  # omega x eig
+        kernel *= lam
+        joint[w0 : w0 + rows] = _abs2(kernel @ basis_t)  # omega x vertex
+    return joint
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -217,7 +200,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> PEOutcome:
+def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarray:
     """Literal circuit simulation: ancillas, controlled powers, inverse QFT.
 
     Ancilla ``j`` controls ``W^(2^j)``, the walk matrix squared ``j`` times,
@@ -226,9 +209,9 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> PEOutcom
     The register is stored vertex x ancilla index in the dtype of the state
     and the walk (a real input stays real); the inverse Fourier transform
     over the ancilla index then runs as an FFT along its rows, a few vertex
-    rows at a time.  No eigendecomposition is used, so this matches
-    :func:`pe_distribution` to floating-point accuracy as an independent
-    check.
+    rows at a time.  Returns the ``2^s x |V|`` joint law.  No
+    eigendecomposition is used, so this matches :func:`pe_joint` to
+    floating-point accuracy as an independent check.
     """
     state = np.asarray(input_state)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
@@ -253,9 +236,7 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> PEOutcom
     for v0 in range(0, dim, rows):
         spectrum = np.fft.fft(register[v0 : v0 + rows], axis=1)
         joint[:, v0 : v0 + rows] = _abs2(spectrum).T / float(m * m)
-    p_zero = float(joint[0].sum())
-    cond = joint[0] / p_zero if p_zero > 0 else np.zeros(dim)
-    return PEOutcome(s=s, p_zero=p_zero, vertex_given_zero=cond, joint=joint)
+    return joint
 
 
 def ae_outcome_grid(s: int) -> np.ndarray:

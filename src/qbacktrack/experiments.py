@@ -35,7 +35,7 @@ from .descent import (
     hitting_time_bound,
     simulate_descent,  # unused here; perfbench's tracer wraps it under this module
 )
-from .estimation import gate_level_pe, pe_ancillas, pe_distribution, pe_kernel, pearson_chi2, total_variation
+from .estimation import gate_level_pe, pe_ancillas, pe_distribution, pe_joint, pearson_chi2, total_variation
 from .resistance import (
     ResistanceProfile,
     kappa_assignment,
@@ -345,10 +345,10 @@ def _suite_precision(suite: SuiteResult, b: _TreeBundle) -> None:
     if b.st.tree.n_vertices > PRECISION_SIZE_CAP:
         return
     eta_bar = b.rp.eta_root
-    lam2 = np.abs(b.sd.amplitudes(phi_perp_state(b.st, b.kappa, eta_bar))) ** 2
+    perp = phi_perp_state(b.st, b.kappa, eta_bar)
+    perp /= np.linalg.norm(perp)  # a unit input even when kappa is perturbed
     for delta in (0.2, 0.1, 0.05):
-        s = pe_ancillas(b.st.tree.size_bound, eta_bar, delta)
-        leak = float(np.sum(lam2 * pe_kernel(b.sd.phases, s)))
+        leak = pe_distribution(b.sd, perp, pe_ancillas(b.st.tree.size_bound, eta_bar, delta))[0]
         suite.require(b.name, leak <= 10.0 * delta**2, f"zero_outcome_leak@{delta:g}")
 
 
@@ -406,8 +406,10 @@ def verify_all(
     holds it.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
-    the harness can fail.
+    the harness can fail; any other fault name raises ``ValueError``.
     """
+    if inject_fault not in (None, "kappa_perturbation"):
+        raise ValueError(f"unknown fault {inject_fault!r}: the one fault is kappa_perturbation")
     if corpus is None:
         corpus = default_corpus(master_seed=master_seed)
     if not corpus:
@@ -452,8 +454,7 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
         b = gate_level_pe(op, root, s)  # first: its register is freed before a's joint exists
-        a = pe_distribution(sd, root, s, with_joint=True)
-        tv = total_variation(a.joint.ravel(), b.joint.ravel())
+        tv = total_variation(pe_joint(sd, root, s).ravel(), b.ravel())
         result.update(name, tv, tol, "joint_total_variation")
     result.elapsed = time.perf_counter() - t0
     return result

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import qbacktrack.algorithms as algorithms
 from qbacktrack import (
-    PEOutcome,
     ae_outcome_distribution,
     ae_outcome_grid,
     build_path,
@@ -483,9 +482,9 @@ class TestWalkSimulator:
     def test_vertex_law_checked_only_when_the_zero_outcome_can_occur(self, monkeypatch):
         tree, oracle = build_star(8, 2)
         nan_law = np.full(tree.n_vertices, np.nan)
-        monkeypatch.setattr(algorithms, "pe_distribution", lambda sd, state, s: PEOutcome(s, 0.0, nan_law))
+        monkeypatch.setattr(algorithms, "pe_distribution", lambda sd, state, s: (0.0, nan_law))
         assert WalkSimulator(tree, oracle).pe_stats(tree.root, 1.0, 4) == (0.0, None)
-        monkeypatch.setattr(algorithms, "pe_distribution", lambda sd, state, s: PEOutcome(s, 0.5, nan_law))
+        monkeypatch.setattr(algorithms, "pe_distribution", lambda sd, state, s: (0.5, nan_law))
         with pytest.raises(ValueError, match="NaN"):
             WalkSimulator(tree, oracle).pe_stats(tree.root, 1.0, 4)
 

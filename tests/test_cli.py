@@ -47,6 +47,22 @@ class TestGenTree:
         data = json.loads(path.read_text())
         assert len(data["vertices"]) == 2
 
+    def test_dpll_without_cnf_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-tree", "--kind", "dpll", "--output", str(tmp_path / "d.json")])
+        assert exc.value.code == 2
+        assert "--kind dpll needs --cnf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [{"clauses": [[1]]}, {"var_order": [1]}, [[1]]])
+    def test_dpll_malformed_cnf_exits_2(self, data, tmp_path, capsys):
+        cnf = tmp_path / "cnf.json"
+        cnf.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-tree", "--kind", "dpll", "--cnf", str(cnf),
+                  "--output", str(tmp_path / "d.json")])
+        assert exc.value.code == 2
+        assert "'clauses' and 'var_order'" in capsys.readouterr().err
+
 
 class TestResistance:
     def test_star_values(self, star_file, tmp_path):
@@ -210,6 +226,13 @@ class TestVerifyAll:
         data = json.loads(text)
         failures = data["suites"]["kappa_identities"]["failures"]
         assert any(f["check"] == "child_sum" for f in failures)
+
+    def test_unknown_fault_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify-all", "--count", "3", "--fault", "typo"], tmp_path)
+        assert exc.value.code == 2
+        assert "unknown fault 'typo'" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_empty_corpus_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

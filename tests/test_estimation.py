@@ -21,6 +21,7 @@ from qbacktrack import (
     kappa_assignment,
     pe_ancillas,
     pe_distribution,
+    pe_joint,
     pe_kernel,
     pearson_chi2,
     phi_perp_state,
@@ -34,6 +35,7 @@ from qbacktrack import (
 )
 from qbacktrack.algorithms import EstimateResConfig, find_all
 from qbacktrack.estimation import choice_cdf, pe_kernel_amplitude
+from qbacktrack.experiments import PRECISION_SIZE_CAP, default_corpus
 from conftest import make_instance
 
 
@@ -85,8 +87,8 @@ def loop_gate_level_pe(op, state, s):
 def assert_gate_matches_loop(op, state, s):
     want, p_zero = loop_gate_level_pe(op, state, s)
     got = gate_level_pe(op, state, s)
-    assert total_variation(got.joint, want) <= 1e-12
-    assert abs(got.p_zero - p_zero) <= 1e-12
+    assert total_variation(got, want) <= 1e-12
+    assert abs(got[0].sum() - p_zero) <= 1e-12
 
 
 def unit_state(rng, n, complex_input):
@@ -159,16 +161,17 @@ class TestSpectralPE:
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, eta)
         sd = spectral_decomposition(op)
         phi = phi_state(star_8_2.st, star_8_2.kappa, eta)
-        out = pe_distribution(sd, phi, s=6)
-        assert out.p_zero == pytest.approx(1.0, abs=1e-12)
+        p_zero, _ = pe_distribution(sd, phi, s=6)
+        assert p_zero == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_normalization(self, star_8_2):
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
         sd = spectral_decomposition(op)
-        out = pe_distribution(sd, root_state(9), s=5, with_joint=True)
-        assert out.joint.sum() == pytest.approx(1.0, abs=1e-12)
-        marginal = out.outcome_marginal()
-        assert marginal[0] == pytest.approx(out.p_zero, abs=1e-13)
+        p_zero, cond = pe_distribution(sd, root_state(9), s=5)
+        joint = pe_joint(sd, root_state(9), s=5)
+        assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+        assert joint[0].sum() == pytest.approx(p_zero, abs=1e-13)
+        assert np.abs(joint[0] / p_zero - cond).max() <= 1e-13
 
     def test_rejects_unnormalized_input(self, star_8_2):
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
@@ -182,17 +185,26 @@ class TestSpectralPE:
         with pytest.raises(ResourceLimitError):
             pe_distribution(sd, root_state(9), s=25)
 
-    def test_precision_law_star(self, star_64_4):
-        # with the standard scalings the leak off the zero outcome is O(delta^2)
-        eta = star_64_4.eta_bar
-        op = build_walk_operator(star_64_4.tree, star_64_4.oracle, eta)
-        sd = spectral_decomposition(op)
-        perp = phi_perp_state(star_64_4.st, star_64_4.kappa, eta)
-        for delta in (0.2, 0.1, 0.05):
-            s = pe_ancillas(star_64_4.tree.size_bound, eta, delta)
-            lam = sd.amplitudes(perp)
-            leak = float(np.sum(np.abs(lam) ** 2 * pe_kernel(sd.phases, s)))
-            assert leak <= 10.0 * delta**2
+    def test_precision_law_corpus(self, star_64_4):
+        # phi_perp's outcome-0 probability is sum |lambda|^2 K_s(theta), and with
+        # the standard scalings this leak off the zero outcome is O(delta^2)
+        cases = [("star_64_4", star_64_4.st, star_64_4.kappa, star_64_4.eta_bar)]
+        for inst in default_corpus(count=40):
+            if inst.has_marks and inst.tree.n_vertices <= PRECISION_SIZE_CAP:
+                st = solution_tree(inst.tree, inst.marked)
+                rp = resistance_profile(st)
+                cases.append((inst.name, st, kappa_assignment(st, rp), rp.eta_root))
+        assert len(cases) > 10
+        for name, st, kappa, eta in cases:
+            sd = spectral_decomposition(build_walk_operator(st.tree, st.leaf_set, eta))
+            perp = phi_perp_state(st, kappa, eta)
+            perp /= np.linalg.norm(perp)
+            lam2 = np.abs(sd.amplitudes(perp)) ** 2
+            for delta in (0.2, 0.1, 0.05):
+                s = pe_ancillas(st.tree.size_bound, eta, delta)
+                leak = pe_distribution(sd, perp, s)[0]
+                assert abs(leak - float(np.sum(lam2 * pe_kernel(sd.phases, s)))) <= 1e-14, name
+                assert leak <= 10.0 * delta**2, name
 
 
 class TestBackendEquivalence:
@@ -200,18 +212,18 @@ class TestBackendEquivalence:
         op = build_walk_operator(single_edge.tree, single_edge.oracle, 0.8)
         sd = spectral_decomposition(op)
         state = root_state(2)
-        a = pe_distribution(sd, state, s=3, with_joint=True)
+        a = pe_joint(sd, state, s=3)
         b = gate_level_pe(op, state, s=3)
-        assert total_variation(a.joint.ravel(), b.joint.ravel()) < 1e-12
+        assert total_variation(a.ravel(), b.ravel()) < 1e-12
 
     @pytest.mark.parametrize("s", [1, 4, 7])
     def test_star_instances(self, star_8_2, s):
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, star_8_2.eta_bar)
         sd = spectral_decomposition(op)
         state = root_state(9)
-        a = pe_distribution(sd, state, s=s, with_joint=True)
+        a = pe_joint(sd, state, s=s)
         b = gate_level_pe(op, state, s=s)
-        assert total_variation(a.joint.ravel(), b.joint.ravel()) < 1e-10
+        assert total_variation(a.ravel(), b.ravel()) < 1e-10
 
     def test_random_trees_and_superposition_inputs(self):
         rng = np.random.default_rng(7)
@@ -221,9 +233,9 @@ class TestBackendEquivalence:
             sd = spectral_decomposition(op)
             raw = rng.normal(size=tree.n_vertices)
             state = raw / np.linalg.norm(raw)
-            a = pe_distribution(sd, state, s=5, with_joint=True)
+            a = pe_joint(sd, state, s=5)
             b = gate_level_pe(op, state, s=5)
-            assert total_variation(a.joint.ravel(), b.joint.ravel()) < 1e-10
+            assert total_variation(a.ravel(), b.ravel()) < 1e-10
 
     def test_eigenvector_input_gate_level(self, single_edge):
         eta = 1.0
@@ -231,8 +243,8 @@ class TestBackendEquivalence:
         # the normalized path vector is fixed: all mass on outcome zero
         phi_m = np.array([np.sqrt(eta), -1.0])
         phi_m /= np.linalg.norm(phi_m)
-        out = gate_level_pe(op, phi_m, s=4)
-        assert out.p_zero == pytest.approx(1.0, abs=1e-12)
+        joint = gate_level_pe(op, phi_m, s=4)
+        assert joint[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_cap(self, star_64_4):
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
@@ -260,7 +272,7 @@ class TestGateLevelMatchesLoop:
 
     def test_joint_is_a_contiguous_outcome_by_vertex_array(self, star_8_2):
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
-        joint = gate_level_pe(op, root_state(9), 6).joint
+        joint = gate_level_pe(op, root_state(9), 6)
         assert joint.shape == (64, 9) and joint.dtype == np.float64 and joint.flags.c_contiguous
 
 
@@ -301,7 +313,7 @@ class TestJointMemory:
             if backend == "gate_level":
                 gate_level_pe(op, root, self.S)
             else:
-                pe_distribution(sd, root, self.S, with_joint=True)
+                pe_joint(sd, root, self.S)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +367,7 @@ class TestFindAllMissTree:
         case.rp = resistance_profile(st)
         case.beta = beta_angle(kappa_assignment(st, case.rp)[case.tree.root], case.eta)
         case.op = build_walk_operator(case.tree, case.oracle, case.eta)
-        case.gate = gate_level_pe(case.op, root_state(case.tree.n_vertices), case.s)
+        case.gate_p_zero = gate_level_pe(case.op, root_state(case.tree.n_vertices), case.s)[0].sum()
         return case
 
     def test_fixture_is_the_reported_tree(self, case):
@@ -365,13 +377,13 @@ class TestFindAllMissTree:
         assert case.law(case.tree.size_bound, case.eta) == case.s
 
     def test_gate_level_p_zero_is_sin2_beta(self, case):
-        assert case.gate.p_zero == pytest.approx(np.sin(case.beta) ** 2, abs=case.tol)
+        assert case.gate_p_zero == pytest.approx(np.sin(case.beta) ** 2, abs=case.tol)
 
     @pytest.mark.xfail(strict=True, reason="near-identity 2x2 Schur blocks (ROADMAP item 0)")
     def test_spectral_p_zero_matches_gate_level(self, case):
         sd = spectral_decomposition(case.op)
-        spectral = pe_distribution(sd, root_state(case.tree.n_vertices), case.s)
-        assert spectral.p_zero == pytest.approx(case.gate.p_zero, abs=1e-10)
+        p_zero, _ = pe_distribution(sd, root_state(case.tree.n_vertices), case.s)
+        assert p_zero == pytest.approx(case.gate_p_zero, abs=1e-10)
 
     @pytest.mark.xfail(strict=True, reason="near-identity 2x2 Schur blocks (ROADMAP item 0)")
     def test_find_all_recovers_every_mark(self, case):

@@ -94,6 +94,16 @@ def test_verify_all_times_each_suite_apart():
     assert report.as_dict()["bundle_s"] == round(report.bundle_s, 3)
 
 
+def test_verify_all_rejects_unknown_fault_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify_all did work before checking the fault name")
+
+    monkeypatch.setattr(experiments, "default_corpus", no_work)
+    monkeypatch.setattr(experiments, "_per_tree_suites", no_work)
+    with pytest.raises(ValueError, match="unknown fault 'typo'"):
+        experiments.verify_all(inject_fault="typo")
+
+
 @pytest.mark.parametrize("sizes", [[64], [64, 64], []])
 def test_grover_scaling_needs_two_distinct_sizes(sizes):
     with pytest.raises(ValueError, match="two distinct sizes"):
