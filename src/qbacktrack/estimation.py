@@ -8,11 +8,12 @@ law and cross-check each other on small instances:
 
 * :func:`pe_joint` evaluates the kernel on the eigendecomposition, one sine
   per (outcome, eigenphase) pair and one matrix product per block of
-  outcomes;
+  outcomes, over only the eigencomponents the input has weight on;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) on the
-  full ``2^s x |V|`` statevector: ``s`` matrix products fill the register
-  and an FFT per vertex row transforms it.
+  full ``2^s x |V|`` statevector: ``s`` matrix products fill the register,
+  an FFT per vertex row transforms it into a vertex-major law, and one
+  transposing copy makes that the outcome-major joint.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
 ``w`` carries amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w / M))`` with
@@ -61,7 +62,7 @@ _PI = Decimal("3.14159265358979323846264338327950288")
 _PI_1 = float(np.float32(_PI))
 _PI_2 = float(np.float32(_PI - Decimal(_PI_1)))
 _PI_SPLIT = (_PI_1, _PI_2, float(_PI - Decimal(_PI_1) - Decimal(_PI_2)))
-# Entries per block of the joint-law loops: bounds their temporaries.
+# Entries per block of the joint-law loops and total_variation: bounds their temporaries.
 _BLOCK_ENTRIES = 1 << 18
 # The probability-sum tolerance of Generator.choice: sqrt of float64 eps.
 PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -143,12 +144,17 @@ def pe_kernel_amplitude(theta: np.ndarray, s: int, omega: np.ndarray | int = 0) 
     return _dirichlet_ratio(theta, s, omega) * phase
 
 
-def _spectral_amplitudes(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
-    """Eigenbasis amplitudes of a unit input, after the checks both spectral laws make."""
+def _check_ancillas(s: int) -> None:
+    """The ancilla-count check every phase-estimation law makes."""
     if s < 1:
         raise ValueError("ancilla count s must be >= 1")
     if s > MAX_ANCILLAS:
         raise ResourceLimitError(f"s = {s} exceeds the cap of {MAX_ANCILLAS}")
+
+
+def _spectral_amplitudes(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
+    """Eigenbasis amplitudes of a unit input, after the checks both spectral laws make."""
+    _check_ancillas(s)
     state = np.asarray(input_state, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
@@ -178,19 +184,26 @@ def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.n
     gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
     unnormalised; the full array serves as the cross-check of
     :func:`gate_level_pe`.
+
+    The amplitude at outcome ``w`` is ``sum_j lam_j K_s(theta_j, w) v_j``, so
+    an eigencomponent with ``lam_j = 0`` adds exactly nothing: the kernel is
+    evaluated only on the eigenphases with ``lam_j != 0`` (3 of 32 for the
+    root of a 31-leaf star), which drops no term of the sum.
     """
     lam = _spectral_amplitudes(sd, input_state, s)
     m = 1 << s
     dim = lam.shape[0]
     if m * dim > GATE_DIM_CAP:
         raise ResourceLimitError(f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries")
+    support = np.flatnonzero(lam)
+    phases, weights = sd.phases[support], lam[support]
+    basis_t = sd.vectors[:, support].T
     joint = np.empty((m, dim))
     rows = max(1, _BLOCK_ENTRIES // dim)
-    basis_t = sd.vectors.T
     for w0 in range(0, m, rows):
         omegas = np.arange(w0, min(w0 + rows, m))
-        kernel = pe_kernel_amplitude(sd.phases, s, omegas[:, None])  # omega x eig
-        kernel *= lam
+        kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x eig
+        kernel *= weights
         joint[w0 : w0 + rows] = _abs2(kernel @ basis_t)  # omega x vertex
     return joint
 
@@ -209,10 +222,13 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     The register is stored vertex x ancilla index in the dtype of the state
     and the walk (a real input stays real); the inverse Fourier transform
     over the ancilla index then runs as an FFT along its rows, a few vertex
-    rows at a time.  Returns the ``2^s x |V|`` joint law.  No
-    eigendecomposition is used, so this matches :func:`pe_joint` to
-    floating-point accuracy as an independent check.
+    rows at a time, each written to contiguous rows of a vertex x outcome
+    law.  Once the register is freed, one transposing copy gives the
+    C-contiguous ``2^s x |V|`` joint law, so the peak is the register plus
+    one joint-sized law.  No eigendecomposition is used, so this matches
+    :func:`pe_joint` to floating-point accuracy as an independent check.
     """
+    _check_ancillas(s)
     state = np.asarray(input_state)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
@@ -231,11 +247,13 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
         if j + 1 < s:
             power = power @ power
     # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x]
-    joint = np.empty((m, dim))
+    by_vertex = np.empty((dim, m))
     rows = max(1, _BLOCK_ENTRIES // m)
     for v0 in range(0, dim, rows):
-        spectrum = np.fft.fft(register[v0 : v0 + rows], axis=1)
-        joint[:, v0 : v0 + rows] = _abs2(spectrum).T / float(m * m)
+        by_vertex[v0 : v0 + rows] = _abs2(np.fft.fft(register[v0 : v0 + rows], axis=1))
+    del register
+    joint = by_vertex.T.copy()
+    joint /= float(m * m)
     return joint
 
 
@@ -288,9 +306,22 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance between two distributions on the same support."""
-    diff = np.asarray(p) - np.asarray(q)
-    return 0.5 * float(np.abs(diff, out=diff).sum())
+    """Total variation distance between two distributions on the same support.
+
+    ``p`` and ``q`` must have the same shape, else ``ValueError``.  The
+    difference is formed a block of rows at a time, so comparing two joint
+    laws allocates no third one.
+    """
+    p, q = np.asarray(p), np.asarray(q)
+    if p.shape != q.shape:
+        raise ValueError(f"distributions of shapes {p.shape} and {q.shape} differ in support")
+    p, q = np.atleast_1d(p, q)
+    rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(p.shape[1:])))
+    total = 0.0
+    for r0 in range(0, p.shape[0], rows):
+        diff = p[r0 : r0 + rows] - q[r0 : r0 + rows]
+        total += float(np.abs(diff, out=diff).sum())
+    return 0.5 * total
 
 
 def pearson_chi2(observed: np.ndarray, probs: np.ndarray) -> tuple[float, int, float]:

@@ -453,7 +453,7 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         sd = spectral_decomposition(op)
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
-        b = gate_level_pe(op, root, s)  # first: its register is freed before a's joint exists
+        b = gate_level_pe(op, root, s)  # first: its buffers are freed before a's joint exists
         tv = total_variation(pe_joint(sd, root, s).ravel(), b.ravel())
         result.update(name, tv, tol, "joint_total_variation")
     result.elapsed = time.perf_counter() - t0

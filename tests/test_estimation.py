@@ -35,7 +35,7 @@ from qbacktrack import (
 )
 from qbacktrack.algorithms import EstimateResConfig, find_all
 from qbacktrack.estimation import choice_cdf, pe_kernel_amplitude
-from qbacktrack.experiments import PRECISION_SIZE_CAP, default_corpus
+from qbacktrack.experiments import PRECISION_SIZE_CAP, backend_equivalence_instances, default_corpus
 from conftest import make_instance
 
 
@@ -82,6 +82,13 @@ def loop_gate_level_pe(op, state, s):
         current = op.matrix @ current
     joint = np.abs(np.fft.fft(register, axis=0)) ** 2 / m**2
     return joint, float(joint[0].sum())
+
+
+def full_basis_pe_joint(sd, state, s):
+    """Reference spectral joint: the kernel on every eigenphase, zero weights included."""
+    lam = sd.amplitudes(np.asarray(state, dtype=complex))
+    kernel = pe_kernel_amplitude(sd.phases, s, np.arange(1 << s)[:, None]) * lam
+    return np.abs(kernel @ sd.vectors.T) ** 2
 
 
 def assert_gate_matches_loop(op, state, s):
@@ -251,6 +258,58 @@ class TestBackendEquivalence:
         with pytest.raises(ResourceLimitError):
             gate_level_pe(op, root_state(65), s=18)
 
+    def test_both_backends_reject_zero_ancillas(self, star_8_2):
+        op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
+        sd = spectral_decomposition(op)
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            gate_level_pe(op, root_state(9), 0)
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            pe_joint(sd, root_state(9), 0)
+
+
+class TestJointOnSupport:
+    """``pe_joint`` skips eigencomponents with zero weight and loses no term."""
+
+    @pytest.mark.parametrize("row", backend_equivalence_instances(), ids=lambda row: row[0])
+    def test_backend_instances_match_full_basis(self, row):
+        _, tree, oracle, eta, s = row
+        sd = spectral_decomposition(build_walk_operator(tree, oracle, eta))
+        state = root_state(tree.n_vertices, tree.root)
+        got = pe_joint(sd, state, s)
+        assert np.abs(got - full_basis_pe_joint(sd, state, s)).max() <= 1e-15
+
+    def test_instances_cover_partial_and_full_support(self):
+        supports = {}
+        for name, tree, oracle, eta, _ in backend_equivalence_instances():
+            sd = spectral_decomposition(build_walk_operator(tree, oracle, eta))
+            lam = sd.amplitudes(root_state(tree.n_vertices, tree.root).astype(complex))
+            supports[name] = (np.count_nonzero(lam), lam.size)
+        assert supports["star_31_4_s17"] == (3, 32)
+        assert supports["path_4_s5"] == (5, 5)
+
+
+RANDOM_TREE_INPUTS = dict(
+    size=st.integers(min_value=2, max_value=40),
+    degree=st.integers(min_value=2, max_value=5),
+    prob=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eta=st.floats(min_value=1e-3, max_value=1e2),
+    s=st.integers(min_value=1, max_value=10),
+    complex_input=st.booleans(),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**RANDOM_TREE_INPUTS)
+def test_pe_joint_matches_full_basis(size, degree, prob, seed, eta, s, complex_input):
+    # the root input often misses eigencomponents; the random one has them all
+    tree, oracle = build_random_tree(size, degree, prob, seed)
+    sd = spectral_decomposition(build_walk_operator(tree, oracle, eta))
+    random_state = unit_state(np.random.default_rng(seed), tree.n_vertices, complex_input)
+    for state in (root_state(tree.n_vertices, tree.root), random_state):
+        got = pe_joint(sd, state, s)
+        assert np.abs(got - full_basis_pe_joint(sd, state, s)).max() <= 1e-15
+
 
 class TestGateLevelMatchesLoop:
     """Controlled ``W^(2^j)`` powers give the circuit of ``2^s - 1`` single steps."""
@@ -277,15 +336,7 @@ class TestGateLevelMatchesLoop:
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    size=st.integers(min_value=2, max_value=40),
-    degree=st.integers(min_value=2, max_value=5),
-    prob=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    eta=st.floats(min_value=1e-3, max_value=1e2),
-    s=st.integers(min_value=1, max_value=10),
-    complex_input=st.booleans(),
-)
+@given(**RANDOM_TREE_INPUTS)
 def test_gate_level_matches_loop(size, degree, prob, seed, eta, s, complex_input):
     tree, oracle = build_random_tree(size, degree, prob, seed)
     op = build_walk_operator(tree, oracle, eta)
@@ -318,6 +369,32 @@ class TestJointMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * joint_bytes
+
+
+class TestTotalVariation:
+    def test_rejects_shapes_that_differ(self):
+        with pytest.raises(ValueError, match="shapes"):
+            total_variation(np.full((2, 3), 1 / 6), np.full(3, 1 / 3))
+
+    def test_blocked_sum_matches_one_pass(self):
+        rng = np.random.default_rng(5)
+        p, q = (rng.dirichlet(np.ones(3 << 18)).reshape(-1, 12) for _ in range(2))
+        assert total_variation(p, q) == pytest.approx(0.5 * np.abs(p - q).sum(), rel=1e-13)
+        assert total_variation(p.ravel(), q.ravel()) == pytest.approx(total_variation(p, q), rel=1e-13)
+
+    def test_no_third_joint(self):
+        # two s = 17 joints of the 31-leaf star: the difference is formed in blocks
+        shape = (1 << 17, 32)
+        p, q = np.full(shape, 1 / (shape[0] * shape[1])), np.zeros(shape)
+        q[0] = 1 / shape[1]
+        tracemalloc.start()
+        try:
+            tv = total_variation(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tv == pytest.approx(1 - 1 / shape[0], rel=1e-12)
+        assert peak < p.nbytes / 4
 
 
 def _loop_ancillas(size_bound, eta):

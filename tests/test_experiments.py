@@ -1,6 +1,7 @@
 """The experiment suites: statistical gates fail cleanly, reports time each suite."""
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,19 @@ def test_verify_all_times_each_suite_apart():
     assert report.bundle_s > 0.0
     assert report.bundle_s + sum(suite.elapsed for suite in report.suites.values()) <= wall
     assert report.as_dict()["bundle_s"] == round(report.bundle_s, 3)
+
+
+def test_backend_equivalence_peak_memory():
+    # gate level runs first and frees its buffers before the spectral joint exists
+    joint_bytes = (1 << 17) * 32 * np.dtype(float).itemsize  # star_31_4_s17
+    tracemalloc.start()
+    try:
+        suite = experiments.suite_backend_equivalence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite.passed, suite.failures
+    assert peak <= 2.5 * joint_bytes
 
 
 def test_verify_all_rejects_unknown_fault_before_any_work(monkeypatch):
