@@ -44,6 +44,7 @@ from .walk import (
     phi_state,
     psi_v,
     spectral_decomposition,
+    szegedy_spectrum,
     xi_vector,
 )
 from .estimation import (

@@ -2,9 +2,11 @@
 
 The algorithms read one event of phase estimation, the all-zeros ancilla
 outcome and the vertex law given it.  :func:`pe_distribution` is the one home
-of that outcome-0 law, exact from the walk's eigendecomposition at a cost
-independent of ``2^s``.  Two backends give the full joint (outcome x vertex)
-law and cross-check each other on small instances:
+of that outcome-0 law, exact from a :class:`~qbacktrack.walk.SpectralDecomposition`
+of the walk at a cost independent of ``2^s``.  It is as exact as that basis:
+the search passes the Schur spectrum, the invariant suites the orthonormal
+Szegedy one.  Two backends give the full joint (outcome x vertex) law and
+cross-check each other on small instances:
 
 * :func:`pe_joint` evaluates the kernel on the eigendecomposition, one sine
   per (outcome, eigenphase) pair and one matrix product per block of
@@ -145,7 +147,7 @@ def pe_kernel_amplitude(theta: np.ndarray, s: int, omega: np.ndarray | int = 0) 
 
 
 def _check_ancillas(s: int) -> None:
-    """The ancilla-count check every phase-estimation law makes."""
+    """The ancilla-count check every phase- and amplitude-estimation law makes."""
     if s < 1:
         raise ValueError("ancilla count s must be >= 1")
     if s > MAX_ANCILLAS:
@@ -204,13 +206,20 @@ def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.n
         omegas = np.arange(w0, min(w0 + rows, m))
         kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x eig
         kernel *= weights
-        joint[w0 : w0 + rows] = _abs2(kernel @ basis_t)  # omega x vertex
+        amp = kernel @ basis_t  # omega x vertex
+        del kernel  # each block's temporaries go before the next block's are made
+        _abs2(amp, joint[w0 : w0 + rows])
+        del amp
     return joint
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """``|z|^2`` without the square root of ``abs``."""
-    return z.real**2 + z.imag**2
+def _abs2(z: np.ndarray, out: np.ndarray) -> None:
+    """``|z|^2`` of a complex ``z`` into ``out``, without the square root of ``abs``.
+
+    ``z.imag`` is squared in place, so nothing else is allocated.
+    """
+    np.square(z.real, out=out)
+    out += np.square(z.imag, out=z.imag)
 
 
 def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarray:
@@ -222,11 +231,12 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     The register is stored vertex x ancilla index in the dtype of the state
     and the walk (a real input stays real); the inverse Fourier transform
     over the ancilla index then runs as an FFT along its rows, a few vertex
-    rows at a time, each written to contiguous rows of a vertex x outcome
-    law.  Once the register is freed, one transposing copy gives the
-    C-contiguous ``2^s x |V|`` joint law, so the peak is the register plus
-    one joint-sized law.  No eigendecomposition is used, so this matches
-    :func:`pe_joint` to floating-point accuracy as an independent check.
+    rows at a time, and each block's squared moduli overwrite the real part
+    of the rows they came from, a vertex x outcome law.  One transposing
+    copy gives the C-contiguous ``2^s x |V|`` joint law, so the peak is the
+    register plus one joint-sized law.  No eigendecomposition is used, so
+    this matches :func:`pe_joint` to floating-point accuracy as an
+    independent check.
     """
     _check_ancillas(s)
     state = np.asarray(input_state)
@@ -246,13 +256,16 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
         register[:, width : 2 * width] = power @ register[:, :width]
         if j + 1 < s:
             power = power @ power
-    # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x]
-    by_vertex = np.empty((dim, m))
+    # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x];
+    # each row block's |FFT|^2 overwrites the real part of the rows it was made from
+    by_vertex = register.real
     rows = max(1, _BLOCK_ENTRIES // m)
     for v0 in range(0, dim, rows):
-        by_vertex[v0 : v0 + rows] = _abs2(np.fft.fft(register[v0 : v0 + rows], axis=1))
-    del register
+        spectrum = np.fft.fft(register[v0 : v0 + rows], axis=1)
+        _abs2(spectrum, by_vertex[v0 : v0 + rows])
+        del spectrum
     joint = by_vertex.T.copy()
+    del register, by_vertex
     joint /= float(m * m)
     return joint
 
@@ -274,9 +287,7 @@ def ae_outcome_distribution(theta: float, s: int) -> np.ndarray:
     """
     if not (0.0 <= theta <= np.pi / 2 + 1e-12):
         raise ValueError("theta must lie in [0, pi/2]")
-    if s < 1 or s > MAX_ANCILLAS:
-        raise ResourceLimitError(f"ancilla count {s} outside [1, {MAX_ANCILLAS}]")
-    m = 1 << s
+    _check_ancillas(s)
     grid = ae_outcome_grid(s)
     probs = pe_kernel(theta - grid, s) + pe_kernel(theta + grid, s)
     probs[0] = pe_kernel(theta, s)
@@ -321,6 +332,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     for r0 in range(0, p.shape[0], rows):
         diff = p[r0 : r0 + rows] - q[r0 : r0 + rows]
         total += float(np.abs(diff, out=diff).sum())
+        del diff  # freed before the next block's is made
     return 0.5 * total
 
 

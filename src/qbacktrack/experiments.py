@@ -66,6 +66,7 @@ from .walk import (
     phi_perp_state,
     phi_state,
     spectral_decomposition,
+    szegedy_spectrum,
     xi_vector,
 )
 
@@ -221,7 +222,9 @@ class _TreeBundle:
     """What the per-tree suites read for one marked corpus tree.
 
     ``walks`` pairs each weight ``eta_bar / 4``, ``eta_bar``, ``4 eta_bar``
-    with its walk operator; ``sd`` is the spectrum of the walk at ``eta_bar``.
+    with its walk operator; ``sd`` is the orthonormal Szegedy spectrum of the
+    walk at ``eta_bar`` (:func:`szegedy_spectrum`), which the witness and
+    precision suites read.
     """
 
     name: str
@@ -244,7 +247,7 @@ def _tree_bundle(inst: CorpusInstance, inject_fault: str | None) -> _TreeBundle:
         (eta, build_walk_operator(inst.tree, st.leaf_set, eta))
         for eta in (eta_bar / 4, eta_bar, 4 * eta_bar)
     )
-    return _TreeBundle(inst.name, st, rp, kappa, walks, spectral_decomposition(walks[1][1]))
+    return _TreeBundle(inst.name, st, rp, kappa, walks, szegedy_spectrum(walks[1][1]))
 
 
 def _suite_resistance_oracles(suite: SuiteResult, b: _TreeBundle) -> None:
@@ -316,15 +319,16 @@ def _suite_witness(suite: SuiteResult, b: _TreeBundle) -> None:
     for eta, op in b.walks:
         xi = xi_vector(b.st, b.kappa, eta)
         perp = phi_perp_state(b.st, b.kappa, eta)
+        # each projector onto a reflection's +1 eigenspace is (I + R) / 2
         suite.update(
             b.name,
-            float(np.linalg.norm(op.projector_a() @ xi)),
+            float(np.linalg.norm((xi + op.reflect(xi)) / 2.0)),
             1e-10,
             f"witness_killed_by_even_projector@{eta:.3g}",
         )
         suite.update(
             b.name,
-            float(np.linalg.norm(op.projector_b() @ xi - perp)),
+            float(np.linalg.norm((xi + op.reflect(xi, odd=True)) / 2.0 - perp)),
             1e-10,
             f"witness_maps_to_perp@{eta:.3g}",
         )
@@ -401,9 +405,10 @@ def verify_all(
     """Run every invariant suite over the corpus; one pass per tree.
 
     The per-tree suites share one bundle per marked tree (solution tree,
-    resistance profile, kappa, three walk operators and one spectrum), whose
-    construction no suite's ``elapsed`` includes; the report's ``bundle_s``
-    holds it.
+    resistance profile, kappa, three walk operators and the Szegedy spectrum
+    of the middle one), whose construction no suite's ``elapsed`` includes;
+    the report's ``bundle_s`` holds it.  The backend-equivalence suite builds
+    its own operators and reads their Schur spectra.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
     the harness can fail; any other fault name raises ``ValueError``.

@@ -13,13 +13,22 @@ kept only where i and j share a star of that parity, and assembly is O(n^2)
 vectorised work plus the one dense n^3 BLAS product ``R_B @ R_A``.  An even
 and an odd star share at most one vertex, which makes every entry of either
 reflection a single rounded product: the result does not depend on the order
-in which stars are laid down.
+in which stars are laid down.  The operator keeps each parity's per-vertex
+star owners and amplitudes, not the dense reflections, and applies a
+reflection in O(n) from them.
 
-The operator is real orthogonal, so its spectrum comes from the real Schur
-form: 1x1 blocks are +/-1 eigenvalues, 2x2 rotation blocks give conjugate
-eigenphase pairs.  Eigenvalues are written ``exp(2i*theta)`` with theta in
-(-pi/2, pi/2].  The eigenbasis is not orthonormal when a repeated +/-1
-eigenvalue comes back as a near-identity 2x2 block (ROADMAP item 0).
+Eigenvalues are written ``exp(2i*theta)`` with theta in (-pi/2, pi/2].  Two
+routines give the spectrum:
+
+* :func:`szegedy_spectrum` takes one SVD of the small overlap between the
+  even and the odd stars and returns a basis that is orthonormal by
+  construction.  The invariant suites of ``experiments`` read it.
+* :func:`spectral_decomposition` reads the real Schur form of the dense
+  matrix: 1x1 blocks are +/-1 eigenvalues, 2x2 rotation blocks give
+  conjugate eigenphase pairs.  Its basis is not orthonormal when a repeated
+  +/-1 eigenvalue comes back as a near-identity 2x2 block (ROADMAP item 0).
+  The search (``WalkSimulator.spectral``), the backend-equivalence suite,
+  ``descent.quantum_vs_chain_check`` and the CLI's ``spectrum`` read it.
 
 Analytic states (all expressed over the vertex basis):
 
@@ -49,6 +58,7 @@ __all__ = [
     "psi_v",
     "build_walk_operator",
     "spectral_decomposition",
+    "szegedy_spectrum",
     "beta_angle",
     "phi_m_state",
     "phi_state",
@@ -58,22 +68,37 @@ __all__ = [
 ]
 
 
+# Singular values of the star overlap at or below this are zero: their star
+# directions are eigenvectors at phase pi/2 on their own, not a rotation pair.
+_SIGMA_ZERO = 1e-14
+
+
 @dataclass(frozen=True)
 class WalkOperator:
-    """One step of the walk: ``matrix = r_b @ r_a`` on span(V)."""
+    """One step of the walk, ``matrix = R_B @ R_A`` on span(V), and its stars.
+
+    ``stars[0]`` describes ``R_A`` (the even stars) and ``stars[1]`` ``R_B``
+    (the odd stars), each as an ``(owner, amp)`` pair of per-vertex arrays:
+    ``owner[i]`` names the star of that parity holding vertex ``i`` and
+    ``amp[i]`` is its amplitude there, zero where ``i`` is in no unmarked
+    star.  The reflections act through :meth:`reflect` in O(n); only
+    ``matrix`` is dense.
+    """
 
     tree: Tree
     eta: float
     matrix: np.ndarray
-    r_a: np.ndarray
-    r_b: np.ndarray
+    stars: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-    def projector_a(self) -> np.ndarray:
-        """Projector onto the +1 eigenspace of ``r_a`` (reflections: (R+I)/2)."""
-        return (self.r_a + np.eye(self.tree.n_vertices)) / 2.0
+    def reflect(self, x: np.ndarray, odd: bool = False) -> np.ndarray:
+        """``R_B x`` if ``odd`` else ``R_A x``, for a real vector ``x``.
 
-    def projector_b(self) -> np.ndarray:
-        return (self.r_b + np.eye(self.tree.n_vertices)) / 2.0
+        ``x - 2 sum_v psi_v <psi_v, x>`` over the stars of that parity.  On a
+        basis vector each entry is the one rounded product that the dense
+        reflection holds, so the columns equal it bit for bit.
+        """
+        owner, amp = self.stars[odd]
+        return x - 2.0 * amp * np.bincount(owner, amp * x, owner.shape[0])[owner]
 
 
 @dataclass(frozen=True)
@@ -82,7 +107,8 @@ class SpectralDecomposition:
 
     ``vectors[:, j]`` has eigenvalue ``exp(2i * phases[j])``.  Real
     eigenvectors are stored as complex with zero imaginary part.  The basis
-    is not always orthonormal: see :func:`spectral_decomposition`.
+    is orthonormal when :func:`szegedy_spectrum` built it, and not always
+    when :func:`spectral_decomposition` did.
     """
 
     phases: np.ndarray
@@ -188,9 +214,12 @@ def build_walk_operator(
     own_amp = np.where(unmarked, centre, 0.0)
     up_amp = np.where(unmarked[up], leg[up], 0.0)
     up_amp[tree.root] = 0.0  # the root sits in no odd star
-    r_a = _reflection(np.where(even, idx, up), np.where(even, own_amp, up_amp))
-    r_b = _reflection(np.where(even, up, idx), np.where(even, up_amp, own_amp))
-    return WalkOperator(tree=tree, eta=eta, matrix=r_b @ r_a, r_a=r_a, r_b=r_b)
+    stars = (
+        (np.where(even, idx, up), np.where(even, own_amp, up_amp)),
+        (np.where(even, up, idx), np.where(even, up_amp, own_amp)),
+    )
+    matrix = _reflection(*stars[1]) @ _reflection(*stars[0])
+    return WalkOperator(tree=tree, eta=eta, matrix=matrix, stars=stars)
 
 
 def spectral_decomposition(op: WalkOperator) -> SpectralDecomposition:
@@ -238,6 +267,86 @@ def spectral_decomposition(op: WalkOperator) -> SpectralDecomposition:
     cols /= np.sqrt(real @ real.swapaxes(-1, -2) + imag @ imag.swapaxes(-1, -2))[..., 0]
     vectors = q.astype(complex)
     vectors[:, pair] = cols.transpose(2, 0, 1)
+    phases.setflags(write=False)
+    vectors.setflags(write=False)
+    return SpectralDecomposition(phases=phases, vectors=vectors)
+
+
+def _star_columns(owner: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Each vertex's star index, stars numbered in the order of their owners; -1 outside them."""
+    in_star = amp != 0.0
+    col = np.full(owner.shape[0], -1)
+    owners = np.unique(owner[in_star])
+    col[owners] = np.arange(owners.shape[0])
+    return np.where(in_star, col[owner], -1)
+
+
+def _star_basis(col: np.ndarray, amp: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``S @ coeffs`` for the n x k matrix ``S`` whose columns are the stars ``col`` numbers."""
+    # a zero row for the vertices in no star, which also serves k = 0
+    padded = np.concatenate([coeffs, np.zeros((1, coeffs.shape[1]))])
+    return amp[:, None] * padded[col]
+
+
+def szegedy_spectrum(op: WalkOperator) -> SpectralDecomposition:
+    """An orthonormal eigenbasis of the walk from its two families of stars.
+
+    Let the columns of ``A`` be the unmarked even stars and those of ``B``
+    the unmarked odd stars, each family orthonormal.  ``W = R_B R_A`` is a
+    product of reflections through span(A) and span(B), so its invariant
+    planes come from the singular vectors of the overlap ``D = A^T B``
+    (Szegedy; Jordan's lemma).  ``D`` has about n non-zero entries, as an even and an odd star
+    share at most one vertex; one SVD ``D = U diag(sigma) V^T`` of its
+    ``|A| x |B|`` dense form replaces the n x n Schur form:
+
+    * for each ``sigma_j > 0``, with ``a_j = A u_j``, ``b_j = B v_j`` and
+      ``c_j`` the unit part of ``b_j`` orthogonal to ``a_j``, W rotates the
+      plane (a_j, c_j) by ``2 theta_j``, ``cos theta_j = sigma_j``:
+      eigenvectors ``(a_j -/+ i c_j) / sqrt 2`` at phases ``+/- theta_j``;
+    * the rest of span(A) and of span(B) is orthogonal to the other family,
+      so W negates it: phase pi/2;
+    * (A + B)^perp is fixed.  A vector orthogonal to every star has a free
+      value at each marked vertex, and every other value follows from its
+      own star's constraint, bottom up; so this is the span of the path
+      vectors ``phi_m``, |M|-dimensional, and a QR of them gives its basis.
+
+    Every vertex but a marked one owns one star, so the counts add up to n
+    and no star direction is fixed (sigma < 1).  The basis is orthonormal
+    by construction, whatever the multiplicities of the phases.
+    """
+    tree = op.tree
+    n = tree.n_vertices
+    (own_a, amp_a), (own_b, amp_b) = op.stars
+    col_a, col_b = _star_columns(own_a, amp_a), _star_columns(own_b, amp_b)
+    both = (col_a >= 0) & (col_b >= 0)
+    d = np.zeros((col_a.max(initial=-1) + 1, col_b.max(initial=-1) + 1))
+    d[col_a[both], col_b[both]] = amp_a[both] * amp_b[both]
+    u, sigma, vt = np.linalg.svd(d)
+    r = int(np.count_nonzero(sigma > _SIGMA_ZERO))
+    a = _star_basis(col_a, amp_a, u)
+    b = _star_basis(col_b, amp_b, vt.T)
+    c = b[:, :r] - sigma[:r] * a[:, :r]
+    sines = np.sqrt(np.einsum("ij,ij->j", c, c))
+    c /= sines
+    theta = np.arctan2(sines, sigma[:r])
+
+    even = tree.depth % 2 == 0
+    marked = np.flatnonzero(np.where(even, amp_a, amp_b) == 0.0)  # they own no star
+    paths = np.zeros((n, marked.shape[0]))
+    for k, m in enumerate(marked):
+        path = tree.path_from_root(int(m))
+        paths[path, k] = np.where(even[path], 1.0, -1.0)
+        paths[tree.root, k] = np.sqrt(op.eta)
+
+    vectors = np.empty((n, n), dtype=complex)
+    half = np.sqrt(0.5)
+    vectors.real[:, :r] = vectors.real[:, r : 2 * r] = half * a[:, :r]
+    vectors.imag[:, :r] = -half * c
+    vectors.imag[:, r : 2 * r] = half * c
+    vectors.real[:, 2 * r :] = np.concatenate([a[:, r:], b[:, r:], np.linalg.qr(paths)[0]], axis=1)
+    vectors.imag[:, 2 * r :] = 0.0
+    n_flip = a.shape[1] + b.shape[1] - 2 * r
+    phases = np.concatenate([theta, -theta, np.full(n_flip, np.pi / 2), np.zeros(marked.shape[0])])
     phases.setflags(write=False)
     vectors.setflags(write=False)
     return SpectralDecomposition(phases=phases, vectors=vectors)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbacktrack import (
+    MAX_ANCILLAS,
     ResourceLimitError,
     ae_outcome_distribution,
     ae_outcome_grid,
@@ -30,6 +31,7 @@ from qbacktrack import (
     shallowest_marked,
     solution_tree,
     spectral_decomposition,
+    szegedy_spectrum,
     total_variation,
     tree_from_json,
 )
@@ -311,6 +313,21 @@ def test_pe_joint_matches_full_basis(size, degree, prob, seed, eta, s, complex_i
         assert np.abs(got - full_basis_pe_joint(sd, state, s)).max() <= 1e-15
 
 
+@settings(max_examples=30, deadline=None)
+@given(**RANDOM_TREE_INPUTS)
+def test_szegedy_joint_matches_gate_level(size, degree, prob, seed, eta, s, complex_input):
+    # the circuit needs no eigenbasis: an independent oracle for the Szegedy law
+    tree, oracle = build_random_tree(size, degree, prob, seed)
+    op = build_walk_operator(tree, oracle, eta)
+    sd = szegedy_spectrum(op)
+    n = tree.n_vertices
+    assert np.linalg.norm(sd.vectors.conj().T @ sd.vectors - np.eye(n)) <= 1e-10
+    assert np.linalg.norm(sd.reconstruct() - op.matrix) <= 1e-10
+    random_state = unit_state(np.random.default_rng(seed), n, complex_input)
+    for state in (root_state(n, tree.root), random_state):
+        assert total_variation(pe_joint(sd, state, s), gate_level_pe(op, state, s)) <= 1e-10
+
+
 class TestGateLevelMatchesLoop:
     """Controlled ``W^(2^j)`` powers give the circuit of ``2^s - 1`` single steps."""
 
@@ -533,6 +550,14 @@ class TestAmplitudeEstimation:
         for theta in (-0.1, np.pi / 2 + 0.1):
             with pytest.raises(ValueError):
                 ae_outcome_distribution(theta, 4)
+
+    def test_ancilla_count_checks(self):
+        # too few ancillas is bad input, as in the phase-estimation laws; too many is a cap
+        for s in (0, -1):
+            with pytest.raises(ValueError):
+                ae_outcome_distribution(0.3, s)
+        with pytest.raises(ResourceLimitError):
+            ae_outcome_distribution(0.3, MAX_ANCILLAS + 1)
 
 
 class TestPeAncillas:

@@ -128,3 +128,21 @@ def test_grover_scaling_needs_two_distinct_sizes(sizes):
 def test_grover_scaling_needs_a_trial(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         experiments.grover_scaling([8, 16], 1, trials, seed=0)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_every_verify_all_spectrum_is_orthonormal(monkeypatch, seed):
+    # the bundle spectra and the backend suite's Schur spectra alike (ROADMAP item 0)
+    built = []
+    for name in ("szegedy_spectrum", "spectral_decomposition"):
+        def recording(op, build=getattr(experiments, name)):
+            built.append((op.tree.n_vertices, build(op)))
+            return built[-1][1]
+
+        monkeypatch.setattr(experiments, name, recording)
+    corpus = experiments.default_corpus(count=20, master_seed=seed)
+    experiments.verify_all(corpus)
+    n_bundles = sum(inst.has_marks for inst in corpus)
+    assert len(built) == n_bundles + len(experiments.backend_equivalence_instances())
+    for n, sd in built:
+        assert np.linalg.norm(sd.vectors.conj().T @ sd.vectors - np.eye(n)) <= 1e-10

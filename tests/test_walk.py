@@ -25,10 +25,12 @@ from qbacktrack import (
     shallowest_marked,
     solution_tree,
     spectral_decomposition,
+    szegedy_spectrum,
     xi_vector,
 )
 from conftest import make_instance
 from qbacktrack.experiments import default_corpus
+from qbacktrack.estimation import gate_level_pe
 from qbacktrack.trees import build_path, tree_from_json
 
 
@@ -91,9 +93,15 @@ def rank_one_assembly(tree, oracle, eta):
     return r_b @ r_a, r_a, r_b
 
 
+def action_reflection(op, odd=False):
+    """The dense ``R_A`` (or ``R_B``), built column by column from the operator's action."""
+    return np.column_stack([op.reflect(col, odd=odd) for col in np.eye(op.tree.n_vertices)])
+
+
 def assert_matches_rank_one(tree, oracle, eta):
     op = build_walk_operator(tree, oracle, eta)
-    for got, want in zip((op.matrix, op.r_a, op.r_b), rank_one_assembly(tree, oracle, eta)):
+    got_all = (op.matrix, action_reflection(op), action_reflection(op, odd=True))
+    for got, want in zip(got_all, rank_one_assembly(tree, oracle, eta)):
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros too
 
@@ -165,8 +173,9 @@ class TestOperator:
         n = star_8_2.tree.n_vertices
         eye = np.eye(n)
         assert np.linalg.norm(op.matrix.T @ op.matrix - eye) < 1e-12
-        assert np.linalg.norm(op.r_a @ op.r_a - eye) < 1e-12
-        assert np.linalg.norm(op.r_b @ op.r_b - eye) < 1e-12
+        for odd in (False, True):
+            r = action_reflection(op, odd)
+            assert np.linalg.norm(r @ r - eye) < 1e-12
 
     def test_rejects_nonpositive_eta(self, star_8_2):
         with pytest.raises(ValueError):
@@ -190,7 +199,7 @@ class TestOperator:
         op = build_walk_operator(path_4.tree, path_4.oracle, 2.0)
         root = np.zeros(path_4.tree.n_vertices)
         root[0] = 1.0
-        assert np.allclose(op.r_b @ root, root)
+        assert np.allclose(op.reflect(root, odd=True), root)
 
 
 class TestSpectrum:
@@ -273,6 +282,106 @@ class TestSchurCall:
         # complex basis alone would be 4.0 MiB
         assert decompose_peak < 7 * 2**20, f"build + decompose peaked at {decompose_peak / 2**20:.2f} MiB"
         assert pe_added < 2**20, f"pe_distribution added {pe_added / 2**20:.2f} MiB"
+
+
+def assert_orthonormal_eigenbasis(op, sd, tol=1e-10):
+    n = op.tree.n_vertices
+    assert sd.vectors.shape == (n, n)
+    assert np.linalg.norm(sd.vectors.conj().T @ sd.vectors - np.eye(n)) <= tol
+    assert np.linalg.norm(sd.reconstruct() - op.matrix) <= tol
+    assert np.all(sd.phases > -np.pi / 2) and np.all(sd.phases <= np.pi / 2)
+
+
+def star_counts(op):
+    """The number of unmarked even and odd stars, and the rank of their overlap, densely."""
+    proj_a, proj_b = ((np.eye(op.tree.n_vertices) - action_reflection(op, odd)) / 2 for odd in (False, True))
+    rank = np.linalg.matrix_rank
+    return rank(proj_a), rank(proj_b), rank(proj_a @ proj_b)
+
+
+class TestSzegedySpectrum:
+    """The orthonormal spectrum built from the stars' overlap."""
+
+    def test_corpus(self):
+        # the corpus holds the hand fixtures too, marked and unmarked
+        for inst in default_corpus(count=30):
+            for eta in (0.05, 1.0, 9.0):
+                op = build_walk_operator(inst.tree, inst.oracle, eta)
+                assert_orthonormal_eigenbasis(op, szegedy_spectrum(op))
+
+    def test_fixed_space_is_spanned_by_path_vectors(self):
+        # (A + B)^perp, the phase-0 columns, is exactly span{phi_m}
+        for inst in random_instances(6) + [make_instance(tree_from_json, MARKED_INTERNAL)]:
+            op = build_walk_operator(inst.tree, inst.oracle, 1.3)
+            sd = szegedy_spectrum(op)
+            n_a, n_b, _ = star_counts(op)
+            fixed = sd.vectors[:, sd.phases == 0.0]
+            members = inst.st.leaf_set.members
+            assert fixed.shape[1] == len(members) == inst.tree.n_vertices - n_a - n_b
+            assert np.abs(fixed.imag).max(initial=0.0) == 0.0
+            for odd in (False, True):
+                for col in fixed.real.T:
+                    assert np.linalg.norm(op.reflect(col, odd=odd) - col) <= 1e-12
+            for m in members:
+                pm = phi_m_state(inst.tree, inst.st.leaf_set, m, 1.3)
+                assert np.linalg.norm(fixed @ (fixed.conj().T @ pm) - pm) <= 1e-12
+
+    def test_matches_schur_where_schur_is_orthonormal(self):
+        checked = 0
+        for inst in default_corpus(count=20, master_seed=3):
+            op = build_walk_operator(inst.tree, inst.oracle, 0.7)
+            schur, sz = spectral_decomposition(op), szegedy_spectrum(op)
+            n = inst.tree.n_vertices
+            if np.linalg.norm(schur.vectors.conj().T @ schur.vectors - np.eye(n)) > 1e-12:
+                continue
+            checked += 1
+            assert np.abs(np.sort(schur.phases) - np.sort(sz.phases)).max() <= 1e-12
+            rng = np.random.default_rng(n)
+            for state in (np.eye(n)[inst.tree.root], rng.normal(size=n) / np.sqrt(n)):
+                state = state / np.linalg.norm(state)
+                for eps in (1e-2, 1e-1, 0.5):
+                    assert abs(
+                        schur.small_phase_projector_norm(state, eps) - sz.small_phase_projector_norm(state, eps)
+                    ) <= 1e-12
+                for s in (3, 8):
+                    (p_a, cond_a), (p_b, cond_b) = pe_distribution(schur, state, s), pe_distribution(sz, state, s)
+                    assert abs(p_a - p_b) <= 1e-12
+                    assert np.abs(cond_a - cond_b).max() <= 1e-12
+        assert checked >= 10
+
+    def test_unmarked_tree(self):
+        tree, oracle = build_random_tree(40, 3, 0.0, 4)
+        op = build_walk_operator(tree, oracle, 0.8)
+        sd = szegedy_spectrum(op)
+        assert_orthonormal_eigenbasis(op, sd)
+        assert not np.any(sd.phases == 0.0)
+
+    def test_single_edge_has_no_odd_star(self, single_edge):
+        op = build_walk_operator(single_edge.tree, single_edge.oracle, 0.7)
+        assert star_counts(op)[:2] == (1, 0)
+        sd = szegedy_spectrum(op)
+        assert_orthonormal_eigenbasis(op, sd)
+        assert sorted(sd.phases) == [0.0, np.pi / 2]
+
+    def test_overlap_with_zero_singular_values(self):
+        # the marked vertices 1 and 5 split the stars: the odd leaf star {7} and
+        # the even stars {3} and {4} overlap nothing, so D (4 x 3) has rank 2
+        tree, oracle = tree_from_json(MARKED_INTERNAL)
+        for eta in (0.2, 3.0):
+            op = build_walk_operator(tree, oracle, eta)
+            n_a, n_b, rank = star_counts(op)
+            assert (n_a, n_b, rank) == (4, 3, 2)
+            sd = szegedy_spectrum(op)
+            assert_orthonormal_eigenbasis(op, sd)
+            assert np.count_nonzero(sd.phases == np.pi / 2) == n_a + n_b - 2 * rank
+
+    def test_degenerate_star_p_zero_matches_gate_level(self, star_64_4):
+        # Schur's basis reads 0.924 here (ROADMAP item 0)
+        op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 1.0)
+        root = np.eye(star_64_4.tree.n_vertices)[0]
+        p_zero = pe_distribution(szegedy_spectrum(op), root, 8)[0]
+        assert p_zero == pytest.approx(gate_level_pe(op, root, 8)[0].sum(), abs=1e-12)
+        assert p_zero == pytest.approx(0.8000037, abs=1e-7)
 
 
 def loop_spectral_decomposition(op):
@@ -421,8 +530,9 @@ class TestXi:
                 op = build_walk_operator(inst.tree, inst.oracle, eta)
                 xi = xi_vector(inst.st, inst.kappa, eta)
                 perp = phi_perp_state(inst.st, inst.kappa, eta)
-                assert np.linalg.norm(op.projector_a() @ xi) < 1e-10
-                assert np.linalg.norm(op.projector_b() @ xi - perp) < 1e-10
+                # the projector onto a reflection's +1 eigenspace is (I + R) / 2
+                assert np.linalg.norm((xi + op.reflect(xi)) / 2) < 1e-10
+                assert np.linalg.norm((xi + op.reflect(xi, odd=True)) / 2 - perp) < 1e-10
 
     def test_norm_bound(self):
         for inst in random_instances(6):
