@@ -38,7 +38,6 @@ from .walk import (
     WalkOperator,
     beta_angle,
     build_walk_operator,
-    path_superposition_coefficients,
     phi_m_state,
     phi_perp_state,
     phi_state,

@@ -8,7 +8,11 @@ The two central procedures:
   ``gamma1 * ln(1/delta0)`` times, and exits once more than half of the
   estimates fall within pi/16 of pi/4, returning ``eta * cot^2`` of the most
   frequent estimate.  If the sweep reaches ``eta = n`` without exiting it
-  returns infinity, which doubles as the existence test.
+  returns infinity, which doubles as the existence test.  The sweep's
+  classical set-up (validation, ancilla counts, the estimate grid, the window
+  and each stage's ``eta`` and walk cost) depends only on the configuration
+  and the tree's bounds, so it is built once per such key and kept in a
+  bounded cache.
 
 * :func:`find_marked` walks down the tree: estimate the resistance at the
   current vertex, phase-estimate on the re-rooted subtree walk, retry while
@@ -24,7 +28,9 @@ search of the next doubles of the generator in a CDF that
 :class:`WalkSimulator` builds once per law with
 :func:`~qbacktrack.estimation.choice_cdf`: the doubles and indices a
 ``Generator.choice(..., p=law)`` call would take, so runs and the generator's
-state afterwards equal a per-draw ``choice`` loop's.
+state afterwards equal a per-draw ``choice`` loop's.  A stage's vote needs no
+search: the window is a range of cells, so a double lands in it exactly when
+it lies between two values of the CDF.
 
 Query accounting (:class:`RunRecord`): ``walk_queries`` counts controlled
 applications of the walk operator (a phase-estimation circuit with ``s``
@@ -39,7 +45,9 @@ vertex measurements (descent moves).
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +85,8 @@ MAX_PE_ROUNDS = 10_000
 MAX_REPETITIONS = 1_000_000
 # Consecutive empty find_marked runs after which find_all stops.
 FIND_ALL_RETRIES = 4
+# Sweep plans kept at once, one per (configuration, tree bounds).
+SWEEP_PLAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ class EstimateResConfig:
     tree when left as None) and at most the amplitude-estimation error
     ``DELTA_AE``, and step factor in (1, 2].  The constants of the analysis
     are all 1.  ``repetitions`` uses the natural logarithm and may not exceed
-    ``MAX_REPETITIONS``.  ``k_guess`` scales
+    ``MAX_REPETITIONS``.  ``k_guess``, a positive integer, scales
     the descent precision ``delta = 1 / log2(k_guess * (eta + 1))``, capped
     at ``DESCENT_DELTA_CAP``.
     """
@@ -120,6 +130,8 @@ class EstimateResConfig:
             raise ValueError(f"gamma2 = {gamma2} exceeds 1/(8 sqrt(n)) = {limit}")
         if gamma2 > DELTA_AE:
             raise ValueError(f"gamma2 = {gamma2} exceeds the amplitude-estimation error {DELTA_AE}")
+        if not (isinstance(self.k_guess, numbers.Integral) and self.k_guess >= 1):
+            raise ValueError(f"k_guess must be a positive integer, got {self.k_guess!r}")
 
     def resolve_gamma2(self, depth_bound: int) -> float:
         if self.gamma2 is not None:
@@ -143,7 +155,7 @@ class EstimateResConfig:
         return min(MAX_ANCILLAS, max(1, math.ceil(math.log2(max(2.0, target)))))
 
     def descent_delta(self, eta: float) -> float:
-        load = math.log2(max(self.k_guess, 1) * (eta + 1.0))
+        load = math.log2(self.k_guess * (eta + 1.0))
         return min(DESCENT_DELTA_CAP, 1.0 / max(1.0, load))
 
 
@@ -289,6 +301,58 @@ def _modal_estimate(grid: np.ndarray, counts: np.ndarray) -> float:
     return float(modes[np.argmin(np.abs(modes - np.pi / 4.0))])
 
 
+@dataclass(frozen=True)
+class _SweepPlan:
+    """The classical set-up of ``estimate_res`` for one configuration and tree bounds.
+
+    ``stages`` holds ``(eta, s_pe, walk_queries)`` for each stage that draws,
+    in sweep order, where ``walk_queries`` counts the walk applications of
+    that stage and all before it.  The window is the cell range
+    ``[lo, hi]`` of the read-only ``grid``; ``lo >= 1`` because the grid
+    starts at 0, far outside it.
+    """
+
+    reps: int
+    s_ae: int
+    grid: np.ndarray
+    lo: int
+    hi: int
+    stages: tuple[tuple[float, int, int], ...]
+
+
+@functools.lru_cache(maxsize=SWEEP_PLAN_CACHE_SIZE)
+def _sweep_plan(
+    cfg: EstimateResConfig, depth_bound: int, degree_bound: int, size_bound: int
+) -> _SweepPlan:
+    """Validate ``cfg`` for a tree with these bounds and lay out its eta sweep.
+
+    The cache keeps no exception, so an invalid configuration raises on
+    every call.
+    """
+    cfg.validate(depth_bound)
+    d = max(1, degree_bound)
+    n = float(depth_bound)
+    s_ae = cfg.ae_ancillas(cfg.resolve_gamma2(depth_bound))
+    reps = cfg.repetitions()
+    grid = ae_outcome_grid(s_ae)
+    grid.setflags(write=False)
+    # the grid increases, so the window is one run of cells
+    window = np.flatnonzero(np.abs(grid - np.pi / 4.0) <= np.pi / 16.0)
+    stages = []
+    walk_queries = 0
+    i = 0
+    while True:
+        eta = min(cfg.step**i / d, n)
+        if eta > 0.0:
+            s_pe = cfg.pe_ancillas(size_bound, eta)
+            walk_queries += reps * (2**s_pe - 1) * (2 ** (s_ae + 1) - 1)
+            stages.append((eta, s_pe, walk_queries))
+        if eta >= n:
+            break
+        i += 1
+    return _SweepPlan(reps, s_ae, grid, int(window[0]), int(window[-1]), tuple(stages))
+
+
 def estimate_res(
     tree: Tree,
     oracle: MarkingOracle,
@@ -302,40 +366,29 @@ def estimate_res(
     Returns the estimate (``inf`` when no marked vertex is detected, which
     is a value, not an error) together with the run's query record.  The
     input vertex is treated as an unmarked root; callers check the oracle
-    first.
+    first.  The sweep comes from the cached plan of ``cfg`` and the tree's
+    bounds.  A stage's ``side="right"`` search would put a draw ``u`` in the
+    window ``[lo, hi]`` exactly when ``cdf[lo - 1] <= u < cdf[hi]``, so the
+    vote reads those two CDF values; only the exit stage bins its draws for
+    the mode.
     """
-    cfg.validate(tree.depth_bound)
+    plan = _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)
     sim = sim if sim is not None else WalkSimulator(tree, oracle)
-    rec = RunRecord()
-    sub = sim.subtree(v)
-    d = max(1, tree.degree_bound)
-    n = float(tree.depth_bound)
-    size_bound = tree.size_bound
-    gamma2 = cfg.resolve_gamma2(tree.depth_bound)
-    s_ae = cfg.ae_ancillas(gamma2)
-    reps = cfg.repetitions()
-    grid = ae_outcome_grid(s_ae)
-    window = np.abs(grid - np.pi / 4.0) <= np.pi / 16.0
-
-    i = 0
-    while True:
-        eta = min(cfg.step**i / d, n)
-        if eta > 0.0:
-            s_pe = cfg.pe_ancillas(size_bound, eta)
-            cdf = sim.ae_law(v, eta, s_pe, s_ae)
-            rec.f_queries += sub.size
-            rec.h_queries += sub.size
-            counts = np.bincount(cdf.searchsorted(rng.random(reps), side="right"), minlength=grid.size)
-            rec.walk_queries += reps * (2**s_pe - 1) * (2 ** (s_ae + 1) - 1)
-            if 2 * int(counts[window].sum()) > reps:
-                tan_b = math.tan(_modal_estimate(grid, counts))
-                estimate = INFINITE if tan_b == 0.0 else eta / tan_b**2
-                rec.outcome = estimate
-                return estimate, rec
-        if eta >= n:
-            rec.outcome = INFINITE
-            return INFINITE, rec
-        i += 1
+    size = sim.subtree(v).size
+    reps, lo, hi = plan.reps, plan.lo, plan.hi
+    stage = walk_queries = 0
+    for stage, (eta, s_pe, walk_queries) in enumerate(plan.stages, 1):
+        cdf = sim.ae_law(v, eta, s_pe, plan.s_ae)
+        draws = rng.random(reps)
+        if 2 * int(np.count_nonzero((cdf[lo - 1] <= draws) & (draws < cdf[hi]))) > reps:
+            counts = np.bincount(cdf.searchsorted(draws, side="right"), minlength=plan.grid.size)
+            tan_b = math.tan(_modal_estimate(plan.grid, counts))
+            estimate = INFINITE if tan_b == 0.0 else eta / tan_b**2
+            break
+    else:
+        estimate = INFINITE
+    queries = stage * size
+    return estimate, RunRecord(walk_queries, queries, queries, outcome=estimate)
 
 
 def detect_existence(
@@ -365,7 +418,7 @@ def find_marked(
     ancilla count set by the descent precision
     ``delta = O(1/log2(k_guess * (eta + 1)))``.
     """
-    cfg.validate(tree.depth_bound)
+    _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)  # validates cfg
     sim = sim if sim is not None else WalkSimulator(tree, oracle)
     rec = RunRecord()
     size_bound = tree.size_bound
@@ -380,17 +433,20 @@ def find_marked(
 
     rounds = 0
     while math.isfinite(eta_t):
-        if rounds >= MAX_PE_ROUNDS:
-            break
-        rounds += 1
         s = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta_t, cfg.descent_delta(eta_t)))
-        p_zero, cdf = sim.pe_stats(v, eta_t, s)
         sub = sim.subtree(v)
-        rec.walk_queries += 2**s - 1
-        rec.f_queries += sub.size
-        rec.h_queries += sub.size
-        if rng.random() >= p_zero:
-            continue  # ancilla missed the zero outcome; rerun at the same vertex
+        while True:
+            if rounds >= MAX_PE_ROUNDS:
+                rec.outcome = None
+                return None, rec
+            rounds += 1
+            p_zero, cdf = sim.pe_stats(v, eta_t, s)
+            rec.walk_queries += 2**s - 1
+            rec.f_queries += sub.size
+            rec.h_queries += sub.size
+            if rng.random() >= p_zero:
+                continue  # ancilla missed the zero outcome; rerun at the same vertex
+            break
         local = int(cdf.searchsorted(rng.random(), side="right"))
         v = int(sub.ids[local])
         rec.steps += 1
@@ -448,14 +504,16 @@ def k_doubling_find(
     The guess starts at 1 and doubles past every possible marked count
     (at most ``size_bound - 1``, the paper's "log k ~ n" threshold restated
     for trees of unbounded width); after that the classical descent takes
-    over as the fallback.
+    over as the fallback.  ``cfg.k_guess`` is replaced by each guess, but a
+    configuration that is invalid as given is still rejected.
     """
+    _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)  # validates cfg
     sim = sim if sim is not None else WalkSimulator(tree, oracle)
     rec = RunRecord()
     k_hat = 1
     k_cap = max(1, tree.size_bound - 1)
     while k_hat <= k_cap:
-        guess_cfg = replace(cfg, k_guess=k_hat)
+        guess_cfg = cfg if cfg.k_guess == k_hat else replace(cfg, k_guess=k_hat)
         v, sub_rec = find_marked(tree, oracle, guess_cfg, rng, sim)
         rec.merge(sub_rec)
         if v is not None:

@@ -63,7 +63,6 @@ __all__ = [
     "phi_m_state",
     "phi_state",
     "phi_perp_state",
-    "path_superposition_coefficients",
     "xi_vector",
 ]
 
@@ -121,9 +120,6 @@ class SpectralDecomposition:
         copy of the n x n basis.
         """
         return (self.vectors.T @ np.asarray(state, dtype=complex).conj()).conj()
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * np.exp(2j * self.phases)) @ self.vectors.conj().T
 
     def small_phase_projector_norm(self, state: np.ndarray, eps: float) -> float:
         """Norm of the projection of ``state`` onto eigenphases |theta| <= eps."""
@@ -395,14 +391,6 @@ def phi_perp_state(st: SolutionTree, kappa: np.ndarray, eta: float) -> np.ndarra
     amp = -np.sin(beta) * _alternating_sign(tree.depth) * kappa
     amp[tree.root] = np.cos(beta)
     return amp
-
-
-def path_superposition_coefficients(
-    st: SolutionTree, kappa: np.ndarray, eta: float
-) -> dict[int, float]:
-    """Per-leaf coefficients of phi over the path vectors: ``kappa_m * cos(beta)``."""
-    beta = beta_angle(kappa[st.tree.root], eta)
-    return {int(m): float(kappa[m] * np.cos(beta)) for m in st.leaf_set.members}
 
 
 def xi_vector(st: SolutionTree, kappa: np.ndarray, eta: float) -> np.ndarray:

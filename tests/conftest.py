@@ -9,6 +9,7 @@ from qbacktrack import (
     MarkingOracle,
     ResistanceProfile,
     SolutionTree,
+    SpectralDecomposition,
     Tree,
     build_path,
     build_star,
@@ -41,6 +42,11 @@ def make_instance(builder, *args, **kwargs) -> Instance:
     st = solution_tree(tree, marked)
     rp = resistance_profile(st)
     return Instance(tree=tree, oracle=oracle, st=st, rp=rp, kappa=kappa_assignment(st, rp))
+
+
+def reconstruct(sd: SpectralDecomposition) -> np.ndarray:
+    """The operator ``V diag(exp(2i phases)) V^H`` that a unitary eigenbasis spans."""
+    return (sd.vectors * np.exp(2j * sd.phases)) @ sd.vectors.conj().T
 
 
 def rebuild_matches(tree: Tree) -> Tree:

@@ -20,6 +20,7 @@ from qbacktrack import (
 from qbacktrack.algorithms import (
     DELTA_AE,
     MAX_REPETITIONS,
+    SWEEP_PLAN_CACHE_SIZE,
     EstimateResConfig,
     RunRecord,
     WalkSimulator,
@@ -61,6 +62,10 @@ class TestConfig:
             EstimateResConfig(delta0=0.0).validate(4)
         with pytest.raises(ValueError):
             EstimateResConfig(gamma2=0.25).validate(16)
+        with pytest.raises(ValueError, match="^k_guess "):
+            EstimateResConfig(k_guess=0).validate(4)
+        with pytest.raises(ValueError, match="^k_guess "):
+            EstimateResConfig(k_guess=1.5).validate(4)
 
     @pytest.mark.parametrize(
         "name, value", [("gamma2", 0.0), ("gamma2", -1.0), ("gamma2", math.nan), ("gamma1", math.inf)]
@@ -81,6 +86,57 @@ class TestConfig:
         cfg = EstimateResConfig(gamma1=MAX_REPETITIONS / math.log(20) * 0.999)
         cfg.validate(4)
         assert cfg.repetitions() <= MAX_REPETITIONS
+
+
+class TestSweepPlan:
+    def test_invalid_config_raises_on_every_call(self):
+        tree, oracle = build_star(8, 2)
+        bad = EstimateResConfig(step=2.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="step"):
+                estimate_res(tree, oracle, tree.root, bad, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="step"):
+                find_marked(tree, oracle, bad, np.random.default_rng(0))
+
+    def test_k_doubling_rejects_a_bad_guess_before_replacing_it(self):
+        # a marked star is found at the first guess, so the fallback never runs
+        tree, oracle = build_star(8, 2)
+        with pytest.raises(ValueError, match="^k_guess "):
+            k_doubling_find(tree, oracle, EstimateResConfig(k_guess=0), np.random.default_rng(0))
+
+    def test_cache_is_bounded(self):
+        info = algorithms._sweep_plan.cache_info()
+        assert info.maxsize == SWEEP_PLAN_CACHE_SIZE
+        tree, _ = build_star(4, 1)
+        for i in range(SWEEP_PLAN_CACHE_SIZE + 5):
+            algorithms._sweep_plan(EstimateResConfig(k_guess=1 + i), 1, 4, tree.size_bound)
+        assert algorithms._sweep_plan.cache_info().currsize == SWEEP_PLAN_CACHE_SIZE
+
+    def test_k_doubling_adds_at_most_one_plan_per_guess(self, monkeypatch):
+        # an unmarked star runs every guess, then the classical fallback
+        tree, oracle = build_star(32, 0)
+        guesses = set()
+        original = algorithms.find_marked
+
+        def recorded(tree, oracle, cfg, rng, sim=None):
+            guesses.add(cfg.k_guess)
+            return original(tree, oracle, cfg, rng, sim)
+
+        monkeypatch.setattr(algorithms, "find_marked", recorded)
+        algorithms._sweep_plan.cache_clear()
+        sim = WalkSimulator(tree, oracle)
+        k_doubling_find(tree, oracle, CFG, np.random.default_rng(0), sim)
+        misses = algorithms._sweep_plan.cache_info().misses
+        assert len(guesses) > 1
+        # the fallback adds one plan of its own: its per-level delta0
+        assert misses <= len(guesses) + 1
+        k_doubling_find(tree, oracle, CFG, np.random.default_rng(1), sim)
+        assert algorithms._sweep_plan.cache_info().misses == misses
+
+    def test_plan_grid_is_read_only(self):
+        plan = algorithms._sweep_plan(CFG, 4, 2, 9)
+        with pytest.raises(ValueError):
+            plan.grid[0] = 1.0
 
 
 class TestEstimateRes:
@@ -192,28 +248,50 @@ def most_frequent(draws):
 
 
 def choice_estimate_res(tree, v, cfg, rng, sim):
-    """Reference estimation loop: one ``rng.choice`` per stage over the normalized AE law."""
+    """Reference estimation loop: per-call set-up, one ``rng.choice`` per stage.
+
+    Returns the estimate and the run's record, counted stage by stage.
+    """
+    cfg.validate(tree.depth_bound)
     d = max(1, tree.degree_bound)
     n = float(tree.depth_bound)
+    size = len(tree.subtree_vertices(v))
     s_ae = cfg.ae_ancillas(cfg.resolve_gamma2(tree.depth_bound))
     grid = ae_outcome_grid(s_ae)
     reps = cfg.repetitions()
+    rec = RunRecord()
     i = 0
     while True:
         eta = min(cfg.step**i / d, n)
-        p_zero, _ = sim.pe_stats(v, eta, cfg.pe_ancillas(tree.size_bound, eta))
-        probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), s_ae)
-        draws = grid[rng.choice(grid.size, size=reps, p=probs / probs.sum())]
-        if 2 * int(np.sum(np.abs(draws - np.pi / 4) <= np.pi / 16)) > reps:
-            tan_b = math.tan(most_frequent(draws))
-            return math.inf if tan_b == 0.0 else eta / tan_b**2
+        if eta > 0.0:
+            s_pe = cfg.pe_ancillas(tree.size_bound, eta)
+            p_zero, _ = sim.pe_stats(v, eta, s_pe)
+            probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), s_ae)
+            draws = grid[rng.choice(grid.size, size=reps, p=probs / probs.sum())]
+            rec.walk_queries += reps * (2**s_pe - 1) * (2 ** (s_ae + 1) - 1)
+            rec.f_queries += size
+            rec.h_queries += size
+            if 2 * int(np.sum(np.abs(draws - np.pi / 4) <= np.pi / 16)) > reps:
+                tan_b = math.tan(most_frequent(draws))
+                rec.outcome = math.inf if tan_b == 0.0 else eta / tan_b**2
+                return rec.outcome, rec
         if eta >= n:
-            return math.inf
+            rec.outcome = math.inf
+            return rec.outcome, rec
         i += 1
 
 
+def assert_equals_choice_loop(tree, oracle, v, cfg, seed, sim):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, got_rec = estimate_res(tree, oracle, v, cfg, got_rng, sim)
+    want, want_rec = choice_estimate_res(tree, v, cfg, want_rng, sim)
+    assert got == want
+    assert got_rec.as_row() == want_rec.as_row()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestStageSampler:
-    """The stage draws and the mode equal the ``choice`` loop's, on the same stream."""
+    """The stage draws, the vote, the mode and the record equal the ``choice`` loop's, on the same stream."""
 
     @pytest.mark.parametrize(
         "build, args",
@@ -224,10 +302,33 @@ class TestStageSampler:
         sim = WalkSimulator(tree, oracle)
         for v in (tree.root, *tree.children[tree.root][:2]):
             for seed in range(15):
-                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got, _ = estimate_res(tree, oracle, v, CFG, got_rng, sim)
-                assert got == choice_estimate_res(tree, v, CFG, want_rng, sim)
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                assert_equals_choice_loop(tree, oracle, v, CFG, seed, sim)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        star=st.booleans(),
+        size=st.integers(min_value=2, max_value=30),
+        seed=st.integers(min_value=0, max_value=10_000),
+        delta0=st.floats(min_value=0.01, max_value=0.5),
+        gamma1=st.floats(min_value=2.01, max_value=8.0),
+        gamma2_share=st.none() | st.floats(min_value=0.05, max_value=1.0),
+        step=st.floats(min_value=1.2, max_value=2.0),
+    )
+    def test_configs_and_vertices_equal_choice_loop(
+        self, star, size, seed, delta0, gamma1, gamma2_share, step
+    ):
+        if star:
+            tree, oracle = build_star(size, seed % (size + 1))
+        else:
+            tree, oracle = build_random_tree(size, 3, 0.15, seed)
+        gamma2 = None
+        if gamma2_share is not None:
+            gamma2 = gamma2_share * min(DELTA_AE, 1.0 / (8.0 * math.sqrt(max(1, tree.depth_bound))))
+        cfg = EstimateResConfig(delta0=delta0, gamma1=gamma1, gamma2=gamma2, step=step)
+        sim = WalkSimulator(tree, oracle)
+        for v in range(0, tree.n_vertices, max(1, tree.n_vertices // 4)):
+            for trial in range(3):
+                assert_equals_choice_loop(tree, oracle, v, cfg, seed + trial, sim)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -501,6 +602,24 @@ class TestWalkSimulator:
             tracemalloc.stop()
         # one dense n x n complex spectrum alone is 16 n^2 = 4.2 MB
         assert kept < 2**20, f"simulator keeps {kept / 2**20:.2f} MiB"
+
+
+class TestTracedCalls:
+    """perfbench traces ``algorithms.estimate_res`` by replacing the module attribute."""
+
+    @pytest.mark.parametrize("search", [find_marked, k_doubling_find, classical_descent])
+    def test_searches_call_estimate_res_through_the_module(self, monkeypatch, search):
+        tree, oracle = build_path(4, True)
+        calls = []
+        original = algorithms.estimate_res
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "estimate_res", counted)
+        search(tree, oracle, CFG, np.random.default_rng(0))
+        assert calls and calls[0] == tree.root
 
 
 class TestRunRecord:

@@ -38,7 +38,7 @@ from qbacktrack import (
 from qbacktrack.algorithms import EstimateResConfig, find_all
 from qbacktrack.estimation import choice_cdf, pe_kernel_amplitude
 from qbacktrack.experiments import PRECISION_SIZE_CAP, backend_equivalence_instances, default_corpus
-from conftest import make_instance
+from conftest import make_instance, reconstruct
 
 
 def root_state(n, root=0):
@@ -322,7 +322,7 @@ def test_szegedy_joint_matches_gate_level(size, degree, prob, seed, eta, s, comp
     sd = szegedy_spectrum(op)
     n = tree.n_vertices
     assert np.linalg.norm(sd.vectors.conj().T @ sd.vectors - np.eye(n)) <= 1e-10
-    assert np.linalg.norm(sd.reconstruct() - op.matrix) <= 1e-10
+    assert np.linalg.norm(reconstruct(sd) - op.matrix) <= 1e-10
     random_state = unit_state(np.random.default_rng(seed), n, complex_input)
     for state in (root_state(n, tree.root), random_state):
         assert total_variation(pe_joint(sd, state, s), gate_level_pe(op, state, s)) <= 1e-10

@@ -15,7 +15,6 @@ from qbacktrack import (
     build_walk_operator,
     SpectralDecomposition,
     kappa_assignment,
-    path_superposition_coefficients,
     pe_distribution,
     phi_m_state,
     phi_perp_state,
@@ -28,7 +27,7 @@ from qbacktrack import (
     szegedy_spectrum,
     xi_vector,
 )
-from conftest import make_instance
+from conftest import make_instance, reconstruct
 from qbacktrack.experiments import default_corpus
 from qbacktrack.estimation import gate_level_pe
 from qbacktrack.trees import build_path, tree_from_json
@@ -208,7 +207,7 @@ class TestSpectrum:
         inst = request.getfixturevalue(fixture)
         op = build_walk_operator(inst.tree, inst.oracle, inst.eta_bar)
         sd = spectral_decomposition(op)
-        assert np.linalg.norm(sd.reconstruct() - op.matrix) < 1e-10
+        assert np.linalg.norm(reconstruct(sd) - op.matrix) < 1e-10
         gram = sd.vectors.conj().T @ sd.vectors
         assert np.linalg.norm(gram - np.eye(inst.tree.n_vertices)) < 1e-10
         assert np.all(sd.phases > -np.pi / 2 - 1e-15)
@@ -288,7 +287,7 @@ def assert_orthonormal_eigenbasis(op, sd, tol=1e-10):
     n = op.tree.n_vertices
     assert sd.vectors.shape == (n, n)
     assert np.linalg.norm(sd.vectors.conj().T @ sd.vectors - np.eye(n)) <= tol
-    assert np.linalg.norm(sd.reconstruct() - op.matrix) <= tol
+    assert np.linalg.norm(reconstruct(sd) - op.matrix) <= tol
     assert np.all(sd.phases > -np.pi / 2) and np.all(sd.phases <= np.pi / 2)
 
 
@@ -514,7 +513,9 @@ class TestStates:
 
     def test_superposition_coefficients_rebuild_phi(self, star_8_2):
         eta = 0.9
-        coeffs = path_superposition_coefficients(star_8_2.st, star_8_2.kappa, eta)
+        # phi over the path vectors: kappa_m * cos(beta) per marked leaf
+        beta = beta_angle(star_8_2.kappa[star_8_2.tree.root], eta)
+        coeffs = {m: star_8_2.kappa[m] * np.cos(beta) for m in star_8_2.st.leaf_set.members}
         rebuilt = np.zeros(star_8_2.tree.n_vertices)
         for m, c in coeffs.items():
             pm = phi_m_state(star_8_2.tree, star_8_2.st.leaf_set, m, eta, normalized=False)
