@@ -292,13 +292,13 @@ class WalkSimulator:
         return cdf
 
 
-def _modal_estimate(grid: np.ndarray, counts: np.ndarray) -> float:
+def _modal_estimate(grid: np.ndarray, order: np.ndarray, counts: np.ndarray) -> float:
     """Most frequent estimate, from counts per grid cell; ties resolved toward pi/4.
 
-    Among cells equally far from pi/4 the lower one wins.
+    ``order`` lists the cells nearest pi/4 first, the lower of two equally
+    far cells first, so the first top count along it is the mode.
     """
-    modes = grid[counts == counts.max()]
-    return float(modes[np.argmin(np.abs(modes - np.pi / 4.0))])
+    return float(grid[order[np.argmax(counts[order])]])
 
 
 @dataclass(frozen=True)
@@ -309,12 +309,14 @@ class _SweepPlan:
     in sweep order, where ``walk_queries`` counts the walk applications of
     that stage and all before it.  The window is the cell range
     ``[lo, hi]`` of the read-only ``grid``; ``lo >= 1`` because the grid
-    starts at 0, far outside it.
+    starts at 0, far outside it.  ``order`` is the tie order of
+    :func:`_modal_estimate`: the cells by distance from pi/4, a stable sort.
     """
 
     reps: int
     s_ae: int
     grid: np.ndarray
+    order: np.ndarray
     lo: int
     hi: int
     stages: tuple[tuple[float, int, int], ...]
@@ -336,8 +338,11 @@ def _sweep_plan(
     reps = cfg.repetitions()
     grid = ae_outcome_grid(s_ae)
     grid.setflags(write=False)
+    distance = np.abs(grid - np.pi / 4.0)
+    order = np.argsort(distance, kind="stable")
+    order.setflags(write=False)
     # the grid increases, so the window is one run of cells
-    window = np.flatnonzero(np.abs(grid - np.pi / 4.0) <= np.pi / 16.0)
+    window = np.flatnonzero(distance <= np.pi / 16.0)
     stages = []
     walk_queries = 0
     i = 0
@@ -350,7 +355,7 @@ def _sweep_plan(
         if eta >= n:
             break
         i += 1
-    return _SweepPlan(reps, s_ae, grid, int(window[0]), int(window[-1]), tuple(stages))
+    return _SweepPlan(reps, s_ae, grid, order, int(window[0]), int(window[-1]), tuple(stages))
 
 
 def estimate_res(
@@ -382,7 +387,7 @@ def estimate_res(
         draws = rng.random(reps)
         if 2 * int(np.count_nonzero((cdf[lo - 1] <= draws) & (draws < cdf[hi]))) > reps:
             counts = np.bincount(cdf.searchsorted(draws, side="right"), minlength=plan.grid.size)
-            tan_b = math.tan(_modal_estimate(plan.grid, counts))
+            tan_b = math.tan(_modal_estimate(plan.grid, plan.order, counts))
             estimate = INFINITE if tan_b == 0.0 else eta / tan_b**2
             break
     else:

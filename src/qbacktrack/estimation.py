@@ -15,7 +15,9 @@ cross-check each other on small instances:
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) on the
   full ``2^s x |V|`` statevector: ``s`` matrix products fill the register,
   an FFT per vertex row transforms it into a vertex-major law, and one
-  transposing copy makes that the outcome-major joint.
+  transposing copy makes that the outcome-major joint.  A real register
+  takes a real FFT, which yields the outcomes up to ``2^(s-1)``; the rest
+  are their exact mirror images.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
 ``w`` carries amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w / M))`` with
@@ -232,11 +234,13 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     and the walk (a real input stays real); the inverse Fourier transform
     over the ancilla index then runs as an FFT along its rows, a few vertex
     rows at a time, and each block's squared moduli overwrite the real part
-    of the rows they came from, a vertex x outcome law.  One transposing
-    copy gives the C-contiguous ``2^s x |V|`` joint law, so the peak is the
-    register plus one joint-sized law.  No eigendecomposition is used, so
-    this matches :func:`pe_joint` to floating-point accuracy as an
-    independent check.
+    of the rows they came from, a vertex x outcome law.  A real register
+    takes ``np.fft.rfft``, which gives the outcomes ``w <= M/2`` only; a real
+    row's transform has ``|X[M - w]|^2 = |X[w]|^2``, so the outcomes above
+    ``M/2`` are copied from their mirrors.  One transposing copy gives the
+    C-contiguous ``2^s x |V|`` joint law, so the peak is the register plus
+    one joint-sized law.  No eigendecomposition is used, so this matches
+    :func:`pe_joint` to floating-point accuracy as an independent check.
     """
     _check_ancillas(s)
     state = np.asarray(input_state)
@@ -259,10 +263,18 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x];
     # each row block's |FFT|^2 overwrites the real part of the rows it was made from
     by_vertex = register.real
+    real = not np.iscomplexobj(register)
+    half = m // 2
     rows = max(1, _BLOCK_ENTRIES // m)
     for v0 in range(0, dim, rows):
-        spectrum = np.fft.fft(register[v0 : v0 + rows], axis=1)
-        _abs2(spectrum, by_vertex[v0 : v0 + rows])
+        block = by_vertex[v0 : v0 + rows]
+        if real:
+            spectrum = np.fft.rfft(register[v0 : v0 + rows], axis=1)
+            _abs2(spectrum, block[:, : half + 1])
+            block[:, half + 1 :] = block[:, half - 1 : 0 : -1]
+        else:
+            spectrum = np.fft.fft(register[v0 : v0 + rows], axis=1)
+            _abs2(spectrum, block)
         del spectrum
     joint = by_vertex.T.copy()
     del register, by_vertex

@@ -222,9 +222,10 @@ class _TreeBundle:
     """What the per-tree suites read for one marked corpus tree.
 
     ``walks`` pairs each weight ``eta_bar / 4``, ``eta_bar``, ``4 eta_bar``
-    with its walk operator; ``sd`` is the orthonormal Szegedy spectrum of the
-    walk at ``eta_bar`` (:func:`szegedy_spectrum`), which the witness and
-    precision suites read.
+    with its walk operator, held as star amplitudes: the suites apply the
+    walk and its reflections in O(n) and form no dense walk.  ``sd`` is the
+    orthonormal Szegedy spectrum of the walk at ``eta_bar``
+    (:func:`szegedy_spectrum`), which the witness and precision suites read.
     """
 
     name: str
@@ -292,7 +293,7 @@ def _suite_fixed_points(suite: SuiteResult, b: _TreeBundle) -> None:
         phi = phi_state(b.st, b.kappa, eta)
         suite.update(
             b.name,
-            float(np.linalg.norm(op.matrix @ phi - phi)),
+            float(np.linalg.norm(op.apply(phi) - phi)),
             1e-10,
             f"phi_fixed@{eta:.3g}",
         )
@@ -300,7 +301,7 @@ def _suite_fixed_points(suite: SuiteResult, b: _TreeBundle) -> None:
             pm = phi_m_state(tree, marked, m, eta)
             suite.update(
                 b.name,
-                float(np.linalg.norm(op.matrix @ pm - pm)),
+                float(np.linalg.norm(op.apply(pm) - pm)),
                 1e-10,
                 f"path_vector_fixed@{eta:.3g}",
             )
@@ -319,6 +320,8 @@ def _suite_witness(suite: SuiteResult, b: _TreeBundle) -> None:
     for eta, op in b.walks:
         xi = xi_vector(b.st, b.kappa, eta)
         perp = phi_perp_state(b.st, b.kappa, eta)
+        if eta == b.rp.eta_root:
+            xi_bar, perp_bar = xi, perp
         # each projector onto a reflection's +1 eigenspace is (I + R) / 2
         suite.update(
             b.name,
@@ -337,10 +340,9 @@ def _suite_witness(suite: SuiteResult, b: _TreeBundle) -> None:
             bound = 2 * (size_bound - 1) * eta * math.cos(beta) ** 2
             xi_sq = float(np.linalg.norm(xi)) ** 2
             suite.require(b.name, xi_sq <= bound + 1e-12, f"witness_norm_bound@{eta:.3g}")
-    perp = phi_perp_state(b.st, b.kappa, b.rp.eta_root)
-    xi_norm = float(np.linalg.norm(xi_vector(b.st, b.kappa, b.rp.eta_root)))
+    xi_norm = float(np.linalg.norm(xi_bar))
     for eps in (1e-3, 1e-2, 1e-1):
-        p_eps = b.sd.small_phase_projector_norm(perp, eps)
+        p_eps = b.sd.small_phase_projector_norm(perp_bar, eps)
         suite.require(b.name, p_eps <= eps * xi_norm + 1e-12, f"small_phase_bound@{eps:g}")
 
 
@@ -405,10 +407,11 @@ def verify_all(
     """Run every invariant suite over the corpus; one pass per tree.
 
     The per-tree suites share one bundle per marked tree (solution tree,
-    resistance profile, kappa, three walk operators and the Szegedy spectrum
-    of the middle one), whose construction no suite's ``elapsed`` includes;
-    the report's ``bundle_s`` holds it.  The backend-equivalence suite builds
-    its own operators and reads their Schur spectra.
+    resistance profile, kappa, three walk operators held as star amplitudes
+    and the Szegedy spectrum of the middle one), whose construction no
+    suite's ``elapsed`` includes; the report's ``bundle_s`` holds it.  No
+    per-tree suite forms a dense walk.  The backend-equivalence suite builds
+    its own operators and reads their dense matrices and Schur spectra.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
     the harness can fail; any other fault name raises ``ValueError``.

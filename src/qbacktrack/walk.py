@@ -8,14 +8,16 @@ block is the identity.  The root's diffusion state carries the tunable weight
 ``eta`` well.
 
 Each vertex lies in at most one star of each parity: its own and its
-parent's.  So ``R_A`` and ``R_B`` are ``I - 2 psi_i psi_j`` with the product
-kept only where i and j share a star of that parity, and assembly is O(n^2)
-vectorised work plus the one dense n^3 BLAS product ``R_B @ R_A``.  An even
-and an odd star share at most one vertex, which makes every entry of either
-reflection a single rounded product: the result does not depend on the order
-in which stars are laid down.  The operator keeps each parity's per-vertex
-star owners and amplitudes, not the dense reflections, and applies a
-reflection in O(n) from them.
+parent's.  Assembly is O(n): the operator keeps each parity's per-vertex
+star owners and amplitudes, and applies a reflection, or one walk step, in
+O(n) from them.  The dense walk is formed on the first read of
+``WalkOperator.matrix``, and only Schur and the gate-level circuit read it.
+There ``R_A`` and ``R_B`` are ``I - 2 psi_i psi_j`` with the product kept
+only where i and j share a star of that parity, O(n^2) vectorised work, and
+the one n^3 BLAS product ``R_B @ R_A`` follows.  An even and an odd star
+share at most one vertex, which makes every entry of either reflection a
+single rounded product: the result does not depend on the order in which
+stars are laid down.
 
 Eigenvalues are written ``exp(2i*theta)`` with theta in (-pi/2, pi/2].  Two
 routines give the spectrum:
@@ -45,6 +47,7 @@ Analytic states (all expressed over the vertex basis):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,30 +77,41 @@ _SIGMA_ZERO = 1e-14
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """One step of the walk, ``matrix = R_B @ R_A`` on span(V), and its stars.
+    """One step of the walk, ``R_B R_A`` on span(V), held as its stars.
 
     ``stars[0]`` describes ``R_A`` (the even stars) and ``stars[1]`` ``R_B``
     (the odd stars), each as an ``(owner, amp)`` pair of per-vertex arrays:
     ``owner[i]`` names the star of that parity holding vertex ``i`` and
     ``amp[i]`` is its amplitude there, zero where ``i`` is in no unmarked
-    star.  The reflections act through :meth:`reflect` in O(n); only
-    ``matrix`` is dense.
+    star.  The reflections and the walk act through :meth:`reflect` and
+    :meth:`apply` in O(n); the dense ``matrix`` is formed on its first read.
     """
 
     tree: Tree
     eta: float
-    matrix: np.ndarray
     stars: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense ``R_B @ R_A``, formed on the first read and kept: the one n^3 product."""
+        return _reflection(*self.stars[1]) @ _reflection(*self.stars[0])
+
     def reflect(self, x: np.ndarray, odd: bool = False) -> np.ndarray:
-        """``R_B x`` if ``odd`` else ``R_A x``, for a real vector ``x``.
+        """``R_B x`` if ``odd`` else ``R_A x``.
 
         ``x - 2 sum_v psi_v <psi_v, x>`` over the stars of that parity.  On a
-        basis vector each entry is the one rounded product that the dense
-        reflection holds, so the columns equal it bit for bit.
+        real basis vector each entry is the one rounded product that the
+        dense reflection holds, so the columns equal it bit for bit.  A
+        complex ``x`` is reflected a part at a time.
         """
+        if np.iscomplexobj(x):
+            return self.reflect(x.real, odd) + 1j * self.reflect(x.imag, odd)
         owner, amp = self.stars[odd]
         return x - 2.0 * amp * np.bincount(owner, amp * x, owner.shape[0])[owner]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """One walk step ``R_B R_A x`` in O(n), without the dense matrix."""
+        return self.reflect(self.reflect(x), odd=True)
 
 
 @dataclass(frozen=True)
@@ -183,15 +197,17 @@ def _reflection(owner: np.ndarray, amp: np.ndarray) -> np.ndarray:
 def build_walk_operator(
     tree: Tree, oracle: MarkingOracle | MarkedSet, eta: float
 ) -> WalkOperator:
-    """Assemble ``R_B R_A(eta)`` as a dense real orthogonal matrix.
+    """Assemble the walk ``R_B R_A(eta)`` from its per-parity stars, O(n).
 
     Accepts the marking oracle (shallowest marked set computed internally,
-    queries counted) or a precomputed :class:`MarkedSet`.  Each reflection
-    is one masked outer product over the vertices' star amplitudes, O(n^2);
-    the product ``R_B @ R_A`` is the one n^3 BLAS call.  Since an even and
-    an odd star share at most one vertex, each entry is a single rounded
-    product and the matrices equal a star-by-star rank-one assembly bit for
-    bit.  Dense matrices are intended for |V| up to a couple thousand.
+    queries counted) or a precomputed :class:`MarkedSet`.  No dense array
+    is formed here.  The first read of ``matrix`` builds each reflection as
+    one masked outer product over the vertices' star amplitudes, O(n^2),
+    and then runs the product ``R_B @ R_A``, the one n^3 BLAS call.  Since
+    an even and an odd star share at most one vertex, each entry is a single
+    rounded product and the matrices equal a star-by-star rank-one assembly
+    bit for bit.  Dense matrices are intended for |V| up to a couple
+    thousand.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -214,8 +230,7 @@ def build_walk_operator(
         (np.where(even, idx, up), np.where(even, own_amp, up_amp)),
         (np.where(even, up, idx), np.where(even, up_amp, own_amp)),
     )
-    matrix = _reflection(*stars[1]) @ _reflection(*stars[0])
-    return WalkOperator(tree=tree, eta=eta, matrix=matrix, stars=stars)
+    return WalkOperator(tree=tree, eta=eta, stars=stars)
 
 
 def spectral_decomposition(op: WalkOperator) -> SpectralDecomposition:

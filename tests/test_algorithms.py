@@ -133,6 +133,16 @@ class TestSweepPlan:
         k_doubling_find(tree, oracle, CFG, np.random.default_rng(1), sim)
         assert algorithms._sweep_plan.cache_info().misses == misses
 
+    @pytest.mark.parametrize("share", [None, 0.5, 0.1])
+    def test_plan_order_puts_cells_nearest_quarter_first(self, share):
+        # the grid holds cells exactly as far from pi/4 as others: the lower one comes first
+        gamma2 = None if share is None else share * min(DELTA_AE, 1.0 / 16.0)
+        plan = algorithms._sweep_plan(EstimateResConfig(gamma2=gamma2), 4, 2, 9)
+        grid = plan.grid.tolist()
+        assert plan.order.tolist() == sorted(range(len(grid)), key=lambda i: (abs(grid[i] - math.pi / 4.0), i))
+        with pytest.raises(ValueError):
+            plan.order[0] = 0
+
     def test_plan_grid_is_read_only(self):
         plan = algorithms._sweep_plan(CFG, 4, 2, 9)
         with pytest.raises(ValueError):
@@ -343,9 +353,10 @@ class TestStageSampler:
         quarter = 1 << (s - 2)
         k = tie % (quarter + 1)
         top = max(np.bincount(idx)) + 1
+        order = np.argsort(np.abs(grid - np.pi / 4.0), kind="stable")
         for draws in (idx, idx + [quarter - k] * top + [quarter + k] * top):
             counts = np.bincount(draws, minlength=grid.size)
-            assert algorithms._modal_estimate(grid, counts) == most_frequent(grid[draws])
+            assert algorithms._modal_estimate(grid, order, counts) == most_frequent(grid[draws])
 
 
 class TestDetect:

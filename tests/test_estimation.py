@@ -361,6 +361,32 @@ def test_gate_level_matches_loop(size, degree, prob, seed, eta, s, complex_input
     assert_gate_matches_loop(op, state, s)
 
 
+class TestRealRegister:
+    """A real register takes a real FFT; the outcomes above M/2 are mirror copies."""
+
+    def test_real_and_complex_inputs_agree(self, star_64_4):
+        rng = np.random.default_rng(7)
+        cases = [(build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25), root_state(65))]
+        for seed in (1, 5):
+            tree, oracle = build_random_tree(30, 3, 0.2, seed)
+            cases.append((build_walk_operator(tree, oracle, 0.6), unit_state(rng, tree.n_vertices, False)))
+        for op, state in cases:
+            for s in (1, 2, 5, 9):
+                real = gate_level_pe(op, state, s)
+                cast = gate_level_pe(op, state.astype(complex), s)
+                assert np.max(np.abs(real - cast)) <= 1e-15
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_joint_mirrors_exactly(self, star_8_2, s):
+        rng = np.random.default_rng(s)
+        op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
+        for state in (root_state(9), unit_state(rng, 9, False)):
+            joint = gate_level_pe(op, state, s)
+            m = 1 << s
+            for w in range(1, m):
+                assert np.array_equal(joint[w], joint[m - w])
+
+
 class TestJointMemory:
     """The s = 17 backend-equivalence instance stays within three joints of memory."""
 

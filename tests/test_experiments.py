@@ -95,6 +95,21 @@ def test_verify_all_times_each_suite_apart():
     assert report.as_dict()["bundle_s"] == round(report.bundle_s, 3)
 
 
+def test_bundle_suites_form_no_dense_walk():
+    # the per-tree suites apply each walk from its stars; only Schur and the circuit read matrix
+    for inst in experiments.default_corpus(count=10, master_seed=5):
+        if not inst.has_marks:
+            continue
+        bundle = experiments._tree_bundle(inst, None)
+        for name, check in experiments._PER_TREE_SUITES.items():
+            suite = experiments.SuiteResult(name)
+            check(suite, bundle)
+            assert suite.passed, suite.failures
+        for _, op in bundle.walks:
+            assert "matrix" not in op.__dict__
+    assert op.matrix is op.__dict__["matrix"]  # the guard sees a formed walk
+
+
 def test_backend_equivalence_peak_memory():
     # gate level runs first and frees its buffers before the spectral joint exists
     joint_bytes = (1 << 17) * 32 * np.dtype(float).itemsize  # star_31_4_s17

@@ -165,6 +165,40 @@ def test_assembly_matches_rank_one(size, degree, prob, seed, eta):
     assert_matches_rank_one(tree, oracle, eta)
 
 
+def walk_trees():
+    """``(tree, oracle)`` from ``build_random_tree``, ``build_star`` or the MARKED_INTERNAL tree."""
+    random = st.builds(
+        build_random_tree,
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=2, max_value=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    star = st.integers(min_value=1, max_value=64).flatmap(
+        lambda n: st.builds(build_star, st.just(n), st.integers(min_value=0, max_value=n))
+    )
+    return st.one_of(random, star, st.just(MARKED_INTERNAL).map(tree_from_json))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    built=walk_trees(),
+    eta=st.floats(min_value=1e-6, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_apply_matches_matrix(built, eta, seed):
+    tree, oracle = built
+    rng = np.random.default_rng(seed)
+    n = tree.n_vertices
+    op = build_walk_operator(tree, oracle, eta)
+    real = rng.normal(size=n)
+    for x in (real, real + 1j * rng.normal(size=n)):
+        x = x / np.linalg.norm(x)
+        got = op.apply(x)
+        assert got.dtype == x.dtype
+        assert np.max(np.abs(got - op.matrix @ x)) <= 1e-14
+
+
 class TestOperator:
     @pytest.mark.parametrize("eta", [0.1, 1.0, 7.3])
     def test_orthogonal_and_involutive(self, star_8_2, eta):
