@@ -25,7 +25,6 @@ from .trees import (
     tree_to_json,
 )
 from .resistance import (
-    KappaReport,
     ResistanceProfile,
     kappa_assignment,
     kappa_eta,

@@ -192,7 +192,7 @@ class RunRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Subtree:
     tree: Tree  # re-rooted, locally indexed
     ids: np.ndarray  # local index -> global vertex id
@@ -301,7 +301,7 @@ def _modal_estimate(grid: np.ndarray, order: np.ndarray, counts: np.ndarray) -> 
     return float(grid[order[np.argmax(counts[order])]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SweepPlan:
     """The classical set-up of ``estimate_res`` for one configuration and tree bounds.
 

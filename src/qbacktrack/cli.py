@@ -5,7 +5,8 @@ find-all, detect, descent-sim, grover-scaling, verify-all, and run (replay a
 saved experiment spec).  Output is JSON by default; the commands that print
 results (all but gen-tree and run) also emit CSV rows via ``--out csv``.
 All numbers are serialized at full precision with sorted keys, so identical
-specs and seeds produce byte-identical files.  Input the library rejects
+specs and seeds produce byte-identical files.  The JSON is strict: a
+non-finite number is written as the string "inf", "-inf" or "nan".  Input the library rejects
 with a ``ValueError`` is a usage error: its message goes to stderr and the
 exit code is 2.
 
@@ -23,7 +24,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +45,22 @@ from .trees import (
     tree_from_json,
     tree_to_json,
 )
-from .walk import build_walk_operator, spectral_decomposition
+from .walk import build_walk_operator, szegedy_spectrum
 
-def _json_default(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, (np.integer,)):
+
+def _plain(value):
+    """``value`` in built-in JSON types, with every non-finite float spelled as a string."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    if isinstance(value, (float, np.floating)):
+        if math.isfinite(value):
+            return float(value)
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def _emit(payload, args) -> None:
@@ -67,7 +73,7 @@ def _emit(payload, args) -> None:
             writer.writerow(row)
         text = buffer.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, default=_json_default) + "\n"
+        text = json.dumps(_plain(payload), sort_keys=True, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -90,28 +96,6 @@ def _trial_rngs(seed: int, trials: int):
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
         for t in range(trials)
     ]
-
-
-@dataclass
-class ExperimentSpec:
-    """A reproducible record of one CLI invocation."""
-
-    command: str
-    options: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "options": self.options}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        data = json.loads(text)
-        return cls(command=data["command"], options=data["options"])
-
-
-def _spec_from_args(args) -> ExperimentSpec:
-    skip = {"func", "save_spec", "spec"}
-    options = {k: v for k, v in vars(args).items() if k not in skip}
-    return ExperimentSpec(command=args.command, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +154,7 @@ def cmd_resistance(args) -> int:
 
 def cmd_spectrum(args) -> int:
     tree, oracle = _load_tree(args)
-    op = build_walk_operator(tree, oracle, args.eta)
-    sd = spectral_decomposition(op)
+    sd = szegedy_spectrum(build_walk_operator(tree, oracle, args.eta))
     root = np.zeros(tree.n_vertices)
     root[tree.root] = 1.0
     lam = np.abs(sd.amplitudes(root)) ** 2
@@ -271,9 +254,19 @@ def cmd_verify_all(args) -> int:
 
 def cmd_run(args) -> int:
     with open(args.spec) as fh:
-        spec = ExperimentSpec.from_json(fh.read())
-    argv = [spec.command]
-    for key, value in sorted(spec.options.items()):
+        spec = json.load(fh)
+    # --save-spec never records run itself, and a spec that runs a spec could loop
+    if not (
+        isinstance(spec, dict)
+        and isinstance(spec.get("command"), str)
+        and spec["command"] != "run"
+        and isinstance(spec.get("options"), dict)
+    ):
+        raise ValueError(
+            f"{args.spec}: expected a JSON object with a string 'command' (not 'run') and an object 'options'"
+        )
+    argv = [spec["command"]]
+    for key, value in sorted(spec["options"].items()):
         if key == "command" or value is None:
             continue
         flag = "--" + key.replace("_", "-")
@@ -383,12 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    save_spec = getattr(args, "save_spec", None)
-    if args.command != "run":
-        spec = _spec_from_args(args)
-        if save_spec:
-            with open(save_spec, "w") as fh:
-                fh.write(spec.to_json() + "\n")
+    if getattr(args, "save_spec", None):  # every command but run has the flag
+        options = {k: v for k, v in vars(args).items() if k not in {"func", "save_spec"}}
+        with open(args.save_spec, "w") as fh:
+            fh.write(json.dumps({"command": args.command, "options": options}, sort_keys=True) + "\n")
     try:
         return args.func(args)
     except ValueError as exc:  # a library rejecting the user's input

@@ -60,7 +60,7 @@ CHAIN_TV_FACTOR = 10.0
 BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescentChain:
     """Transition law over the solution tree.
 
@@ -103,7 +103,7 @@ def descent_chain(st: SolutionTree, kappa: np.ndarray) -> DescentChain:
     return DescentChain(st=st, kappa=kappa, targets=targets, probs=probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HittingTimes:
     """Expected steps to absorption, per vertex (nan off the solution tree)."""
 

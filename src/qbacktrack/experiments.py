@@ -217,7 +217,7 @@ class VerifyReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TreeBundle:
     """What the per-tree suites read for one marked corpus tree.
 
@@ -271,7 +271,7 @@ def _suite_resistance_interval(suite: SuiteResult, b: _TreeBundle) -> None:
 
 def _suite_kappa(suite: SuiteResult, b: _TreeBundle) -> None:
     """The kappa identities, the kappa-implied resistance map and the root anchor."""
-    for check, residual in verify_kappa(b.st, b.kappa, tol=1e-10).residuals.items():
+    for check, residual in verify_kappa(b.st, b.kappa).items():
         suite.update(b.name, residual, 1e-10, check)
     implied = kappa_eta(b.st, b.kappa)
     eta = b.rp.eta_bar

@@ -11,7 +11,9 @@ routes compute the resistance between the root and the merged marked sink:
 The kappa weights are built top-down from the child/parent ratio
 ``kappa_c / kappa_v = eta(v) / (eta(c) + 1)`` and rescaled so the squared
 weights off the root sum to one.  :func:`verify_kappa` re-checks every
-identity the weights must satisfy and reports residuals per identity.
+identity the weights must satisfy and returns a ``dict`` of the seven
+residuals keyed by identity name; the caller compares them with its own
+tolerance.
 
 Subtrees without marked vertices carry resistance ``inf``, which simply
 drops out of the parallel sums.  All arithmetic is 64-bit floating point.
@@ -27,7 +29,6 @@ from .trees import SolutionTree
 
 __all__ = [
     "ResistanceProfile",
-    "KappaReport",
     "resistance_profile",
     "resistance_bruteforce",
     "kappa_assignment",
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResistanceProfile:
     """Per-vertex effective resistance to the marked set below.
 
@@ -54,30 +55,6 @@ class ResistanceProfile:
     @property
     def eta_root(self) -> float:
         return float(self.eta_bar[self.root])
-
-
-class KappaReport:
-    """Residuals of the kappa identity suite; see :func:`verify_kappa`."""
-
-    def __init__(self, residuals: dict[str, float], tol: float):
-        self.residuals = residuals
-        self.tol = tol
-
-    @property
-    def failures(self) -> list[str]:
-        return [name for name, r in self.residuals.items() if not (r <= self.tol)]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    def __repr__(self) -> str:
-        status = "ok" if self.passed else "FAIL " + ",".join(self.failures)
-        return f"KappaReport({status}, max_residual={self.max_residual:.3e})"
 
 
 def resistance_profile(st: SolutionTree) -> ResistanceProfile:
@@ -184,10 +161,10 @@ def kappa_eta(st: SolutionTree, kappa: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_kappa(st: SolutionTree, kappa: np.ndarray, tol: float = 1e-10) -> KappaReport:
-    """Check every identity the kappa weights must satisfy.
+def verify_kappa(st: SolutionTree, kappa: np.ndarray) -> dict[str, float]:
+    """Residual of every identity the kappa weights must satisfy, by name.
 
-    Residuals reported per identity:
+    Each residual is 0 for exact weights; the caller picks the tolerance.
 
     * ``child_sum``         -- kappa_v equals the sum over children (flow rule)
     * ``normalization``     -- squared weights off the root sum to 1
@@ -249,4 +226,4 @@ def verify_kappa(st: SolutionTree, kappa: np.ndarray, tol: float = 1e-10) -> Kap
     on_tree = np.array([kappa[v] for v in order])
     res["sign_uniform"] = 0.0 if (np.all(on_tree > 0) or np.all(on_tree < 0)) else 1.0
 
-    return KappaReport(res, tol)
+    return res

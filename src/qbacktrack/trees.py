@@ -63,7 +63,7 @@ class NoSolutionTree(ValueError):
     """Raised when a solution tree is requested for an empty marked set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
     """A rooted tree on dense integer vertex ids.
 
@@ -229,10 +229,6 @@ class MarkingOracle:
         dup.root_was_marked = self.root_was_marked
         return dup
 
-    @property
-    def n_vertices(self) -> int:
-        return int(self._marks.shape[0])
-
 
 @dataclass(frozen=True)
 class MarkedSet:
@@ -250,7 +246,7 @@ class MarkedSet:
         return self.per_subtree.get(v, frozenset())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionTree:
     """The subtree spanned by all root-to-M paths.
 

@@ -29,8 +29,12 @@ routines give the spectrum:
   matrix: 1x1 blocks are +/-1 eigenvalues, 2x2 rotation blocks give
   conjugate eigenphase pairs.  Its basis is not orthonormal when a repeated
   +/-1 eigenvalue comes back as a near-identity 2x2 block (ROADMAP item 0).
-  The search (``WalkSimulator.spectral``), the backend-equivalence suite,
-  ``descent.quantum_vs_chain_check`` and the CLI's ``spectrum`` read it.
+  Three readers remain: the search (``WalkSimulator.spectral``), the
+  backend-equivalence suite (``experiments.suite_backend_equivalence``) and
+  ``descent.quantum_vs_chain_check``.  The benchmark's trace sites pin them:
+  they wrap ``WalkSimulator.spectral``, ``suite_backend_equivalence`` and
+  ``spectral_decomposition`` as the search, ``experiments`` and ``descent``
+  import it.
 
 Analytic states (all expressed over the vertex basis):
 
@@ -75,7 +79,7 @@ __all__ = [
 _SIGMA_ZERO = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkOperator:
     """One step of the walk, ``R_B R_A`` on span(V), held as its stars.
 
@@ -114,14 +118,16 @@ class WalkOperator:
         return self.reflect(self.reflect(x), odd=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Unit eigenvectors with eigenphases in (-pi/2, pi/2].
 
     ``vectors[:, j]`` has eigenvalue ``exp(2i * phases[j])``.  Real
     eigenvectors are stored as complex with zero imaginary part.  The basis
     is orthonormal when :func:`szegedy_spectrum` built it, and not always
-    when :func:`spectral_decomposition` did.
+    when :func:`spectral_decomposition` did; the Schur basis is read only by
+    ``WalkSimulator.spectral``, ``suite_backend_equivalence`` and
+    ``quantum_vs_chain_check``.
     """
 
     phases: np.ndarray

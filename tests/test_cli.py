@@ -80,10 +80,16 @@ class TestResistance:
 
 class TestSpectrum:
     def test_weights_sum_to_one(self, star_file, tmp_path):
-        code, text = run_cli(["spectrum", "--tree", star_file, "--eta", "0.5"], tmp_path)
-        assert code == 0
-        rows = json.loads(text)
-        assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=1e-10)
+        # star_64_4 has repeated +/-1 eigenvalues, on which a Schur basis is
+        # not orthonormal: there its root weights summed to 1.124 and 1.219
+        big_star = tmp_path / "star64.json"
+        assert main(["gen-tree", "--kind", "star", "--size", "64", "--marked", "4",
+                     "--output", str(big_star)]) == 0
+        for tree, eta in [(star_file, "0.5"), (str(big_star), "1"), (str(big_star), "0.25")]:
+            code, text = run_cli(["spectrum", "--tree", tree, "--eta", eta], tmp_path)
+            assert code == 0
+            rows = json.loads(text)
+            assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=1e-10), (tree, eta)
 
 
 class TestRunners:
@@ -209,6 +215,16 @@ class TestDescentSim:
         )
         assert code == 1
 
+    def test_one_trial_is_strict_json(self, star_file, tmp_path):
+        code, text = run_cli(["descent-sim", "--tree", star_file, "--trials", "1"], tmp_path)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        data = json.loads(text, parse_constant=reject)
+        assert data["mc_stderr"] == "inf"
+
 
 class TestVerifyAll:
     def test_small_corpus_passes(self, tmp_path):
@@ -253,6 +269,24 @@ class TestReproducibility:
         out1.unlink()
         assert main(["run", "--spec", str(spec)]) == 0
         assert out1.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"command": "estimate-res"},
+            {"command": 1, "options": {}},
+            {"command": "detect", "options": []},
+            {"command": "run", "options": {}},
+            [],
+        ],
+    )
+    def test_malformed_spec_exits_2(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--spec", str(path)])
+        assert exc.value.code == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_same_seed_same_bytes(self, star_file, tmp_path):
         _, a = run_cli(["find-marked", "--tree", star_file, "--seed", "9"], tmp_path, "a.json")

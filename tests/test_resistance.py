@@ -120,21 +120,19 @@ class TestKappa:
     def test_identity_suite_on_star(self):
         _, _, st_ = make_solution(build_star, 8, 4)
         kappa = kappa_assignment(st_, resistance_profile(st_))
-        report = verify_kappa(st_, kappa, tol=1e-12)
-        assert report.passed, report.residuals
+        residuals = verify_kappa(st_, kappa)
+        assert all(r <= 1e-12 for r in residuals.values()), residuals
 
     def test_perturbation_breaks_child_sum(self):
         _, _, st_ = make_solution(build_star, 8, 4)
         kappa = kappa_assignment(st_, resistance_profile(st_)).copy()
         kappa[1] += 1e-3
-        report = verify_kappa(st_, kappa, tol=1e-10)
-        assert "child_sum" in report.failures
+        assert verify_kappa(st_, kappa)["child_sum"] > 1e-10
 
     def test_single_edge_identities_trivial(self):
         _, _, st_ = make_solution(build_star, 1, 1)
         kappa = kappa_assignment(st_, resistance_profile(st_))
-        report = verify_kappa(st_, kappa, tol=1e-14)
-        assert report.passed
+        assert all(r <= 1e-14 for r in verify_kappa(st_, kappa).values())
 
     def test_kappa_reproduces_resistance_everywhere(self):
         for seed in (3, 17, 40):
