@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -48,6 +49,9 @@ from .trees import (
 from .walk import build_walk_operator, szegedy_spectrum
 
 
+_compact_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _plain(value):
     """``value`` in built-in JSON types, with every non-finite float spelled as a string."""
     if isinstance(value, dict):
@@ -65,12 +69,14 @@ def _plain(value):
 
 def _emit(payload, args) -> None:
     if args.out == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
+        rows = _plain(payload if isinstance(payload, list) else [payload])
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        for row in rows:  # a nested cell is written as compact strict JSON
+            writer.writerow(
+                {k: _compact_json(v) if isinstance(v, (dict, list)) else v for k, v in row.items()}
+            )
         text = buffer.getvalue()
     else:
         text = json.dumps(_plain(payload), sort_keys=True, allow_nan=False) + "\n"
@@ -275,6 +281,10 @@ def cmd_run(args) -> int:
                 argv.append(flag)
         else:
             argv.extend([flag, str(value)])
+    _, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        keys = [k for k in sorted(spec["options"]) if "--" + k.replace("_", "-") in unknown] or unknown
+        raise ValueError(f"{args.spec}: {spec['command']} has no option {', '.join(map(repr, keys))}")
     return main(argv)
 
 

@@ -83,15 +83,14 @@ class DescentChain:
 def descent_chain(st: SolutionTree, kappa: np.ndarray) -> DescentChain:
     targets: dict[int, np.ndarray] = {}
     probs: dict[int, np.ndarray] = {}
-    order = st.bfs_order()
-    descendants: dict[int, list[int]] = {v: [] for v in order}
-    for v in reversed(order):
+    descendants: dict[int, list[int]] = {}
+    for v in reversed(st.order):  # children before their parents
         acc: list[int] = []
-        for c in st.children_in(v):
+        for c in st.children[v]:
             acc.append(c)
             acc.extend(descendants[c])
         descendants[v] = acc
-    for v in order:
+    for v in st.order:
         if v in st.leaf_set.members:
             targets[v] = np.empty(0, dtype=np.int64)
             probs[v] = np.empty(0)
@@ -119,7 +118,7 @@ def exact_hitting_times(dc: DescentChain) -> HittingTimes:
     """Bottom-up dynamic program: ``E_v = 1 + sum P(u|v) E_u``."""
     tree = dc.st.tree
     expected = np.full(tree.n_vertices, np.nan)
-    for v in reversed(dc.st.bfs_order()):
+    for v in reversed(dc.st.order):
         if v in dc.st.leaf_set.members:
             expected[v] = 0.0
         else:
@@ -140,7 +139,7 @@ def absorption_pmf(dc: DescentChain) -> np.ndarray:
     members = dc.st.leaf_set.members
     horizon = max(int(tree.depth[m]) for m in members) - int(tree.depth[dc.root]) + 1
     law = np.zeros((tree.n_vertices, horizon))
-    for v in reversed(dc.st.bfs_order()):
+    for v in reversed(dc.st.order):
         if v in members:
             law[v, 0] = 1.0
         else:
@@ -163,9 +162,9 @@ def per_vertex_hitting_bound(dc: DescentChain) -> np.ndarray:
     kappa = dc.kappa
     eta = kappa_eta(dc.st, kappa)
     out = np.full(dc.st.tree.n_vertices, np.nan)
-    for v in dc.st.bfs_order():
+    for v in dc.st.order:
         total = 0.0
-        for m in dc.st.leaf_set.below(v):
+        for m in dc.st.below[v]:
             total += (kappa[m] / kappa[v]) * math.log2(kappa[v] * (eta[v] + 1.0) / kappa[m])
         out[v] = total
     return out

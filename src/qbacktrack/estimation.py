@@ -156,13 +156,19 @@ def _check_ancillas(s: int) -> None:
         raise ResourceLimitError(f"s = {s} exceeds the cap of {MAX_ANCILLAS}")
 
 
-def _spectral_amplitudes(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
-    """Eigenbasis amplitudes of a unit input, after the checks both spectral laws make."""
+def _unit_input(input_state: np.ndarray, s: int, dtype=None) -> np.ndarray:
+    """The input as an array, after the ancilla and unit-norm checks every PE law makes."""
     _check_ancillas(s)
-    state = np.asarray(input_state, dtype=complex)
+    state = np.asarray(input_state, dtype=dtype)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("input state must be normalized")
-    return sd.amplitudes(state)
+    return state
+
+
+def _check_joint_size(s: int, dim: int) -> None:
+    """The ``2^s x |V|`` cap on a joint law or a gate-level register."""
+    if (1 << s) * dim > GATE_DIM_CAP:
+        raise ResourceLimitError(f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries")
 
 
 def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> tuple[float, np.ndarray]:
@@ -172,7 +178,7 @@ def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) 
     ``vertex_given_zero`` the vertex distribution given it (zeros when
     ``p_zero`` is 0), a fresh array.  Cost is independent of ``2^s``.
     """
-    lam = _spectral_amplitudes(sd, input_state, s)
+    lam = sd.amplitudes(_unit_input(input_state, s, complex))
     weighted = lam * pe_kernel_amplitude(sd.phases, s)
     amp_zero = sd.vectors @ weighted
     p_zero = float(np.sum(np.abs(weighted) ** 2))
@@ -194,11 +200,10 @@ def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.n
     evaluated only on the eigenphases with ``lam_j != 0`` (3 of 32 for the
     root of a 31-leaf star), which drops no term of the sum.
     """
-    lam = _spectral_amplitudes(sd, input_state, s)
+    lam = sd.amplitudes(_unit_input(input_state, s, complex))
     m = 1 << s
     dim = lam.shape[0]
-    if m * dim > GATE_DIM_CAP:
-        raise ResourceLimitError(f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries")
+    _check_joint_size(s, dim)
     support = np.flatnonzero(lam)
     phases, weights = sd.phases[support], lam[support]
     basis_t = sd.vectors[:, support].T
@@ -242,16 +247,10 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     one joint-sized law.  No eigendecomposition is used, so this matches
     :func:`pe_joint` to floating-point accuracy as an independent check.
     """
-    _check_ancillas(s)
-    state = np.asarray(input_state)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-        raise ValueError("input state must be normalized")
+    state = _unit_input(input_state, s)  # keeps a real input real
     m = 1 << s
     dim = state.shape[0]
-    if m * dim > GATE_DIM_CAP:
-        raise ResourceLimitError(
-            f"statevector of size 2^{s} x {dim} exceeds the cap of 2^22 amplitudes"
-        )
+    _check_joint_size(s, dim)
     register = np.empty((dim, m), dtype=np.result_type(state, op.matrix))
     register[:, 0] = state
     power = op.matrix

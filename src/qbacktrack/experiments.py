@@ -260,7 +260,7 @@ def _suite_resistance_oracles(suite: SuiteResult, b: _TreeBundle) -> None:
 def _suite_resistance_interval(suite: SuiteResult, b: _TreeBundle) -> None:
     """``max(1/|M|, 1/d_root) <= eta_bar <=`` the solution tree's depth."""
     tree, members = b.st.tree, b.st.leaf_set.members
-    d_root = max(1, len(b.st.children_in(tree.root)))
+    d_root = max(1, len(b.st.children[tree.root]))
     depth_st = max(int(tree.depth[m]) for m in members)
     suite.require(
         b.name,

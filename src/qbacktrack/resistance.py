@@ -15,8 +15,9 @@ identity the weights must satisfy and returns a ``dict`` of the seven
 residuals keyed by identity name; the caller compares them with its own
 tolerance.
 
-Subtrees without marked vertices carry resistance ``inf``, which simply
-drops out of the parallel sums.  All arithmetic is 64-bit floating point.
+Vertices off the solution tree carry resistance ``inf``; the recursion never
+visits them, since an infinite resistance drops out of a parallel sum.  All
+arithmetic is 64-bit floating point.
 """
 
 from __future__ import annotations
@@ -58,22 +59,18 @@ class ResistanceProfile:
 
 
 def resistance_profile(st: SolutionTree) -> ResistanceProfile:
-    """Bottom-up series/parallel recursion over the full tree."""
+    """Bottom-up series/parallel recursion over the solution tree; ``inf`` off it."""
     tree = st.tree
     members = st.leaf_set.members
-    n = tree.n_vertices
-    eta = np.full(n, np.inf)
-    order = tree.subtree_vertices(tree.root)
-    for v in reversed(order):
+    eta = np.full(tree.n_vertices, np.inf)
+    for v in reversed(st.order):
         if v in members:
             eta[v] = 0.0
             continue
         acc = 0.0
-        for c in tree.children[v]:
-            if np.isfinite(eta[c]):
-                acc += 1.0 / (eta[c] + 1.0)
-        if acc > 0.0:
-            eta[v] = 1.0 / acc
+        for c in st.children[v]:
+            acc += 1.0 / (eta[c] + 1.0)
+        eta[v] = 1.0 / acc
     finite = eta[np.isfinite(eta)]
     eta_max = float(finite.max()) if finite.size else np.inf
     eta.setflags(write=False)
@@ -90,7 +87,7 @@ def resistance_bruteforce(st: SolutionTree) -> float:
     """
     tree = st.tree
     members = st.leaf_set.members
-    interior = [v for v in st.bfs_order() if v not in members]
+    interior = [v for v in st.order if v not in members]
     if not interior:
         raise ValueError("solution tree has no interior vertices")
     index = {v: i for i, v in enumerate(interior)}
@@ -98,7 +95,7 @@ def resistance_bruteforce(st: SolutionTree) -> float:
     lap = np.zeros((m + 1, m + 1))  # last row/col is the merged sink
     sink = m
     for v in interior:
-        for c in st.children_in(v):
+        for c in st.children[v]:
             a = index[v]
             b = index[c] if c not in members else sink
             lap[a, a] += 1.0
@@ -129,8 +126,8 @@ def kappa_assignment(st: SolutionTree, rp: ResistanceProfile) -> np.ndarray:
     n = tree.n_vertices
     kappa = np.zeros(n)
     kappa[tree.root] = 1.0
-    for v in st.bfs_order():
-        for c in st.children_in(v):
+    for v in st.order:
+        for c in st.children[v]:
             kappa[c] = kappa[v] * rp.eta_bar[v] / (rp.eta_bar[c] + 1.0)
     mask = np.ones(n, dtype=bool)
     mask[tree.root] = False
@@ -143,8 +140,8 @@ def kappa_assignment(st: SolutionTree, rp: ResistanceProfile) -> np.ndarray:
 def subtree_energy(st: SolutionTree, kappa: np.ndarray) -> np.ndarray:
     """Squared weights summed over each solution-tree subtree (0 elsewhere)."""
     energy = np.zeros(st.tree.n_vertices)
-    for v in reversed(st.bfs_order()):
-        energy[v] = kappa[v] ** 2 + sum(energy[c] for c in st.children_in(v))
+    for v in reversed(st.order):
+        energy[v] = kappa[v] ** 2 + sum(energy[c] for c in st.children[v])
     return energy
 
 
@@ -156,7 +153,7 @@ def kappa_eta(st: SolutionTree, kappa: np.ndarray) -> np.ndarray:
     """
     energy = subtree_energy(st, kappa)
     out = np.full(st.tree.n_vertices, np.nan)
-    for v in st.bfs_order():
+    for v in st.order:
         out[v] = energy[v] / kappa[v] ** 2 - 1.0
     return out
 
@@ -181,27 +178,25 @@ def verify_kappa(st: SolutionTree, kappa: np.ndarray) -> dict[str, float]:
     """
     tree = st.tree
     members = st.leaf_set.members
-    order = st.bfs_order()
 
     res: dict[str, float] = {}
 
     child_sum = 0.0
-    for v in order:
+    for v in st.order:
         if v in members:
             continue
-        child_sum = max(child_sum, abs(kappa[v] - sum(kappa[c] for c in st.children_in(v))))
+        child_sum = max(child_sum, abs(kappa[v] - sum(kappa[c] for c in st.children[v])))
     res["child_sum"] = child_sum
 
-    off_root = [v for v in order if v != tree.root]
-    res["normalization"] = abs(sum(kappa[v] ** 2 for v in off_root) - 1.0)
+    res["normalization"] = abs(sum(kappa[v] ** 2 for v in st.order[1:]) - 1.0)
 
     prefix = np.zeros(tree.n_vertices)
-    for v in order:
+    for v in st.order:
         prefix[v] = kappa[v] + (prefix[tree.parent[v]] if v != tree.root else 0.0)
     leaf_prefixes = np.array([prefix[m] for m in sorted(members)])
     res["path_balance"] = float(np.ptp(leaf_prefixes)) if leaf_prefixes.size else 0.0
 
-    below = {v: sum(kappa[m] for m in st.leaf_set.below(v)) for v in order}
+    below = {v: sum(kappa[m] for m in st.below[v]) for v in st.order}
     total_marked = sum(kappa[m] for m in members)
     leaf_product = 0.0
     for m in members:
@@ -212,8 +207,8 @@ def verify_kappa(st: SolutionTree, kappa: np.ndarray) -> dict[str, float]:
 
     energy = subtree_energy(st, kappa)
     energy_gap = 0.0
-    for v in order:
-        m = next(iter(st.leaf_set.below(v)))
+    for v in st.order:
+        m = next(iter(st.below[v]))
         path_sum = prefix[m] - prefix[v] + kappa[v]
         energy_gap = max(energy_gap, abs(kappa[v] * path_sum - energy[v]))
     res["subtree_energy"] = energy_gap
@@ -223,7 +218,7 @@ def verify_kappa(st: SolutionTree, kappa: np.ndarray) -> dict[str, float]:
         root_path = max(root_path, abs(kappa[tree.root] * (prefix[m] - kappa[tree.root]) - 1.0))
     res["root_path_product"] = root_path
 
-    on_tree = np.array([kappa[v] for v in order])
+    on_tree = np.array([kappa[v] for v in st.order])
     res["sign_uniform"] = 0.0 if (np.all(on_tree > 0) or np.all(on_tree < 0)) else 1.0
 
     return res

@@ -11,8 +11,9 @@ construction except for the oracle's query counter and its unmark overlay.
 
 :func:`tree_from_children` is the one place a tree is checked: every
 generator, the JSON loader and the walk simulator's re-rooting build their
-trees through it, and it derives parents and depths from the children lists
-instead of trusting them.
+trees through it, and it derives parents, depths and the breadth-first order
+from the children lists instead of trusting them.  Likewise, the solution
+tree's shape is built in one place, :func:`solution_tree`.
 
 By convention the root is never marked.  If a raw marking says otherwise, the
 oracle records the fact (``root_was_marked``) and reports the root unmarked
@@ -68,7 +69,7 @@ class Tree:
     """A rooted tree on dense integer vertex ids.
 
     Build one with :func:`tree_from_children`, which checks the children
-    lists and derives ``parent`` and ``depth`` from them.
+    lists and derives ``parent``, ``depth`` and ``order`` from them.
 
     Parameters
     ----------
@@ -80,6 +81,9 @@ class Tree:
         ``children[v]`` lists the children of ``v`` in order.
     depth : np.ndarray
         ``depth[v]`` is the number of edges from the root to ``v``.
+    order : tuple of int
+        Every vertex in breadth-first order from the root, children in the
+        order of their lists; parents come before their children.
     size_bound : int
         Upper bound on the number of vertices (generators record the
         realized size).
@@ -93,6 +97,7 @@ class Tree:
     parent: np.ndarray
     children: tuple[tuple[int, ...], ...]
     depth: np.ndarray
+    order: tuple[int, ...]
     size_bound: int
     depth_bound: int
     degree_bound: int
@@ -103,12 +108,7 @@ class Tree:
 
     def subtree_vertices(self, v: int) -> list[int]:
         """Vertices of the subtree rooted at ``v``, in BFS order."""
-        order = [v]
-        head = 0
-        while head < len(order):
-            order.extend(self.children[order[head]])
-            head += 1
-        return order
+        return _bfs(self.children, v)
 
     def path_from_root(self, v: int) -> list[int]:
         """Vertices on the root-to-``v`` path, root first."""
@@ -117,6 +117,16 @@ class Tree:
             back.append(int(self.parent[back[-1]]))
         back.reverse()
         return back
+
+
+def _bfs(children: Sequence[Sequence[int]], start: int) -> list[int]:
+    """The vertices reachable from ``start``, breadth-first, children in list order."""
+    order = [start]
+    head = 0
+    while head < len(order):
+        order.extend(children[order[head]])
+        head += 1
+    return order
 
 
 def _is_id(x) -> bool:
@@ -141,7 +151,7 @@ def tree_from_children(
     n = len(children)
     if not (_is_id(root) and 0 <= root < n):
         raise TreeStructureError("ids", f"root id {root!r} out of range")
-    parent = np.full(n, -1, dtype=np.int64)
+    parent = [-1] * n
     for v, kids in enumerate(children):
         for c in kids:
             if not (_is_id(c) and 0 <= c < n):
@@ -153,25 +163,22 @@ def tree_from_children(
                     "multiple_parents", f"vertex {c} has more than one parent"
                 )
             parent[c] = v
-    depth = np.zeros(n, dtype=np.int64)
-    order = [root]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for c in children[v]:
-            depth[c] = depth[v] + 1
-            order.append(c)
+    order = _bfs(children, root)
     if len(order) != n:
         orphans = any(parent[v] == -1 for v in range(n) if v != root)
         tag = "disconnected" if orphans else "cycle"
         raise TreeStructureError(tag, f"{n - len(order)} vertices unreachable from root")
+    depth = [0] * n
+    for v in order[1:]:  # a parent comes before its children
+        depth[v] = depth[parent[v]] + 1
     degree = max((len(kids) + (v != root) for v, kids in enumerate(children)), default=0)
-    realized = (n, int(depth.max(initial=0)), degree)
+    realized = (n, depth[order[-1]], degree)
     if bounds is None:
         bounds = realized
     elif not all(b >= r for b, r in zip(bounds, realized)):
         raise TreeStructureError("ids", f"bounds {tuple(bounds)} fall below the realized {realized}")
+    parent = np.array(parent, dtype=np.int64)
+    depth = np.array(depth, dtype=np.int64)
     parent.setflags(write=False)
     depth.setflags(write=False)
     return Tree(
@@ -179,6 +186,7 @@ def tree_from_children(
         parent=parent,
         children=tuple(tuple(k) for k in children),
         depth=depth,
+        order=tuple(order),
         size_bound=bounds[0],
         depth_bound=bounds[1],
         degree_bound=bounds[2],
@@ -232,43 +240,29 @@ class MarkingOracle:
 
 @dataclass(frozen=True)
 class MarkedSet:
-    """The shallowest marked vertices M and the per-subtree map M(v).
+    """M, the marked vertices with no marked ancestor.
 
-    ``members`` holds marked vertices with no marked ancestor.
-    ``per_subtree[v]`` is M intersected with the subtree of ``v``; vertices
-    with an empty intersection are omitted from the dict.
+    The marks below each vertex are the solution tree's ``below``.
     """
 
     members: frozenset[int]
-    per_subtree: dict[int, frozenset[int]]
-
-    def below(self, v: int) -> frozenset[int]:
-        return self.per_subtree.get(v, frozenset())
 
 
 @dataclass(frozen=True, eq=False)
 class SolutionTree:
-    """The subtree spanned by all root-to-M paths.
+    """The subtree spanned by all root-to-M paths; its leaves are exactly M.
 
-    Its leaves are exactly the shallowest marked vertices.  Edges are
-    inherited from the parent tree; ``children_in`` restricts a vertex's
-    children to the solution tree.
+    ``order`` holds the ``vertices`` in the tree's breadth-first order;
+    ``children[v]`` are the children of ``v`` in the solution tree, in tree
+    order, and ``below[v]`` is M intersected with the subtree of ``v``.
     """
 
     tree: Tree
     vertices: frozenset[int]
     leaf_set: MarkedSet
-
-    def children_in(self, v: int) -> tuple[int, ...]:
-        return tuple(c for c in self.tree.children[v] if c in self.vertices)
-
-    def bfs_order(self) -> list[int]:
-        order = [self.tree.root]
-        head = 0
-        while head < len(order):
-            order.extend(self.children_in(order[head]))
-            head += 1
-        return order
+    order: tuple[int, ...]
+    children: dict[int, tuple[int, ...]]
+    below: dict[int, frozenset[int]]
 
     @property
     def root(self) -> int:
@@ -361,12 +355,7 @@ def build_random_tree(
         if capacity[host] == 0:
             del capacity[host]
         capacity[new] = d - 1
-    # breadth-first relabel
-    order = [0]
-    head = 0
-    while head < len(order):
-        order.extend(kids[order[head]])
-        head += 1
+    order = _bfs(kids, 0)  # breadth-first relabel
     new_id = {old: i for i, old in enumerate(order)}
     children = [tuple(new_id[c] for c in kids[old]) for old in order]
     tree = tree_from_children(children)
@@ -451,39 +440,46 @@ def shallowest_marked(tree: Tree, oracle: MarkingOracle) -> MarkedSet:
     """Extract M, the marked vertices without marked ancestors.
 
     Descends breadth-first and stops below every marked vertex, so each
-    vertex at-or-above M costs exactly one f-query.  Also returns the map
-    ``v -> M(v)`` for ancestors of members.
+    vertex at-or-above M costs exactly one f-query.
     """
+    oracle(tree.root)  # counted; normalized root always reports unmarked
     members: list[int] = []
-    queue = [tree.root]
+    queue = list(tree.children[tree.root])
     head = 0
     while head < len(queue):
         v = queue[head]
         head += 1
-        if v != tree.root and oracle(v):
+        if oracle(v):
             members.append(v)
-            continue
-        if v == tree.root:
-            oracle(v)  # counted; normalized root always reports unmarked
-        queue.extend(tree.children[v])
-    per: dict[int, set[int]] = {}
-    for m in members:
-        for u in tree.path_from_root(m):
-            per.setdefault(u, set()).add(m)
-    return MarkedSet(
-        members=frozenset(members),
-        per_subtree={v: frozenset(s) for v, s in per.items()},
-    )
+        else:
+            queue.extend(tree.children[v])
+    return MarkedSet(members=frozenset(members))
 
 
 def solution_tree(tree: Tree, marked: MarkedSet) -> SolutionTree:
-    """Union of the root-to-m paths over m in M; leaves are exactly M."""
+    """Union of the root-to-m paths over m in M; leaves are exactly M.
+
+    One pass up the members' root paths, members in tree order, fills ``below``.
+    """
     if not marked.members:
         raise NoSolutionTree("marked set is empty; no solution tree exists")
-    vertices: set[int] = set()
-    for m in marked.members:
-        vertices.update(tree.path_from_root(m))
-    return SolutionTree(tree=tree, vertices=frozenset(vertices), leaf_set=marked)
+    parent = tree.parent.tolist()
+    below: dict[int, set[int]] = {}
+    for m in tree.order:
+        if m in marked.members:
+            u = m
+            while u != -1:
+                below.setdefault(u, set()).add(m)
+                u = parent[u]
+    order = tuple(v for v in tree.order if v in below)
+    return SolutionTree(
+        tree=tree,
+        vertices=frozenset(below),
+        leaf_set=marked,
+        order=order,
+        children={v: tuple(c for c in tree.children[v] if c in below) for v in order},
+        below={v: frozenset(below[v]) for v in order},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -351,9 +351,7 @@ def szegedy_spectrum(op: WalkOperator) -> SpectralDecomposition:
     marked = np.flatnonzero(np.where(even, amp_a, amp_b) == 0.0)  # they own no star
     paths = np.zeros((n, marked.shape[0]))
     for k, m in enumerate(marked):
-        path = tree.path_from_root(int(m))
-        paths[path, k] = np.where(even[path], 1.0, -1.0)
-        paths[tree.root, k] = np.sqrt(op.eta)
+        paths[:, k] = _path_vector(tree, int(m), op.eta)
 
     vectors = np.empty((n, n), dtype=complex)
     half = np.sqrt(0.5)
@@ -378,6 +376,15 @@ def _alternating_sign(depth: np.ndarray) -> np.ndarray:
     return np.where(depth % 2 == 0, 1.0, -1.0)
 
 
+def _path_vector(tree: Tree, m: int, eta: float) -> np.ndarray:
+    """The unnormalised path vector of ``m``: ``sqrt(eta)`` at the root, ``(-1)^depth`` below."""
+    amp = np.zeros(tree.n_vertices)
+    path = tree.path_from_root(m)
+    amp[path] = _alternating_sign(tree.depth[path])
+    amp[tree.root] = np.sqrt(eta)
+    return amp
+
+
 def phi_m_state(
     tree: Tree, marked: MarkedSet, m: int, eta: float, normalized: bool = True
 ) -> np.ndarray:
@@ -388,11 +395,7 @@ def phi_m_state(
     """
     if m not in marked.members:
         raise ValueError(f"vertex {m} is not in the shallowest marked set")
-    amp = np.zeros(tree.n_vertices)
-    amp[tree.root] = np.sqrt(eta)
-    for v in tree.path_from_root(m):
-        if v != tree.root:
-            amp[v] = (-1.0) ** int(tree.depth[v])
+    amp = _path_vector(tree, m, eta)
     return amp / np.linalg.norm(amp) if normalized else amp
 
 
@@ -433,10 +436,7 @@ def xi_vector(st: SolutionTree, kappa: np.ndarray, eta: float) -> np.ndarray:
     alpha = np.zeros(n)
     alpha[tree.root] = np.cos(beta)
     prefix = np.zeros(n)  # kappa summed along the root path, root excluded
-    order = tree.subtree_vertices(tree.root)
-    for v in order:
-        if v == tree.root:
-            continue
+    for v in tree.order[1:]:
         prefix[v] = prefix[tree.parent[v]] + kappa[v]
         value = inv_kr - prefix[v]
         if tree.depth[v] % 2 == 1:

@@ -1,11 +1,17 @@
 """CLI subcommands: formats, reproducibility, exit codes."""
 
+import csv
+import io
 import json
 import math
 
 import pytest
 
 from qbacktrack.cli import main
+
+
+def reject(constant):
+    raise ValueError(f"non-JSON constant {constant}")
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -111,6 +117,26 @@ class TestRunners:
         assert code == 0
         header = text.splitlines()[0]
         assert header == "outcome,walk_queries,f_queries,h_queries,steps"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-all", "--count", "4", "--seed", "11"],
+            ["grover-scaling", "--sizes", "8,16", "--marked", "2", "--trials", "1"],
+            ["resistance"],
+        ],
+        ids=["verify-all", "grover-scaling", "resistance"],
+    )
+    def test_csv_nested_cells_are_strict_json(self, argv, star_file, tmp_path):
+        if argv == ["resistance"]:
+            argv = ["resistance", "--tree", star_file]
+        _, text = run_cli(argv + ["--out", "csv"], tmp_path, "out.csv")
+        rows = list(csv.reader(io.StringIO(text)))
+        nested = [cell for row in rows[1:] for cell in row if cell[:1] in "{["]
+        assert nested
+        for cell in nested:
+            json.loads(cell, parse_constant=reject)
+        assert not any("np." in cell for row in rows for cell in row)
 
     def test_find_marked_returns_marked(self, star_file, tmp_path):
         code, text = run_cli(["find-marked", "--tree", star_file, "--seed", "1"], tmp_path)
@@ -218,10 +244,6 @@ class TestDescentSim:
     def test_one_trial_is_strict_json(self, star_file, tmp_path):
         code, text = run_cli(["descent-sim", "--tree", star_file, "--trials", "1"], tmp_path)
         assert code == 0
-
-        def reject(constant):
-            raise ValueError(f"non-JSON constant {constant}")
-
         data = json.loads(text, parse_constant=reject)
         assert data["mc_stderr"] == "inf"
 
@@ -287,6 +309,15 @@ class TestReproducibility:
             main(["run", "--spec", str(path)])
         assert exc.value.code == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_unknown_spec_key_exits_2_naming_it(self, star_file, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"command": "detect", "options": {"tree": star_file, "jobs": 2}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--spec", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'jobs'" in err
 
     def test_same_seed_same_bytes(self, star_file, tmp_path):
         _, a = run_cli(["find-marked", "--tree", star_file, "--seed", "9"], tmp_path, "a.json")

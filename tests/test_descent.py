@@ -30,7 +30,7 @@ from qbacktrack.descent import (
     simulate_descent,
 )
 from qbacktrack.experiments import DESCENT_MC_ALPHA, default_corpus, fixture_instances
-from qbacktrack.trees import MarkedSet, SolutionTree, tree_from_children
+from qbacktrack.trees import MarkedSet, tree_from_children
 
 
 def chain_for(builder, *args, **kwargs):
@@ -41,7 +41,7 @@ def chain_for(builder, *args, **kwargs):
 
 def brute_force_hitting_time(dc, root):
     """Independent oracle: absorbing-chain linear system over the支 support."""
-    order = [v for v in dc.st.bfs_order()]
+    order = [v for v in dc.st.order]
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
     a = np.eye(n)
@@ -59,7 +59,7 @@ def brute_force_hitting_time(dc, root):
 class TestChainLaw:
     def test_rows_sum_to_one_and_absorb_at_leaves(self):
         tree, _, dc = chain_for(build_random_tree, 60, 3, 0.15, 4)
-        for v in dc.st.bfs_order():
+        for v in dc.st.order:
             if v in dc.st.leaf_set.members:
                 assert dc.targets[v].size == 0
             else:
@@ -118,7 +118,7 @@ class TestHittingTimes:
             _, _, dc = chain_for(*args)
             ht = exact_hitting_times(dc)
             bound = per_vertex_hitting_bound(dc)
-            for v in dc.st.bfs_order():
+            for v in dc.st.order:
                 if v not in dc.st.leaf_set.members:
                     assert ht.expected[v] <= bound[v] + 1e-9
 
@@ -248,8 +248,7 @@ class TestSamplerStream:
 
     def test_absorbing_root_draws_nothing(self):
         tree = tree_from_children([()])
-        marked = MarkedSet(members=frozenset({0}), per_subtree={0: frozenset({0})})
-        dc = descent_chain(SolutionTree(tree, frozenset({0}), marked), np.ones(1))
+        dc = descent_chain(solution_tree(tree, MarkedSet(members=frozenset({0}))), np.ones(1))
         assert not assert_same_stream(dc, 50, 5).any()
         rng = RecordingRng(5)
         descent_step_counts(dc, 50, rng)

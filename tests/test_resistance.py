@@ -187,7 +187,7 @@ def test_resistance_interval_and_oracle_equivalence(size, degree, seed):
     rp = resistance_profile(st_)
     assert rp.eta_root == pytest.approx(resistance_bruteforce(st_), rel=1e-9)
     k = len(marked.members)
-    d_root = len(st_.children_in(tree.root))
+    d_root = len(st_.children[tree.root])
     depth_st = max(int(tree.depth[m]) for m in marked.members)
     assert rp.eta_root >= max(1.0 / k, 1.0 / d_root) - 1e-12
     assert rp.eta_root <= depth_st + 1e-12

@@ -205,9 +205,9 @@ class TestSolutionTree:
         st = solution_tree(tree, marked)
         for v in range(tree.n_vertices):
             if v in st.vertices:
-                assert marked.below(v)
+                assert st.below[v]
             else:
-                assert not marked.below(v)
+                assert not st.below.get(v)
 
     def test_empty_marked_set_signals(self):
         tree, oracle = build_path(2, False)
@@ -331,6 +331,31 @@ def test_generated_trees_satisfy_invariants(size, degree, prob, seed):
     for m in marked.members:
         ancestors = set(tree.path_from_root(m)[:-1])
         assert not (ancestors & marked.members)
-    # per-subtree map is the intersection with the subtree
-    for v, ms in marked.per_subtree.items():
-        assert ms == marked.members & set(tree.subtree_vertices(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(min_value=2, max_value=60),
+    degree=st.integers(min_value=2, max_value=5),
+    prob=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_solution_tree_fields(size, degree, prob, seed):
+    tree, oracle = build_random_tree(size, degree, prob, seed)
+    # the tree's order holds every vertex once, each parent before its children
+    rank = {v: i for i, v in enumerate(tree.order)}
+    assert sorted(rank) == list(range(tree.n_vertices))
+    assert all(rank[int(tree.parent[v])] < rank[v] for v in tree.order[1:])
+    marked = shallowest_marked(tree, oracle)
+    if not marked.members:
+        return
+    sol = solution_tree(tree, marked)
+    # order is the breadth-first order of the solution tree's children lists
+    bfs = [tree.root]
+    for v in bfs:
+        bfs.extend(sol.children[v])
+    assert tuple(bfs) == sol.order
+    assert frozenset(sol.order) == sol.vertices
+    # below[v] is M intersected with the subtree of v
+    for v in sol.order:
+        assert sol.below[v] == marked.members & set(tree.subtree_vertices(v))
