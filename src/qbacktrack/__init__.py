@@ -40,7 +40,6 @@ from .walk import (
     phi_m_state,
     phi_perp_state,
     phi_state,
-    psi_v,
     spectral_decomposition,
     szegedy_spectrum,
     xi_vector,

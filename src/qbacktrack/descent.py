@@ -47,7 +47,6 @@ __all__ = [
     "exact_hitting_times",
     "absorption_pmf",
     "hitting_time_bound",
-    "per_vertex_hitting_bound",
     "descent_step_counts",
     "simulate_descent",
     "absorption_fit",
@@ -151,23 +150,6 @@ def hitting_time_bound(dc: DescentChain) -> float:
     """The absorption-time bound ``log2(|M| * (eta_root + 1))``."""
     eta_root = kappa_eta(dc.st, dc.kappa)[dc.root]
     return math.log2(len(dc.st.leaf_set.members) * (eta_root + 1.0))
-
-
-def per_vertex_hitting_bound(dc: DescentChain) -> np.ndarray:
-    """Refined per-vertex bound: a kappa-weighted log over the leaves below.
-
-    ``E_v <= sum_m (kappa_m / kappa_v) log2(kappa_v (eta(v) + 1) / kappa_m)``
-    over the marked leaves below ``v``.
-    """
-    kappa = dc.kappa
-    eta = kappa_eta(dc.st, kappa)
-    out = np.full(dc.st.tree.n_vertices, np.nan)
-    for v in dc.st.order:
-        total = 0.0
-        for m in dc.st.below[v]:
-            total += (kappa[m] / kappa[v]) * math.log2(kappa[v] * (eta[v] + 1.0) / kappa[m])
-        out[v] = total
-    return out
 
 
 def _row_cdf(probs: np.ndarray, targets: np.ndarray) -> list[float]:

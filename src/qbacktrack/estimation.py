@@ -8,16 +8,18 @@ the search passes the Schur spectrum, the invariant suites the orthonormal
 Szegedy one.  Two backends give the full joint (outcome x vertex) law and
 cross-check each other on small instances:
 
-* :func:`pe_joint` evaluates the kernel on the eigendecomposition, one sine
-  per (outcome, eigenphase) pair and one matrix product per block of
-  outcomes, over only the eigencomponents the input has weight on;
+* :func:`pe_joint_blocks` evaluates the kernel on the eigendecomposition,
+  one sine per (outcome, eigenphase) pair and one matrix product per block
+  of outcomes, over only the eigencomponents the input has weight on, and
+  yields the law a block of outcomes at a time; :func:`pe_joint` lays the
+  blocks into one array;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) on the
-  full ``2^s x |V|`` statevector: ``s`` matrix products fill the register,
-  an FFT per vertex row transforms it into a vertex-major law, and one
-  transposing copy makes that the outcome-major joint.  A real register
-  takes a real FFT, which yields the outcomes up to ``2^(s-1)``; the rest
-  are their exact mirror images.
+  full ``2^s x |V|`` statevector: ``s`` matrix products fill the register in
+  place, an FFT per vertex row turns it into a vertex-major law in the same
+  memory, and the outcome-major joint is returned as its transpose, a view.
+  A real register takes a real FFT, which yields the outcomes up to
+  ``2^(s-1)``; the rest are their exact mirror images.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
 ``w`` carries amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w / M))`` with
@@ -34,6 +36,7 @@ window test around ``pi/4``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from decimal import Decimal
 
 import numpy as np
@@ -49,6 +52,7 @@ __all__ = [
     "pe_kernel_amplitude",
     "pe_distribution",
     "pe_joint",
+    "pe_joint_blocks",
     "gate_level_pe",
     "ae_outcome_grid",
     "ae_outcome_distribution",
@@ -187,13 +191,15 @@ def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) 
     return p_zero, cond
 
 
-def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
-    """Joint (ancilla outcome x vertex) law of phase estimation, ``2^s x |V|``.
+def pe_joint_blocks(
+    sd: SpectralDecomposition, input_state: np.ndarray, s: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The joint law of :func:`pe_joint` a block of outcomes at a time: ``(w0, rows)``.
 
-    Raises :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the
-    gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
-    unnormalised; the full array serves as the cross-check of
-    :func:`gate_level_pe`.
+    ``rows`` is a fresh array of the outcomes ``w0 .. w0 + len(rows) - 1`` by
+    vertex, ``_BLOCK_ENTRIES // |V|`` of them (at least one) save in the last
+    block; the blocks come in outcome order.  The input checks and the
+    :class:`ResourceLimitError` cap run when the first block is asked for.
 
     The amplitude at outcome ``w`` is ``sum_j lam_j K_s(theta_j, w) v_j``, so
     an eigencomponent with ``lam_j = 0`` adds exactly nothing: the kernel is
@@ -207,16 +213,33 @@ def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.n
     support = np.flatnonzero(lam)
     phases, weights = sd.phases[support], lam[support]
     basis_t = sd.vectors[:, support].T
-    joint = np.empty((m, dim))
-    rows = max(1, _BLOCK_ENTRIES // dim)
-    for w0 in range(0, m, rows):
-        omegas = np.arange(w0, min(w0 + rows, m))
+    step = max(1, _BLOCK_ENTRIES // dim)
+    for w0 in range(0, m, step):
+        omegas = np.arange(w0, min(w0 + step, m))
         kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x eig
         kernel *= weights
         amp = kernel @ basis_t  # omega x vertex
         del kernel  # each block's temporaries go before the next block's are made
-        _abs2(amp, joint[w0 : w0 + rows])
+        rows = np.empty(amp.shape)
+        _abs2(amp, rows)
         del amp
+        yield w0, rows
+
+
+def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
+    """Joint (ancilla outcome x vertex) law of phase estimation, ``2^s x |V|``.
+
+    Raises :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the
+    gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
+    unnormalised; the full array serves as the cross-check of
+    :func:`gate_level_pe`.  The blocks of :func:`pe_joint_blocks`, laid
+    into one C-contiguous array.
+    """
+    joint = None
+    for w0, rows in pe_joint_blocks(sd, input_state, s):
+        if joint is None:  # the first block comes after the input checks
+            joint = np.empty((1 << s, rows.shape[1]))
+        joint[w0 : w0 + len(rows)] = rows
     return joint
 
 
@@ -234,17 +257,21 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
 
     Ancilla ``j`` controls ``W^(2^j)``, the walk matrix squared ``j`` times,
     so the register ``|x>|W^x psi>`` fills by doubling: its columns
-    ``2^j .. 2^(j+1) - 1`` are ``W^(2^j)`` times columns ``0 .. 2^j - 1``.
-    The register is stored vertex x ancilla index in the dtype of the state
-    and the walk (a real input stays real); the inverse Fourier transform
-    over the ancilla index then runs as an FFT along its rows, a few vertex
-    rows at a time, and each block's squared moduli overwrite the real part
-    of the rows they came from, a vertex x outcome law.  A real register
-    takes ``np.fft.rfft``, which gives the outcomes ``w <= M/2`` only; a real
-    row's transform has ``|X[M - w]|^2 = |X[w]|^2``, so the outcomes above
-    ``M/2`` are copied from their mirrors.  One transposing copy gives the
-    C-contiguous ``2^s x |V|`` joint law, so the peak is the register plus
-    one joint-sized law.  No eigendecomposition is used, so this matches
+    ``2^j .. 2^(j+1) - 1`` are ``W^(2^j)`` times columns ``0 .. 2^j - 1``,
+    written in place.  The register is stored vertex x ancilla index in the
+    dtype of the state and the walk (a real input stays real); the inverse
+    Fourier transform over the ancilla index then runs as an FFT along its
+    rows, a few vertex rows at a time into one reused buffer.  Each block's
+    squared moduli, divided by ``M^2``, overwrite the register's first
+    ``|V| * M`` doubles as the rows of a vertex x outcome law; a row's law
+    never reaches a row not yet transformed.  A real register takes
+    ``np.fft.rfft``, which gives the outcomes ``w <= M/2`` only; a real row's
+    transform has ``|X[M - w]|^2 = |X[w]|^2``, so the outcomes above ``M/2``
+    are copied from their mirrors.
+
+    Returns the ``2^s x |V|`` joint law as the transpose of that law, a
+    Fortran-ordered view of the register: the peak is the register and one
+    FFT block.  No eigendecomposition is used, so this matches
     :func:`pe_joint` to floating-point accuracy as an independent check.
     """
     state = _unit_input(input_state, s)  # keeps a real input real
@@ -256,29 +283,25 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     power = op.matrix
     for j in range(s):
         width = 1 << j
-        register[:, width : 2 * width] = power @ register[:, :width]
+        np.matmul(power, register[:, :width], out=register[:, width : 2 * width])
         if j + 1 < s:
             power = power @ power
-    # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x];
-    # each row block's |FFT|^2 overwrites the real part of the rows it was made from
-    by_vertex = register.real
+    # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x]
     real = not np.iscomplexobj(register)
+    by_vertex = register.reshape(-1).view(np.float64)[: dim * m].reshape(dim, m)
     half = m // 2
+    transform, cols = (np.fft.rfft, half + 1) if real else (np.fft.fft, m)
     rows = max(1, _BLOCK_ENTRIES // m)
+    spectrum = np.empty((min(rows, dim), cols), dtype=complex)
     for v0 in range(0, dim, rows):
         block = by_vertex[v0 : v0 + rows]
+        spec = spectrum[: len(block)]
+        transform(register[v0 : v0 + rows], axis=1, out=spec)
+        _abs2(spec, block[:, :cols])
         if real:
-            spectrum = np.fft.rfft(register[v0 : v0 + rows], axis=1)
-            _abs2(spectrum, block[:, : half + 1])
             block[:, half + 1 :] = block[:, half - 1 : 0 : -1]
-        else:
-            spectrum = np.fft.fft(register[v0 : v0 + rows], axis=1)
-            _abs2(spectrum, block)
-        del spectrum
-    joint = by_vertex.T.copy()
-    del register, by_vertex
-    joint /= float(m * m)
-    return joint
+        block /= float(m * m)
+    return by_vertex.T
 
 
 def ae_outcome_grid(s: int) -> np.ndarray:

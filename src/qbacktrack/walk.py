@@ -62,7 +62,6 @@ from .trees import MarkedSet, MarkingOracle, SolutionTree, Tree, shallowest_mark
 __all__ = [
     "WalkOperator",
     "SpectralDecomposition",
-    "psi_v",
     "build_walk_operator",
     "spectral_decomposition",
     "szegedy_spectrum",
@@ -164,24 +163,6 @@ def _star_weights(tree: Tree, eta: float) -> tuple[np.ndarray, np.ndarray]:
     leg = centre.copy()
     leg[root] = np.sqrt(eta) / norm[root]
     return centre, leg
-
-
-def psi_v(tree: Tree, v: int, eta: float, marked: frozenset[int] | MarkedSet | None = None) -> np.ndarray:
-    """The local diffusion state at an unmarked vertex.
-
-    Root: ``(|r> + sqrt(eta) * sum_children) / sqrt(1 + d_r * eta)``.
-    Elsewhere: ``(|v> + sum_children) / sqrt(d_v)`` with ``d_v`` the full
-    degree (parent plus children).  A childless non-root vertex therefore has
-    ``psi_v = |v>`` and its block flips only that axis.
-    """
-    members = marked.members if isinstance(marked, MarkedSet) else marked
-    if members and v in members:
-        raise ValueError(f"vertex {v} is marked: its diffusion block is the identity")
-    centre, leg = _star_weights(tree, eta)
-    amp = np.zeros(tree.n_vertices)
-    amp[v] = centre[v]
-    amp[list(tree.children[v])] = leg[v]
-    return amp
 
 
 def _reflection(owner: np.ndarray, amp: np.ndarray) -> np.ndarray:

@@ -25,12 +25,29 @@ from qbacktrack.descent import (
     descent_step_counts,
     exact_hitting_times,
     hitting_time_bound,
-    per_vertex_hitting_bound,
     quantum_vs_chain_check,
     simulate_descent,
 )
 from qbacktrack.experiments import DESCENT_MC_ALPHA, default_corpus, fixture_instances
+from qbacktrack.resistance import kappa_eta
 from qbacktrack.trees import MarkedSet, tree_from_children
+
+
+def per_vertex_hitting_bound(dc):
+    """Refined per-vertex bound: a kappa-weighted log over the leaves below.
+
+    ``E_v <= sum_m (kappa_m / kappa_v) log2(kappa_v (eta(v) + 1) / kappa_m)``
+    over the marked leaves below ``v``.
+    """
+    kappa = dc.kappa
+    eta = kappa_eta(dc.st, kappa)
+    out = np.full(dc.st.tree.n_vertices, np.nan)
+    for v in dc.st.order:
+        total = 0.0
+        for m in dc.st.below[v]:
+            total += (kappa[m] / kappa[v]) * math.log2(kappa[v] * (eta[v] + 1.0) / kappa[m])
+        out[v] = total
+    return out
 
 
 def chain_for(builder, *args, **kwargs):

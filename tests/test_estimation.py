@@ -347,9 +347,11 @@ class TestGateLevelMatchesLoop:
                 assert_gate_matches_loop(op, unit_state(rng, tree.n_vertices, complex_input), s)
 
     def test_joint_is_a_contiguous_outcome_by_vertex_array(self, star_8_2):
+        # the law is the transpose of the register it was computed in: no copy is made
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
         joint = gate_level_pe(op, root_state(9), 6)
-        assert joint.shape == (64, 9) and joint.dtype == np.float64 and joint.flags.c_contiguous
+        assert joint.shape == (64, 9) and joint.dtype == np.float64 and joint.flags.f_contiguous
+        assert not joint.flags.owndata and joint.base.nbytes == joint.nbytes
 
 
 @settings(max_examples=30, deadline=None)
@@ -388,7 +390,13 @@ class TestRealRegister:
 
 
 class TestJointMemory:
-    """The s = 17 backend-equivalence instance stays within three joints of memory."""
+    """Peak memory on the s = 17 backend-equivalence instance, in joints.
+
+    The circuit holds its register and one FFT block; the spectral joint is
+    the array it returns plus a block's temporaries.
+    """
+
+    JOINTS = {"gate_level": 1.25, "spectral": 3}
 
     S = 17
 
@@ -411,7 +419,7 @@ class TestJointMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * joint_bytes
+        assert peak <= self.JOINTS[backend] * joint_bytes
 
 
 class TestTotalVariation:

@@ -9,7 +9,9 @@ import pytest
 
 from qbacktrack import experiments
 from qbacktrack.descent import descent_step_counts
+from qbacktrack.estimation import gate_level_pe, pe_joint, total_variation
 from qbacktrack.experiments import suite_descent_monte_carlo, suite_search_statistics
+from qbacktrack.walk import build_walk_operator, spectral_decomposition
 
 CHAINS = {"single_edge", "star_10_4", "path_5", "random_40"}
 # Fewer trials than the acceptance run keeps these fast; every fault below
@@ -111,7 +113,7 @@ def test_bundle_suites_form_no_dense_walk():
 
 
 def test_backend_equivalence_peak_memory():
-    # gate level runs first and frees its buffers before the spectral joint exists
+    # the circuit's register is the one joint-sized array; the spectral law comes a block at a time
     joint_bytes = (1 << 17) * 32 * np.dtype(float).itemsize  # star_31_4_s17
     tracemalloc.start()
     try:
@@ -120,7 +122,22 @@ def test_backend_equivalence_peak_memory():
     finally:
         tracemalloc.stop()
     assert suite.passed, suite.failures
-    assert peak <= 2.5 * joint_bytes
+    assert peak <= 1.5 * joint_bytes
+
+
+def test_backend_equivalence_streamed_residual_is_whole_joint_tv():
+    # tol -1 fails every instance, so each residual is recorded
+    streamed = {f["instance"]: f["residual"] for f in experiments.suite_backend_equivalence(tol=-1.0).failures}
+    rows = experiments.backend_equivalence_instances()
+    assert sorted(streamed) == sorted(row[0] for row in rows)
+    for name, tree, oracle, eta, s in rows:
+        op = build_walk_operator(tree, oracle, eta)
+        root = np.zeros(tree.n_vertices)
+        root[tree.root] = 1.0
+        whole = total_variation(
+            pe_joint(spectral_decomposition(op), root, s).ravel(), gate_level_pe(op, root, s).ravel()
+        )
+        assert streamed[name] == whole, name
 
 
 def test_verify_all_rejects_unknown_fault_before_any_work(monkeypatch):

@@ -19,7 +19,6 @@ from qbacktrack import (
     phi_m_state,
     phi_perp_state,
     phi_state,
-    psi_v,
     resistance_profile,
     shallowest_marked,
     solution_tree,
@@ -30,7 +29,26 @@ from qbacktrack import (
 from conftest import make_instance, reconstruct
 from qbacktrack.experiments import default_corpus
 from qbacktrack.estimation import gate_level_pe
-from qbacktrack.trees import build_path, tree_from_json
+from qbacktrack.trees import MarkedSet, build_path, tree_from_json
+from qbacktrack.walk import _star_weights
+
+
+def psi_v(tree, v, eta, marked=None):
+    """The local diffusion state at an unmarked vertex.
+
+    Root: ``(|r> + sqrt(eta) * sum_children) / sqrt(1 + d_r * eta)``.
+    Elsewhere: ``(|v> + sum_children) / sqrt(d_v)`` with ``d_v`` the full
+    degree (parent plus children).  A childless non-root vertex therefore has
+    ``psi_v = |v>`` and its block flips only that axis.
+    """
+    members = marked.members if isinstance(marked, MarkedSet) else marked
+    if members and v in members:
+        raise ValueError(f"vertex {v} is marked: its diffusion block is the identity")
+    centre, leg = _star_weights(tree, eta)
+    amp = np.zeros(tree.n_vertices)
+    amp[v] = centre[v]
+    amp[list(tree.children[v])] = leg[v]
+    return amp
 
 
 def random_instances(count, size=40, mark_prob=0.15, start_seed=0):
