@@ -8,11 +8,11 @@ the search passes the Schur spectrum, the invariant suites the orthonormal
 Szegedy one.  Two backends give the full joint (outcome x vertex) law and
 cross-check each other on small instances:
 
-* :func:`pe_joint_blocks` evaluates the kernel on the eigendecomposition,
-  one sine per (outcome, eigenphase) pair and one matrix product per block
-  of outcomes, over only the eigencomponents the input has weight on, and
-  yields the law a block of outcomes at a time; :func:`pe_joint` lays the
-  blocks into one array;
+* :func:`pe_joint` evaluates the kernel on the eigendecomposition, one sine
+  per (outcome, eigenphase) pair and one matrix product per block of
+  outcomes, over only the eigencomponents the input has weight on; the
+  blocks come from one iterator, which the backend-equivalence suite reads
+  a block at a time;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) on the
   full ``2^s x |V|`` statevector: ``s`` matrix products fill the register in
@@ -52,7 +52,6 @@ __all__ = [
     "pe_kernel_amplitude",
     "pe_distribution",
     "pe_joint",
-    "pe_joint_blocks",
     "gate_level_pe",
     "ae_outcome_grid",
     "ae_outcome_distribution",
@@ -191,7 +190,7 @@ def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) 
     return p_zero, cond
 
 
-def pe_joint_blocks(
+def _pe_joint_blocks(
     sd: SpectralDecomposition, input_state: np.ndarray, s: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The joint law of :func:`pe_joint` a block of outcomes at a time: ``(w0, rows)``.
@@ -232,13 +231,13 @@ def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.n
     Raises :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the
     gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
     unnormalised; the full array serves as the cross-check of
-    :func:`gate_level_pe`.  The blocks of :func:`pe_joint_blocks`, laid
+    :func:`gate_level_pe`.  The blocks of the outcome-block iterator, laid
     into one C-contiguous array.
     """
-    joint = None
-    for w0, rows in pe_joint_blocks(sd, input_state, s):
-        if joint is None:  # the first block comes after the input checks
-            joint = np.empty((1 << s, rows.shape[1]))
+    dim = _unit_input(input_state, s).shape[0]
+    _check_joint_size(s, dim)
+    joint = np.empty((1 << s, dim))
+    for w0, rows in _pe_joint_blocks(sd, input_state, s):
         joint[w0 : w0 + len(rows)] = rows
     return joint
 
@@ -261,18 +260,20 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     written in place.  The register is stored vertex x ancilla index in the
     dtype of the state and the walk (a real input stays real); the inverse
     Fourier transform over the ancilla index then runs as an FFT along its
-    rows, a few vertex rows at a time into one reused buffer.  Each block's
-    squared moduli, divided by ``M^2``, overwrite the register's first
-    ``|V| * M`` doubles as the rows of a vertex x outcome law; a row's law
-    never reaches a row not yet transformed.  A real register takes
-    ``np.fft.rfft``, which gives the outcomes ``w <= M/2`` only; a real row's
-    transform has ``|X[M - w]|^2 = |X[w]|^2``, so the outcomes above ``M/2``
-    are copied from their mirrors.
+    rows, a few vertex rows at a time.  Each block's squared moduli, divided
+    by ``M^2``, overwrite the register's first ``|V| * M`` doubles as the
+    rows of a vertex x outcome law; a row's law never reaches a row not yet
+    transformed.  A real register takes ``np.fft.rfft``, which gives the
+    outcomes ``w <= M/2`` only; a real row's transform has
+    ``|X[M - w]|^2 = |X[w]|^2``, so the outcomes above ``M/2`` are copied
+    from their mirrors.
 
     Returns the ``2^s x |V|`` joint law as the transpose of that law, a
     Fortran-ordered view of the register: the peak is the register and one
-    FFT block.  No eigendecomposition is used, so this matches
-    :func:`pe_joint` to floating-point accuracy as an independent check.
+    FFT block.  The law keeps the whole register alive: a complex input's
+    law holds a complex register, twice the law's own size.  No
+    eigendecomposition is used, so this matches :func:`pe_joint` to
+    floating-point accuracy as an independent check.
     """
     state = _unit_input(input_state, s)  # keeps a real input real
     m = 1 << s
@@ -292,12 +293,9 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     half = m // 2
     transform, cols = (np.fft.rfft, half + 1) if real else (np.fft.fft, m)
     rows = max(1, _BLOCK_ENTRIES // m)
-    spectrum = np.empty((min(rows, dim), cols), dtype=complex)
     for v0 in range(0, dim, rows):
         block = by_vertex[v0 : v0 + rows]
-        spec = spectrum[: len(block)]
-        transform(register[v0 : v0 + rows], axis=1, out=spec)
-        _abs2(spec, block[:, :cols])
+        _abs2(transform(register[v0 : v0 + rows], axis=1), block[:, :cols])
         if real:
             block[:, half + 1 :] = block[:, half - 1 : 0 : -1]
         block /= float(m * m)

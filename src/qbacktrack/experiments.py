@@ -36,7 +36,7 @@ from .descent import (
     simulate_descent,  # unused here; perfbench's tracer wraps it under this module
 )
 from .estimation import (
-    gate_level_pe, pe_ancillas, pe_distribution, pe_joint_blocks, pearson_chi2, total_variation
+    _pe_joint_blocks, gate_level_pe, pe_ancillas, pe_distribution, pearson_chi2, total_variation
 )
 from .resistance import (
     ResistanceProfile,
@@ -459,11 +459,11 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
     """Spectral vs gate-level joint distributions, total variation.
 
     The circuit's register is the one joint-sized array held: its law is
-    compared with :func:`~qbacktrack.estimation.pe_joint_blocks` one block
-    of outcomes at a time.  The blocks' total variations add up to the
-    whole joints' (the factor 1/2 scales each block's sum exactly); on
-    these instances the blocks fall where a raveled comparison's do, so
-    the sum is the same bit for bit.
+    compared with the spectral law of :func:`~qbacktrack.estimation.pe_joint`
+    one block of outcomes at a time.  The blocks' total variations add up to
+    the whole joints' (the factor 1/2 scales each block's sum exactly); on
+    these instances the blocks fall where a raveled comparison's do, so the
+    sum is the same bit for bit.
     """
     result = SuiteResult("backend_equivalence")
     t0 = time.perf_counter()
@@ -474,7 +474,8 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         root[tree.root] = 1.0
         b = gate_level_pe(op, root, s)  # outcome x vertex, a view of the circuit's register
         # TV adds over disjoint outcome blocks, so no spectral joint is held whole
-        tv = sum(total_variation(rows, b[w0 : w0 + len(rows)]) for w0, rows in pe_joint_blocks(sd, root, s))
+        blocks = _pe_joint_blocks(sd, root, s)
+        tv = sum(total_variation(rows, b[w0 : w0 + len(rows)]) for w0, rows in blocks)
         result.update(name, tv, tol, "joint_total_variation")
     result.elapsed = time.perf_counter() - t0
     return result

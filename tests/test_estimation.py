@@ -347,11 +347,13 @@ class TestGateLevelMatchesLoop:
                 assert_gate_matches_loop(op, unit_state(rng, tree.n_vertices, complex_input), s)
 
     def test_joint_is_a_contiguous_outcome_by_vertex_array(self, star_8_2):
-        # the law is the transpose of the register it was computed in: no copy is made
+        # the law is the transpose of the register it was computed in: no copy is made,
+        # and a complex register, twice the law's size, stays alive with it
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
-        joint = gate_level_pe(op, root_state(9), 6)
-        assert joint.shape == (64, 9) and joint.dtype == np.float64 and joint.flags.f_contiguous
-        assert not joint.flags.owndata and joint.base.nbytes == joint.nbytes
+        for dtype, register_joints in ((float, 1), (complex, 2)):
+            joint = gate_level_pe(op, root_state(9).astype(dtype), 6)
+            assert joint.shape == (64, 9) and joint.dtype == np.float64 and joint.flags.f_contiguous
+            assert not joint.flags.owndata and joint.base.nbytes == register_joints * joint.nbytes
 
 
 @settings(max_examples=30, deadline=None)
