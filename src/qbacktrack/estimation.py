@@ -14,12 +14,14 @@ cross-check each other on small instances:
   blocks come from one iterator, which the backend-equivalence suite reads
   a block at a time;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
-  ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) on the
-  full ``2^s x |V|`` statevector: ``s`` matrix products fill the register in
-  place, an FFT per vertex row turns it into a vertex-major law in the same
-  memory, and the outcome-major joint is returned as its transpose, a view.
-  A real register takes a real FFT, which yields the outcomes up to
-  ``2^(s-1)``; the rest are their exact mirror images.
+  ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) with its
+  ancillas in two groups joined by controlled phases: a high group of
+  ``s // 2`` ancillas whose register is transformed first, then the low
+  group a block of residues at a time, each FFT of length about ``2^(s/2)``.
+  Each residue ``r`` of the outcome modulo ``2^(s//2)`` fills rows ``r::2^(s//2)``
+  of a fresh C-contiguous ``2^s x |V|`` joint.  A real input needs only
+  half the residues; the other half, and every outcome above ``2^(s-1)``,
+  are their exact mirror images.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
 ``w`` carries amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w / M))`` with
@@ -195,9 +197,11 @@ def _pe_joint_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The joint law of :func:`pe_joint` a block of outcomes at a time: ``(w0, rows)``.
 
-    ``rows`` is a fresh array of the outcomes ``w0 .. w0 + len(rows) - 1`` by
-    vertex, ``_BLOCK_ENTRIES // |V|`` of them (at least one) save in the last
-    block; the blocks come in outcome order.  The input checks and the
+    ``rows`` is a fresh C-contiguous array of the outcomes
+    ``w0 .. w0 + len(rows) - 1`` by vertex, ``_BLOCK_ENTRIES // |V|`` of them
+    (at least one) save in the last block; the blocks come in outcome order,
+    so each one lines up with the contiguous rows ``w0 .. w0 + len(rows) - 1``
+    of :func:`gate_level_pe`'s joint.  The input checks and the
     :class:`ResourceLimitError` cap run when the first block is asked for.
 
     The amplitude at outcome ``w`` is ``sum_j lam_j K_s(theta_j, w) v_j``, so
@@ -231,8 +235,8 @@ def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.n
     Raises :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the
     gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
     unnormalised; the full array serves as the cross-check of
-    :func:`gate_level_pe`.  The blocks of the outcome-block iterator, laid
-    into one C-contiguous array.
+    :func:`gate_level_pe`, in the same C-contiguous outcome-by-vertex layout:
+    the blocks of the outcome-block iterator, laid into one array.
     """
     dim = _unit_input(input_state, s).shape[0]
     _check_joint_size(s, dim)
@@ -255,23 +259,28 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     """Literal circuit simulation: ancillas, controlled powers, inverse QFT.
 
     Ancilla ``j`` controls ``W^(2^j)``, the walk matrix squared ``j`` times,
-    so the register ``|x>|W^x psi>`` fills by doubling: its columns
-    ``2^j .. 2^(j+1) - 1`` are ``W^(2^j)`` times columns ``0 .. 2^j - 1``,
-    written in place.  The register is stored vertex x ancilla index in the
-    dtype of the state and the walk (a real input stays real); the inverse
-    Fourier transform over the ancilla index then runs as an FFT along its
-    rows, a few vertex rows at a time.  Each block's squared moduli, divided
-    by ``M^2``, overwrite the register's first ``|V| * M`` doubles as the
-    rows of a vertex x outcome law; a row's law never reaches a row not yet
-    transformed.  A real register takes ``np.fft.rfft``, which gives the
-    outcomes ``w <= M/2`` only; a real row's transform has
-    ``|X[M - w]|^2 = |X[w]|^2``, so the outcomes above ``M/2`` are copied
-    from their mirrors.
+    and the inverse Fourier transform runs over the ancilla index ``x``.  The
+    ancillas run in two groups joined by controlled phases, the textbook
+    split of the QFT (Bailey's four-step FFT): ``x = x_lo + L x_hi`` with
+    ``L = 2^(s - s//2)`` and ``H = 2^(s//2)``.
 
-    Returns the ``2^s x |V|`` joint law as the transpose of that law, a
-    Fortran-ordered view of the register: the peak is the register and one
-    FFT block.  The law keeps the whole register alive: a complex input's
-    law holds a complex register, twice the law's own size.  No
+    * High group: the ``|V| x H`` register ``U^(x_hi) psi``, ``U = W^L``,
+      fills by doubling, and one FFT along it gives ``Y[:, r]`` for each
+      residue ``r`` of the outcome modulo ``H``.
+    * Low group, a block of residues at a time: ``W^(x_lo) Y[:, r]`` fills by
+      doubling, one real matrix product on the complex block's float64 view
+      a step; the phase ``exp(-2 pi i r x_lo / M) / M`` and an FFT of
+      length ``L`` give the outcomes ``r + H k``, whose squared moduli fill
+      rows ``r::H`` of the joint.
+
+    A real input keeps the high register real, and its real FFT gives the
+    residues ``r <= H/2``.  Residue ``H - r`` is residue ``r`` with ``k``
+    reversed (``|X[M - w]|^2 = |X[w]|^2``), and the rows above ``M/2`` are
+    copied from their mirrors, so every mirror pair is equal exactly.
+
+    Returns the ``2^s x |V|`` joint law, a fresh C-contiguous float64 array
+    and the one joint-sized array made; the peak adds one block of residues,
+    the high register and ``s - s//2`` powers of the walk.  No
     eigendecomposition is used, so this matches :func:`pe_joint` to
     floating-point accuracy as an independent check.
     """
@@ -279,27 +288,43 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     m = 1 << s
     dim = state.shape[0]
     _check_joint_size(s, dim)
-    register = np.empty((dim, m), dtype=np.result_type(state, op.matrix))
+    high_bits = s // 2
+    low, high = 1 << (s - high_bits), 1 << high_bits
+    powers = [op.matrix]  # the low group's W^(2^j), j < s - s//2
+    for _ in range(s - high_bits - 1):
+        powers.append(powers[-1] @ powers[-1])
+    power = powers[-1] @ powers[-1]  # U = W^L
+    register = np.empty((dim, high), dtype=np.result_type(state, power))
     register[:, 0] = state
-    power = op.matrix
-    for j in range(s):
+    for j in range(high_bits):
         width = 1 << j
         np.matmul(power, register[:, :width], out=register[:, width : 2 * width])
-        if j + 1 < s:
+        if j + 1 < high_bits:
             power = power @ power
     # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x]
     real = not np.iscomplexobj(register)
-    by_vertex = register.reshape(-1).view(np.float64)[: dim * m].reshape(dim, m)
-    half = m // 2
-    transform, cols = (np.fft.rfft, half + 1) if real else (np.fft.fft, m)
-    rows = max(1, _BLOCK_ENTRIES // m)
-    for v0 in range(0, dim, rows):
-        block = by_vertex[v0 : v0 + rows]
-        _abs2(transform(register[v0 : v0 + rows], axis=1), block[:, :cols])
-        if real:
-            block[:, half + 1 :] = block[:, half - 1 : 0 : -1]
-        block /= float(m * m)
-    return by_vertex.T
+    y = np.fft.rfft(register, axis=1) if real else np.fft.fft(register, axis=1)
+    joint = np.empty((m, dim))
+    by_residue = joint.reshape(low, high, dim)  # [k, r] is outcome r + H k
+    x_lo = np.arange(low)
+    step = max(1, _BLOCK_ENTRIES // (2 * dim * low))
+    for r0 in range(0, y.shape[1], step):
+        residues = np.arange(r0, min(r0 + step, y.shape[1]))
+        block = np.empty((dim, low, residues.size), dtype=complex)
+        block[:, 0] = y[:, r0 : r0 + residues.size]
+        flat = block.reshape(dim, -1).view(np.float64)
+        for j, power in enumerate(powers):
+            width = 2 * residues.size << j
+            np.matmul(power, flat[:, :width], out=flat[:, width : 2 * width])
+        block *= np.exp(-2j * np.pi / m * (x_lo[:, None] * residues)) / m  # r x_lo < H L = M
+        law = flat.reshape(-1)[: block.size].reshape(block.shape)  # block's first half
+        _abs2(np.fft.fft(block, axis=1), law)
+        by_residue[:, r0 : r0 + residues.size] = law.transpose(1, 2, 0)
+    if real:
+        # residue H - r below M/2 mirrors residue r above it; then every row above M/2 its mirror
+        by_residue[: low // 2, high // 2 + 1 :] = by_residue[::-1, high // 2 - 1 : 0 : -1][: low // 2]
+        joint[m // 2 + 1 :] = joint[m // 2 - 1 : 0 : -1]
+    return joint
 
 
 def ae_outcome_grid(s: int) -> np.ndarray:

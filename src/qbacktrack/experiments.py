@@ -414,7 +414,8 @@ def verify_all(
     suite's ``elapsed`` includes; the report's ``bundle_s`` holds it.  No
     per-tree suite forms a dense walk.  The backend-equivalence suite builds
     its own operators and reads their dense matrices and Schur spectra; its
-    peak is one gate-level register, about 1.25 joints of ``star_31_4_s17``.
+    peak is the circuit's joint and one spectral block, about 1.25 joints of
+    ``star_31_4_s17``.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
     the harness can fail; any other fault name raises ``ValueError``.
@@ -458,12 +459,13 @@ def backend_equivalence_instances() -> list[tuple[str, Tree, MarkingOracle, floa
 def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
     """Spectral vs gate-level joint distributions, total variation.
 
-    The circuit's register is the one joint-sized array held: its law is
-    compared with the spectral law of :func:`~qbacktrack.estimation.pe_joint`
-    one block of outcomes at a time.  The blocks' total variations add up to
-    the whole joints' (the factor 1/2 scales each block's sum exactly); on
-    these instances the blocks fall where a raveled comparison's do, so the
-    sum is the same bit for bit.
+    The circuit's joint is the one joint-sized array held: a C-contiguous
+    outcome-by-vertex law, compared with the spectral law of
+    :func:`~qbacktrack.estimation.pe_joint` one block of outcomes at a time,
+    so each block reads contiguous rows of it.  The blocks' total variations
+    add up to the whole joints' (the factor 1/2 scales each block's sum
+    exactly); on these instances the blocks fall where a raveled
+    comparison's do, so the sum is the same bit for bit.
     """
     result = SuiteResult("backend_equivalence")
     t0 = time.perf_counter()
@@ -472,7 +474,7 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         sd = spectral_decomposition(op)
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
-        b = gate_level_pe(op, root, s)  # outcome x vertex, a view of the circuit's register
+        b = gate_level_pe(op, root, s)  # outcome x vertex, C-contiguous
         # TV adds over disjoint outcome blocks, so no spectral joint is held whole
         blocks = _pe_joint_blocks(sd, root, s)
         tv = sum(total_variation(rows, b[w0 : w0 + len(rows)]) for w0, rows in blocks)

@@ -36,7 +36,7 @@ from qbacktrack import (
     tree_from_json,
 )
 from qbacktrack.algorithms import EstimateResConfig, find_all
-from qbacktrack.estimation import choice_cdf, pe_kernel_amplitude
+from qbacktrack.estimation import _BLOCK_ENTRIES, choice_cdf, pe_kernel_amplitude
 from qbacktrack.experiments import PRECISION_SIZE_CAP, backend_equivalence_instances, default_corpus
 from conftest import make_instance, reconstruct
 
@@ -84,6 +84,37 @@ def loop_gate_level_pe(op, state, s):
         current = op.matrix @ current
     joint = np.abs(np.fft.fft(register, axis=0)) ** 2 / m**2
     return joint, float(joint[0].sum())
+
+
+def register_gate_level_pe(op, state, s):
+    """Reference circuit: one vertex-major register, one FFT of length ``2^s`` a vertex.
+
+    Columns ``2^j .. 2^(j+1) - 1`` of the ``|V| x 2^s`` register are
+    ``W^(2^j)`` times columns ``0 .. 2^j - 1``.  A real register takes a real
+    FFT per block of vertex rows, and the outcomes above ``M/2`` are copied
+    from their mirrors.  Returns the outcome x vertex joint.
+    """
+    m = 1 << s
+    dim = state.shape[0]
+    register = np.empty((dim, m), dtype=np.result_type(state, op.matrix))
+    register[:, 0] = state
+    power = op.matrix
+    for j in range(s):
+        width = 1 << j
+        register[:, width : 2 * width] = power @ register[:, :width]
+        power = power @ power
+    real = not np.iscomplexobj(register)
+    half = m // 2
+    law = np.empty((dim, m))
+    rows = max(1, _BLOCK_ENTRIES // m)
+    transform = np.fft.rfft if real else np.fft.fft
+    for v0 in range(0, dim, rows):
+        out = transform(register[v0 : v0 + rows], axis=1)
+        block = law[v0 : v0 + rows]
+        block[:, : out.shape[1]] = np.square(out.real) + np.square(out.imag)
+        if real:
+            block[:, half + 1 :] = block[:, half - 1 : 0 : -1]
+    return law.T / float(m * m)
 
 
 def full_basis_pe_joint(sd, state, s):
@@ -347,13 +378,41 @@ class TestGateLevelMatchesLoop:
                 assert_gate_matches_loop(op, unit_state(rng, tree.n_vertices, complex_input), s)
 
     def test_joint_is_a_contiguous_outcome_by_vertex_array(self, star_8_2):
-        # the law is the transpose of the register it was computed in: no copy is made,
-        # and a complex register, twice the law's size, stays alive with it
+        # the law is its own C-ordered array: no register, real or complex, outlives the call
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
-        for dtype, register_joints in ((float, 1), (complex, 2)):
-            joint = gate_level_pe(op, root_state(9).astype(dtype), 6)
-            assert joint.shape == (64, 9) and joint.dtype == np.float64 and joint.flags.f_contiguous
-            assert not joint.flags.owndata and joint.base.nbytes == register_joints * joint.nbytes
+        op.matrix  # the cached walk is not the call's to hold
+        for dtype in (float, complex):
+            tracemalloc.start()
+            try:
+                joint = gate_level_pe(op, root_state(9).astype(dtype), 12)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert joint.shape == (4096, 9) and joint.dtype == np.float64 and joint.flags.c_contiguous
+            assert joint.flags.owndata and joint.base is None
+            assert held <= 1.05 * joint.nbytes
+
+
+class TestGateLevelMatchesRegister:
+    """The two-group circuit gives the one-register circuit's law."""
+
+    @pytest.mark.parametrize("s", [13, 14])
+    def test_star_64_4(self, star_64_4, s):
+        # s = 13 has groups of 6 and 7 ancillas; a real input's residues take 3 blocks at s = 13, 5 at s = 14
+        op = build_walk_operator(star_64_4.tree, star_64_4.oracle, star_64_4.eta_bar)
+        for dtype in (float, complex):
+            state = root_state(65).astype(dtype)
+            assert total_variation(gate_level_pe(op, state, s), register_gate_level_pe(op, state, s)) <= 1e-14
+
+    @pytest.mark.parametrize("s", [5, 6, 9, 10])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_random_trees_and_superpositions(self, s, complex_input):
+        rng = np.random.default_rng(s)
+        for seed in (1, 5, 9):
+            tree, oracle = build_random_tree(30, 3, 0.2, seed)
+            op = build_walk_operator(tree, oracle, 0.6)
+            state = unit_state(rng, tree.n_vertices, complex_input)
+            assert total_variation(gate_level_pe(op, state, s), register_gate_level_pe(op, state, s)) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -380,25 +439,26 @@ class TestRealRegister:
                 cast = gate_level_pe(op, state.astype(complex), s)
                 assert np.max(np.abs(real - cast)) <= 1e-15
 
-    @pytest.mark.parametrize("s", [1, 2, 5])
-    def test_joint_mirrors_exactly(self, star_8_2, s):
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 6, 13])
+    def test_joint_mirrors_exactly(self, star_8_2, star_64_4, s):
+        # residues 0 and 2^(s//2 - 1) are their own mirrors; star_64_4 at s = 13 takes 3 blocks of residues
         rng = np.random.default_rng(s)
-        op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
-        for state in (root_state(9), unit_state(rng, 9, False)):
-            joint = gate_level_pe(op, state, s)
-            m = 1 << s
-            for w in range(1, m):
-                assert np.array_equal(joint[w], joint[m - w])
+        for inst in (star_8_2, star_64_4):
+            n = inst.tree.n_vertices
+            op = build_walk_operator(inst.tree, inst.oracle, 0.4)
+            for state in (root_state(n), unit_state(rng, n, False)):
+                joint = gate_level_pe(op, state, s)
+                assert np.array_equal(joint[1:], joint[:0:-1])  # joint[w] == joint[M - w]
 
 
 class TestJointMemory:
     """Peak memory on the s = 17 backend-equivalence instance, in joints.
 
-    The circuit holds its register and one FFT block; the spectral joint is
-    the array it returns plus a block's temporaries.
+    Each backend holds the joint it returns plus one block's temporaries:
+    the circuit's block of residues, the spectral law's block of outcomes.
     """
 
-    JOINTS = {"gate_level": 1.25, "spectral": 3}
+    JOINTS = {"gate_level": 1.25, "spectral": 1.5}
 
     S = 17
 
