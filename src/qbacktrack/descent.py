@@ -18,11 +18,6 @@ same doubles, returns the same counts and leaves the generator in the same
 state.  It builds each row's CDF once, then costs one ``bisect`` per step
 instead of one ``choice`` call, and asks the generator for at most
 ``BLOCK`` doubles at a time, never more than the loop would take.
-
-``quantum_vs_chain_check`` ties the chain back to the walk: conditioned on
-the zero ancilla outcome at the optimal weight, the non-root vertex law of
-phase estimation approaches the chain's first-step law as the preparation
-precision grows.
 """
 
 from __future__ import annotations
@@ -33,16 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import choice_cdf, pe_ancillas, pe_distribution, pearson_chi2, total_variation
-from .resistance import kappa_assignment, kappa_eta, resistance_profile
-from .trees import MarkingOracle, SolutionTree, Tree, shallowest_marked, solution_tree
+from .estimation import choice_cdf, pearson_chi2
+from .resistance import kappa_eta
+from .trees import SolutionTree
+
+# unused here; perfbench's tracer wraps them under this module
+from .estimation import pe_distribution
 from .walk import build_walk_operator, spectral_decomposition
 
 __all__ = [
     "DescentChain",
     "HittingTimes",
     "AbsorptionFit",
-    "ChainCheckReport",
     "descent_chain",
     "exact_hitting_times",
     "absorption_pmf",
@@ -50,11 +47,8 @@ __all__ = [
     "descent_step_counts",
     "simulate_descent",
     "absorption_fit",
-    "quantum_vs_chain_check",
 ]
 
-# The corpus bound of quantum_vs_chain_check is this multiple of delta.
-CHAIN_TV_FACTOR = 10.0
 # Most doubles descent_step_counts asks of the generator in one call.
 BLOCK = 1 << 16
 
@@ -263,55 +257,4 @@ def absorption_fit(pmf: np.ndarray, steps: np.ndarray) -> AbsorptionFit:
         chi2=chi2,
         df=df,
         p_value=p,
-    )
-
-
-@dataclass(frozen=True)
-class ChainCheckReport:
-    tv_distance: float
-    bound: float
-    delta: float
-    quantum_law: dict[int, float]
-    chain_law: dict[int, float]
-
-    @property
-    def passed(self) -> bool:
-        return self.tv_distance <= self.bound
-
-
-def quantum_vs_chain_check(
-    tree: Tree,
-    oracle: MarkingOracle,
-    eta: float,
-    delta: float,
-) -> ChainCheckReport:
-    """Compare the PE-conditioned non-root vertex law with the chain's first step.
-
-    Phase estimation runs at the standard precision for ``delta`` on the walk
-    at weight ``eta``; the conditional vertex distribution given the zero
-    ancilla outcome, restricted to non-root vertices and renormalized, is
-    compared in total variation to the chain law ``kappa_u^2`` (normalized).
-    The asserted corpus bound is ``CHAIN_TV_FACTOR * delta``.
-    """
-    marked = shallowest_marked(tree, oracle)
-    st = solution_tree(tree, marked)
-    dc = descent_chain(st, kappa_assignment(st, resistance_profile(st)))
-
-    op = build_walk_operator(tree, marked, eta)
-    sd = spectral_decomposition(op)
-    root_state = np.zeros(tree.n_vertices)
-    root_state[tree.root] = 1.0
-    _, cond = pe_distribution(sd, root_state, pe_ancillas(tree.size_bound, eta, delta))
-    cond[tree.root] = 0.0
-    cond /= cond.sum()
-    chain = np.zeros(tree.n_vertices)
-    chain[dc.targets[tree.root]] = dc.probs[tree.root]
-    tv = total_variation(cond, chain)
-    keep = lambda arr: {int(v): float(arr[v]) for v in range(tree.n_vertices) if arr[v] > 1e-15}
-    return ChainCheckReport(
-        tv_distance=tv,
-        bound=CHAIN_TV_FACTOR * delta,
-        delta=delta,
-        quantum_law=keep(cond),
-        chain_law=keep(chain),
     )

@@ -9,10 +9,10 @@ Szegedy one.  Two backends give the full joint (outcome x vertex) law and
 cross-check each other on small instances:
 
 * :func:`pe_joint` evaluates the kernel on the eigendecomposition, one sine
-  per (outcome, eigenphase) pair and one matrix product per block of
-  outcomes, over only the eigencomponents the input has weight on; the
-  blocks come from one iterator, which the backend-equivalence suite reads
-  a block at a time;
+  per (outcome, distinct eigenphase) pair and one matrix product per block
+  of outcomes, over only the eigenphases the input has weight on, each
+  against the input's projection on its eigenspace; the blocks come from
+  one iterator, which the backend-equivalence suite reads a block at a time;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) with its
   ancillas in two groups joined by controlled phases: a high group of
@@ -204,24 +204,27 @@ def _pe_joint_blocks(
     of :func:`gate_level_pe`'s joint.  The input checks and the
     :class:`ResourceLimitError` cap run when the first block is asked for.
 
-    The amplitude at outcome ``w`` is ``sum_j lam_j K_s(theta_j, w) v_j``, so
-    an eigencomponent with ``lam_j = 0`` adds exactly nothing: the kernel is
-    evaluated only on the eigenphases with ``lam_j != 0`` (3 of 32 for the
-    root of a 31-leaf star), which drops no term of the sum.
+    The amplitude at outcome ``w`` is ``sum_j lam_j K_s(theta_j, w) v_j``.
+    An eigencomponent with ``lam_j = 0`` adds exactly nothing, and the
+    components that share a phase share its kernel value, so the kernel is
+    evaluated once per distinct phase with ``lam_j != 0``, against the
+    input's projection ``sum_j lam_j v_j`` on that eigenspace; this drops no
+    term of the sum.  The root of a 31-leaf star has weight on 6 Szegedy
+    eigenvectors (3 Schur ones) of 32, at 3 distinct phases.
     """
     lam = sd.amplitudes(_unit_input(input_state, s, complex))
     m = 1 << s
     dim = lam.shape[0]
     _check_joint_size(s, dim)
     support = np.flatnonzero(lam)
-    phases, weights = sd.phases[support], lam[support]
-    basis_t = sd.vectors[:, support].T
+    phases, group = np.unique(sd.phases[support], return_inverse=True)
+    projections = np.zeros((phases.size, dim), dtype=complex)  # distinct phase x vertex
+    np.add.at(projections, group, (sd.vectors[:, support] * lam[support]).T)
     step = max(1, _BLOCK_ENTRIES // dim)
     for w0 in range(0, m, step):
         omegas = np.arange(w0, min(w0 + step, m))
-        kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x eig
-        kernel *= weights
-        amp = kernel @ basis_t  # omega x vertex
+        kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x phase
+        amp = kernel @ projections  # omega x vertex
         del kernel  # each block's temporaries go before the next block's are made
         rows = np.empty(amp.shape)
         _abs2(amp, rows)
@@ -236,7 +239,8 @@ def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.n
     gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
     unnormalised; the full array serves as the cross-check of
     :func:`gate_level_pe`, in the same C-contiguous outcome-by-vertex layout:
-    the blocks of the outcome-block iterator, laid into one array.
+    the blocks of the outcome-block iterator, laid into one array, each
+    evaluating one kernel column per distinct eigenphase of the input.
     """
     dim = _unit_input(input_state, s).shape[0]
     _check_joint_size(s, dim)

@@ -67,7 +67,7 @@ from .walk import (
     phi_m_state,
     phi_perp_state,
     phi_state,
-    spectral_decomposition,
+    spectral_decomposition,  # unused here; perfbench's tracer wraps it under this module
     szegedy_spectrum,
     xi_vector,
 )
@@ -413,9 +413,10 @@ def verify_all(
     and the Szegedy spectrum of the middle one), whose construction no
     suite's ``elapsed`` includes; the report's ``bundle_s`` holds it.  No
     per-tree suite forms a dense walk.  The backend-equivalence suite builds
-    its own operators and reads their dense matrices and Schur spectra; its
-    peak is the circuit's joint and one spectral block, about 1.25 joints of
-    ``star_31_4_s17``.
+    its own operators, reads their Szegedy spectra and, for the circuit,
+    their dense matrices; its peak is the circuit's joint and one spectral
+    block, about 1.25 joints of ``star_31_4_s17``.  Only the statistical
+    suites, which run the search, read a Schur spectrum.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
     the harness can fail; any other fault name raises ``ValueError``.
@@ -459,6 +460,8 @@ def backend_equivalence_instances() -> list[tuple[str, Tree, MarkingOracle, floa
 def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
     """Spectral vs gate-level joint distributions, total variation.
 
+    The spectral law reads the walk's orthonormal Szegedy spectrum
+    (:func:`~qbacktrack.walk.szegedy_spectrum`); the circuit needs none.
     The circuit's joint is the one joint-sized array held: a C-contiguous
     outcome-by-vertex law, compared with the spectral law of
     :func:`~qbacktrack.estimation.pe_joint` one block of outcomes at a time,
@@ -471,7 +474,7 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
     t0 = time.perf_counter()
     for name, tree, oracle, eta, s in backend_equivalence_instances():
         op = build_walk_operator(tree, oracle, eta)
-        sd = spectral_decomposition(op)
+        sd = szegedy_spectrum(op)
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
         b = gate_level_pe(op, root, s)  # outcome x vertex, C-contiguous

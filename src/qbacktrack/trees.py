@@ -384,18 +384,25 @@ def build_dpll_tree(
     literals: ``+v`` true, ``-v`` false).  A vertex's children are the
     extensions by the next variable that violate no clause; marked vertices
     are the complete (hence satisfying) assignments.  An empty CNF yields the
-    full binary tree with every leaf marked.
+    full binary tree with every leaf marked.  ``cnf`` and each clause are
+    lists (or tuples), a literal is a nonzero int, not a bool, and
+    ``var_order`` lists distinct positive ints; any other input raises
+    ``ValueError``.
 
     The implicit tree is expanded fully before spectral simulation; each
     vertex expansion corresponds to one query of the children oracle.
     """
+    if not isinstance(var_order, (list, tuple)) or not all(_is_id(v) and v > 0 for v in var_order):
+        raise ValueError(f"bad var_order {var_order!r}: expected a list of positive ints")
     variables = list(var_order)
     if len(set(variables)) != len(variables):
         raise ValueError("var_order must not repeat variables")
     var_set = set(variables)
+    if not isinstance(cnf, (list, tuple)) or not all(isinstance(c, (list, tuple)) for c in cnf):
+        raise ValueError(f"bad clauses {cnf!r}: expected a list of lists of literals")
     for clause in cnf:
         for lit in clause:
-            if not isinstance(lit, int) or lit == 0:
+            if not _is_id(lit) or lit == 0:
                 raise ValueError(f"bad literal {lit!r}: literals are nonzero ints")
             if abs(lit) not in var_set:
                 raise ValueError(f"literal {lit} uses a variable outside var_order")

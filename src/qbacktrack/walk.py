@@ -29,12 +29,10 @@ routines give the spectrum:
   matrix: 1x1 blocks are +/-1 eigenvalues, 2x2 rotation blocks give
   conjugate eigenphase pairs.  Its basis is not orthonormal when a repeated
   +/-1 eigenvalue comes back as a near-identity 2x2 block (ROADMAP item 0).
-  Three readers remain: the search (``WalkSimulator.spectral``), the
-  backend-equivalence suite (``experiments.suite_backend_equivalence``) and
-  ``descent.quantum_vs_chain_check``.  The benchmark's trace sites pin them:
-  they wrap ``WalkSimulator.spectral``, ``suite_backend_equivalence`` and
-  ``spectral_decomposition`` as the search, ``experiments`` and ``descent``
-  import it.
+  One reader remains: the search (``WalkSimulator.spectral``).  The
+  benchmark's trace sites still wrap ``spectral_decomposition`` as
+  ``experiments`` and ``descent`` import it, so both modules keep that
+  import unread.
 
 Analytic states (all expressed over the vertex basis):
 
@@ -125,8 +123,7 @@ class SpectralDecomposition:
     eigenvectors are stored as complex with zero imaginary part.  The basis
     is orthonormal when :func:`szegedy_spectrum` built it, and not always
     when :func:`spectral_decomposition` did; the Schur basis is read only by
-    ``WalkSimulator.spectral``, ``suite_backend_equivalence`` and
-    ``quantum_vs_chain_check``.
+    the search, through ``WalkSimulator.spectral``.
     """
 
     phases: np.ndarray

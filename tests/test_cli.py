@@ -69,6 +69,24 @@ class TestGenTree:
         assert exc.value.code == 2
         assert "'clauses' and 'var_order'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"clauses": [1], "var_order": [1]}, "bad clauses [1]"),
+            ({"clauses": [[1]], "var_order": 3}, "bad var_order 3"),
+            ({"clauses": [[True]], "var_order": [1]}, "bad literal True"),
+            ({"clauses": [[1]], "var_order": [True]}, "bad var_order [True]"),
+        ],
+    )
+    def test_dpll_bad_clauses_or_order_exit_2(self, data, message, tmp_path, capsys):
+        cnf = tmp_path / "cnf.json"
+        cnf.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-tree", "--kind", "dpll", "--cnf", str(cnf),
+                  "--output", str(tmp_path / "d.json")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestResistance:
     def test_star_values(self, star_file, tmp_path):

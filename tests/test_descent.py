@@ -1,7 +1,7 @@
 """Descent chain: transition law, hitting times, the sampler's stream, and the quantum link."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,10 +12,15 @@ from qbacktrack import (
     build_path,
     build_random_tree,
     build_star,
+    build_walk_operator,
     kappa_assignment,
+    pe_ancillas,
+    pe_distribution,
     resistance_profile,
     shallowest_marked,
     solution_tree,
+    szegedy_spectrum,
+    total_variation,
 )
 from qbacktrack.descent import (
     BLOCK,
@@ -25,7 +30,6 @@ from qbacktrack.descent import (
     descent_step_counts,
     exact_hitting_times,
     hitting_time_bound,
-    quantum_vs_chain_check,
     simulate_descent,
 )
 from qbacktrack.experiments import DESCENT_MC_ALPHA, default_corpus, fixture_instances
@@ -364,6 +368,54 @@ class TestRowChecks:
         assert choice_step_counts(bad, 1, np.random.default_rng(4)).tolist() == [1]
         with pytest.raises(ValueError, match="NaN"):
             descent_step_counts(bad, 1, np.random.default_rng(4))
+
+
+# The asserted bound of quantum_vs_chain_check is this multiple of delta.
+CHAIN_TV_FACTOR = 10.0
+
+
+@dataclass(frozen=True)
+class ChainCheckReport:
+    tv_distance: float
+    bound: float
+    delta: float
+    quantum_law: dict[int, float]
+    chain_law: dict[int, float]
+
+    @property
+    def passed(self) -> bool:
+        return self.tv_distance <= self.bound
+
+
+def quantum_vs_chain_check(tree, oracle, eta, delta):
+    """Compare the PE-conditioned non-root vertex law with the chain's first step.
+
+    Phase estimation runs at the standard precision for ``delta`` on the walk
+    at weight ``eta``, read from its Szegedy spectrum; the conditional vertex
+    distribution given the zero ancilla outcome, restricted to non-root
+    vertices and renormalized, is compared in total variation to the chain
+    law ``kappa_u^2`` (normalized).  The asserted bound is
+    ``CHAIN_TV_FACTOR * delta``.
+    """
+    marked = shallowest_marked(tree, oracle)
+    st = solution_tree(tree, marked)
+    dc = descent_chain(st, kappa_assignment(st, resistance_profile(st)))
+    sd = szegedy_spectrum(build_walk_operator(tree, marked, eta))
+    root_state = np.zeros(tree.n_vertices)
+    root_state[tree.root] = 1.0
+    _, cond = pe_distribution(sd, root_state, pe_ancillas(tree.size_bound, eta, delta))
+    cond[tree.root] = 0.0
+    cond /= cond.sum()
+    chain = np.zeros(tree.n_vertices)
+    chain[dc.targets[tree.root]] = dc.probs[tree.root]
+    keep = lambda arr: {int(v): float(arr[v]) for v in range(tree.n_vertices) if arr[v] > 1e-15}
+    return ChainCheckReport(
+        tv_distance=total_variation(cond, chain),
+        bound=CHAIN_TV_FACTOR * delta,
+        delta=delta,
+        quantum_law=keep(cond),
+        chain_law=keep(chain),
+    )
 
 
 class TestQuantumLink:

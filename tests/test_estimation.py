@@ -118,10 +118,18 @@ def register_gate_level_pe(op, state, s):
 
 
 def full_basis_pe_joint(sd, state, s):
-    """Reference spectral joint: the kernel on every eigenphase, zero weights included."""
-    lam = sd.amplitudes(np.asarray(state, dtype=complex))
+    """Reference spectral joint: the kernel on every eigenphase, zero weights included.
+
+    The sum over eigenvectors runs in extended precision, so the reference
+    is the exact sum of its float64 terms to about 1e-18.  In float64 it
+    lies up to 1.1e-15 from that sum on Schur spectra of random trees, past
+    the 1e-15 bound, and would pass only a ``pe_joint`` that associates the
+    products as it does.
+    """
+    lam = sd.amplitudes(np.asarray(state, dtype=complex)).astype(np.clongdouble)
     kernel = pe_kernel_amplitude(sd.phases, s, np.arange(1 << s)[:, None]) * lam
-    return np.abs(kernel @ sd.vectors.T) ** 2
+    amp = kernel @ sd.vectors.T.astype(np.clongdouble)
+    return (np.square(amp.real) + np.square(amp.imag)).astype(float)
 
 
 def assert_gate_matches_loop(op, state, s):
@@ -301,24 +309,27 @@ class TestBackendEquivalence:
 
 
 class TestJointOnSupport:
-    """``pe_joint`` skips eigencomponents with zero weight and loses no term."""
+    """``pe_joint`` skips eigencomponents with zero weight, groups repeated phases, and loses no term."""
 
     @pytest.mark.parametrize("row", backend_equivalence_instances(), ids=lambda row: row[0])
     def test_backend_instances_match_full_basis(self, row):
         _, tree, oracle, eta, s = row
-        sd = spectral_decomposition(build_walk_operator(tree, oracle, eta))
+        op = build_walk_operator(tree, oracle, eta)
         state = root_state(tree.n_vertices, tree.root)
-        got = pe_joint(sd, state, s)
-        assert np.abs(got - full_basis_pe_joint(sd, state, s)).max() <= 1e-15
+        for sd in (spectral_decomposition(op), szegedy_spectrum(op)):
+            got = pe_joint(sd, state, s)
+            assert np.abs(got - full_basis_pe_joint(sd, state, s)).max() <= 1e-15
 
     def test_instances_cover_partial_and_full_support(self):
+        # (support vectors, distinct phases among them, |V|) under the suite's spectrum
         supports = {}
         for name, tree, oracle, eta, _ in backend_equivalence_instances():
-            sd = spectral_decomposition(build_walk_operator(tree, oracle, eta))
+            sd = szegedy_spectrum(build_walk_operator(tree, oracle, eta))
             lam = sd.amplitudes(root_state(tree.n_vertices, tree.root).astype(complex))
-            supports[name] = (np.count_nonzero(lam), lam.size)
-        assert supports["star_31_4_s17"] == (3, 32)
-        assert supports["path_4_s5"] == (5, 5)
+            support = np.flatnonzero(lam)
+            supports[name] = (support.size, np.unique(sd.phases[support]).size, lam.size)
+        assert supports["star_31_4_s17"] == (6, 3, 32)
+        assert supports["path_4_s5"] == (5, 5, 5)
 
 
 RANDOM_TREE_INPUTS = dict(
@@ -337,11 +348,12 @@ RANDOM_TREE_INPUTS = dict(
 def test_pe_joint_matches_full_basis(size, degree, prob, seed, eta, s, complex_input):
     # the root input often misses eigencomponents; the random one has them all
     tree, oracle = build_random_tree(size, degree, prob, seed)
-    sd = spectral_decomposition(build_walk_operator(tree, oracle, eta))
+    op = build_walk_operator(tree, oracle, eta)
     random_state = unit_state(np.random.default_rng(seed), tree.n_vertices, complex_input)
-    for state in (root_state(tree.n_vertices, tree.root), random_state):
-        got = pe_joint(sd, state, s)
-        assert np.abs(got - full_basis_pe_joint(sd, state, s)).max() <= 1e-15
+    for sd in (spectral_decomposition(op), szegedy_spectrum(op)):
+        for state in (root_state(tree.n_vertices, tree.root), random_state):
+            got = pe_joint(sd, state, s)
+            assert np.abs(got - full_basis_pe_joint(sd, state, s)).max() <= 1e-15
 
 
 @settings(max_examples=30, deadline=None)

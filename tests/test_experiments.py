@@ -11,7 +11,7 @@ from qbacktrack import experiments
 from qbacktrack.descent import descent_step_counts
 from qbacktrack.estimation import gate_level_pe, pe_joint, total_variation
 from qbacktrack.experiments import suite_descent_monte_carlo, suite_search_statistics
-from qbacktrack.walk import build_walk_operator, spectral_decomposition
+from qbacktrack.walk import build_walk_operator, szegedy_spectrum
 
 CHAINS = {"single_edge", "star_10_4", "path_5", "random_40"}
 # Fewer trials than the acceptance run keeps these fast; every fault below
@@ -98,7 +98,7 @@ def test_verify_all_times_each_suite_apart():
 
 
 def test_bundle_suites_form_no_dense_walk():
-    # the per-tree suites apply each walk from its stars; only Schur and the circuit read matrix
+    # the per-tree suites apply each walk from its stars; in verify_all only the circuit reads matrix
     for inst in experiments.default_corpus(count=10, master_seed=5):
         if not inst.has_marks:
             continue
@@ -135,7 +135,7 @@ def test_backend_equivalence_streamed_residual_is_whole_joint_tv():
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
         whole = total_variation(
-            pe_joint(spectral_decomposition(op), root, s).ravel(), gate_level_pe(op, root, s).ravel()
+            pe_joint(szegedy_spectrum(op), root, s).ravel(), gate_level_pe(op, root, s).ravel()
         )
         assert streamed[name] == whole, name
 
@@ -164,14 +164,14 @@ def test_grover_scaling_needs_a_trial(trials):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_every_verify_all_spectrum_is_orthonormal(monkeypatch, seed):
-    # the bundle spectra and the backend suite's Schur spectra alike (ROADMAP item 0)
+    # the bundle spectra and the backend suite's alike are Szegedy's; none is Schur's (ROADMAP item 0)
     built = []
-    for name in ("szegedy_spectrum", "spectral_decomposition"):
-        def recording(op, build=getattr(experiments, name)):
-            built.append((op.tree.n_vertices, build(op)))
-            return built[-1][1]
 
-        monkeypatch.setattr(experiments, name, recording)
+    def recording(op, build=experiments.szegedy_spectrum):
+        built.append((op.tree.n_vertices, build(op)))
+        return built[-1][1]
+
+    monkeypatch.setattr(experiments, "szegedy_spectrum", recording)
     corpus = experiments.default_corpus(count=20, master_seed=seed)
     experiments.verify_all(corpus)
     n_bundles = sum(inst.has_marks for inst in corpus)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -11,10 +12,16 @@ import qbacktrack
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qbacktrack.__path__))
 
-# (module, name) imported but never read by the module itself
+# (module, name) imported but never read by the module itself: perfbench's
+# tracer wraps each of them there
 UNUSED_IMPORT_ALLOWED = {
-    ("experiments", "simulate_descent"),  # perfbench's tracer wraps it there
+    ("experiments", "simulate_descent"),
+    ("experiments", "spectral_decomposition"),
+    ("descent", "build_walk_operator"),
+    ("descent", "spectral_decomposition"),
+    ("descent", "pe_distribution"),
 }
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -39,3 +46,20 @@ def test_every_import_is_used(name):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {n for n in imported - read if (name, n) not in UNUSED_IMPORT_ALLOWED}
     assert not unused, f"{name} imports {sorted(unused)} but never reads them"
+
+
+def test_unused_imports_allowed_are_trace_sites():
+    # a benchmark change that drops a trace site must also drop its import
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import run
+
+    run.use_source_tree()
+    import workloads
+
+    sites = {
+        (owner.__name__.removeprefix("qbacktrack."), attr)
+        for owner, attr, _, _ in workloads.trace_sites()
+        if isinstance(owner, type(qbacktrack))
+    }
+    assert UNUSED_IMPORT_ALLOWED <= sites, sorted(UNUSED_IMPORT_ALLOWED - sites)

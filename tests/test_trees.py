@@ -128,6 +128,28 @@ class TestDpll:
         with pytest.raises(ValueError):
             build_dpll_tree([(2,)], [1])
 
+    @pytest.mark.parametrize(
+        "cnf, var_order",
+        [
+            ([[True]], [1]),  # a JSON true is no literal
+            ([[1.0]], [1]),
+            ([1], [1]),  # a clause is a list
+            ([[1], "1"], [1]),
+            (1, [1]),
+            ({"1": 1}, [1]),
+            ([[1]], [True]),  # nor is it a variable
+            ([[1]], [0]),
+            ([[-1]], [-1]),
+            ([[1]], [1.0]),
+            ([[1]], 3),
+            ([[1]], "1"),
+            ([[1]], [1, 1]),
+        ],
+    )
+    def test_rejects_malformed_input(self, cnf, var_order):
+        with pytest.raises(ValueError):
+            build_dpll_tree(cnf, var_order)
+
 
 class TestMarkedSet:
     def test_star_members(self):
