@@ -18,8 +18,9 @@ The two central procedures:
   current vertex, phase-estimate on the re-rooted subtree walk, retry while
   the ancilla misses the zero outcome, and descend to the measured vertex,
   returning as soon as the marking oracle fires.  ``find_all`` repeats it
-  with an unmark overlay; ``k_doubling_find`` retries with doubling guesses
-  of the marked count and falls back to :func:`classical_descent`.
+  with an unmark overlay; ``k_doubling_find`` passes it the doubling guesses
+  ``k_guess`` of the marked count, which only the descent's precision reads,
+  and falls back to :func:`classical_descent`.
 
 Randomness is injected through an explicit numpy ``Generator``; identical
 seeds reproduce runs bit for bit.  Measurement statistics are exact (no shot
@@ -77,6 +78,8 @@ INFINITE = float("inf")
 AE_TAIL_FACTOR = 16.0
 # Amplitude-estimation error delta_ae of the estimation loop, in [gamma2, 1/8).
 DELTA_AE = 0.1
+# Estimation-loop PE precision: at it, sqrt(T eta) / delta^3 = sqrt(T eta / DELTA_AE^3).
+LOOP_PE_DELTA = math.sqrt(DELTA_AE)
 # Upper end of the descent precision delta.
 DESCENT_DELTA_CAP = 0.5
 # Phase-estimation rounds find_marked may spend before giving up.
@@ -91,23 +94,20 @@ SWEEP_PLAN_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
 class EstimateResConfig:
-    """Tunables of the estimation loop and the descent.
+    """The estimation loop's settings: failure budget, repetition and AE-ancilla factors, eta step.
 
     Defaults satisfy every constraint of the failure-rate analysis with
     slack: ``gamma1 > 2``, ``0 < gamma2 <= 1/(8 sqrt(n))`` (resolved per
     tree when left as None) and at most the amplitude-estimation error
     ``DELTA_AE``, and step factor in (1, 2].  The constants of the analysis
     are all 1.  ``repetitions`` uses the natural logarithm and may not exceed
-    ``MAX_REPETITIONS``.  ``k_guess``, a positive integer, scales
-    the descent precision ``delta = 1 / log2(k_guess * (eta + 1))``, capped
-    at ``DESCENT_DELTA_CAP``.
+    ``MAX_REPETITIONS``.
     """
 
     delta0: float = 0.05
     gamma1: float = 4.0
     gamma2: float | None = None
     step: float = 2.0
-    k_guess: int = 1
 
     def validate(self, depth_bound: int) -> None:
         if not (0.0 < self.delta0 < 1.0):
@@ -130,8 +130,6 @@ class EstimateResConfig:
             raise ValueError(f"gamma2 = {gamma2} exceeds 1/(8 sqrt(n)) = {limit}")
         if gamma2 > DELTA_AE:
             raise ValueError(f"gamma2 = {gamma2} exceeds the amplitude-estimation error {DELTA_AE}")
-        if not (isinstance(self.k_guess, numbers.Integral) and self.k_guess >= 1):
-            raise ValueError(f"k_guess must be a positive integer, got {self.k_guess!r}")
 
     def resolve_gamma2(self, depth_bound: int) -> float:
         if self.gamma2 is not None:
@@ -143,20 +141,6 @@ class EstimateResConfig:
 
     def ae_ancillas(self, gamma2: float) -> int:
         return min(MAX_ANCILLAS, max(3, math.ceil(math.log2(AE_TAIL_FACTOR / gamma2))))
-
-    def pe_ancillas(self, size_bound: int, eta: float) -> int:
-        """Ancillas of the estimation loop's phase estimation.
-
-        ``2^s >= sqrt(T eta / DELTA_AE^3)``: the precision enters as
-        ``DELTA_AE^(3/2)``, not as the ``delta^3`` of
-        :func:`~qbacktrack.estimation.pe_ancillas` that the descent uses.
-        """
-        target = math.sqrt(size_bound * eta / DELTA_AE**3)
-        return min(MAX_ANCILLAS, max(1, math.ceil(math.log2(max(2.0, target)))))
-
-    def descent_delta(self, eta: float) -> float:
-        load = math.log2(self.k_guess * (eta + 1.0))
-        return min(DESCENT_DELTA_CAP, 1.0 / max(1.0, load))
 
 
 @dataclass(slots=True)
@@ -292,6 +276,13 @@ class WalkSimulator:
         return cdf
 
 
+def _simulator(tree: Tree, oracle: MarkingOracle, sim: WalkSimulator | None) -> WalkSimulator:
+    """``sim``, or a new simulator when it is None; one of another tree or oracle is rejected."""
+    if sim is not None and (sim.tree is not tree or sim.oracle is not oracle):
+        raise ValueError("sim must be a WalkSimulator of the same tree and oracle objects")
+    return sim if sim is not None else WalkSimulator(tree, oracle)
+
+
 def _modal_estimate(grid: np.ndarray, order: np.ndarray, counts: np.ndarray) -> float:
     """Most frequent estimate, from counts per grid cell; ties resolved toward pi/4.
 
@@ -349,7 +340,7 @@ def _sweep_plan(
     while True:
         eta = min(cfg.step**i / d, n)
         if eta > 0.0:
-            s_pe = cfg.pe_ancillas(size_bound, eta)
+            s_pe = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta, LOOP_PE_DELTA))
             walk_queries += reps * (2**s_pe - 1) * (2 ** (s_ae + 1) - 1)
             stages.append((eta, s_pe, walk_queries))
         if eta >= n:
@@ -378,7 +369,7 @@ def estimate_res(
     the mode.
     """
     plan = _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)
-    sim = sim if sim is not None else WalkSimulator(tree, oracle)
+    sim = _simulator(tree, oracle, sim)
     size = sim.subtree(v).size
     reps, lo, hi = plan.reps, plan.lo, plan.hi
     stage = walk_queries = 0
@@ -415,16 +406,20 @@ def find_marked(
     cfg: EstimateResConfig,
     rng: np.random.Generator,
     sim: WalkSimulator | None = None,
+    k_guess: int = 1,
 ) -> tuple[int | None, RunRecord]:
     """Walk down to a marked vertex; None means "no marked vertex".
 
     Each loop iteration phase-estimates on the walk of the subtree re-rooted
     at the current vertex (the measured vertex becomes the next input), with
     ancilla count set by the descent precision
-    ``delta = O(1/log2(k_guess * (eta + 1)))``.
+    ``delta = min(DESCENT_DELTA_CAP, 1 / log2(k_guess * (eta + 1)))``, where
+    ``k_guess``, a positive non-bool int, guesses the marked count.
     """
+    if isinstance(k_guess, bool) or not (isinstance(k_guess, numbers.Integral) and k_guess >= 1):
+        raise ValueError(f"k_guess must be a positive integer, got {k_guess!r}")
     _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)  # validates cfg
-    sim = sim if sim is not None else WalkSimulator(tree, oracle)
+    sim = _simulator(tree, oracle, sim)
     rec = RunRecord()
     size_bound = tree.size_bound
 
@@ -438,7 +433,8 @@ def find_marked(
 
     rounds = 0
     while math.isfinite(eta_t):
-        s = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta_t, cfg.descent_delta(eta_t)))
+        delta = min(DESCENT_DELTA_CAP, 1.0 / max(1.0, math.log2(k_guess * (eta_t + 1.0))))
+        s = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta_t, delta))
         sub = sim.subtree(v)
         while True:
             if rounds >= MAX_PE_ROUNDS:
@@ -509,17 +505,15 @@ def k_doubling_find(
     The guess starts at 1 and doubles past every possible marked count
     (at most ``size_bound - 1``, the paper's "log k ~ n" threshold restated
     for trees of unbounded width); after that the classical descent takes
-    over as the fallback.  ``cfg.k_guess`` is replaced by each guess, but a
-    configuration that is invalid as given is still rejected.
+    over as the fallback.  Each guess goes to :func:`find_marked` as its
+    ``k_guess``; every guess shares ``cfg`` and so one sweep plan.
     """
-    _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)  # validates cfg
-    sim = sim if sim is not None else WalkSimulator(tree, oracle)
+    sim = _simulator(tree, oracle, sim)
     rec = RunRecord()
     k_hat = 1
     k_cap = max(1, tree.size_bound - 1)
     while k_hat <= k_cap:
-        guess_cfg = cfg if cfg.k_guess == k_hat else replace(cfg, k_guess=k_hat)
-        v, sub_rec = find_marked(tree, oracle, guess_cfg, rng, sim)
+        v, sub_rec = find_marked(tree, oracle, cfg, rng, sim, k_hat)
         rec.merge(sub_rec)
         if v is not None:
             rec.outcome = v
@@ -545,7 +539,7 @@ def classical_descent(
     subtree tests positive, whether because nothing is marked or the
     per-level test failed.
     """
-    sim = sim if sim is not None else WalkSimulator(tree, oracle)
+    sim = _simulator(tree, oracle, sim)
     level_cfg = replace(cfg, delta0=min(cfg.delta0, 1.0 / max(2, tree.depth_bound)))
     rec = RunRecord()
     v = tree.root

@@ -7,8 +7,9 @@ results (all but gen-tree and run) also emit CSV rows via ``--out csv``.
 All numbers are serialized at full precision with sorted keys, so identical
 specs and seeds produce byte-identical files.  The JSON is strict: a
 non-finite number is written as the string "inf", "-inf" or "nan".  Input the library rejects
-with a ``ValueError`` is a usage error: its message goes to stderr and the
-exit code is 2.
+with a ``ValueError``, and a file that cannot be read or written (a missing
+``--tree``, ``--cnf`` or ``--spec``, an ``--output`` that is a directory), is
+a usage error: its message goes to stderr and the exit code is 2.
 
 Randomness: one 64-bit master seed per invocation.  Trials run one after
 another in the calling thread.  The run-style commands (estimate-res,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -93,8 +95,8 @@ def _load_tree(args):
 
 
 def _config_from(args) -> EstimateResConfig:
-    names = ("delta0", "gamma1", "gamma2", "step")
-    return EstimateResConfig(**{k: getattr(args, k) for k in names if getattr(args, k) is not None})
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(EstimateResConfig)}
+    return EstimateResConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def _trial_rngs(seed: int, trials: int):
@@ -305,10 +307,8 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree", required=True, help="tree JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--delta0", type=float, default=None)
-    p.add_argument("--gamma1", type=float, default=None)
-    p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    for field in dataclasses.fields(EstimateResConfig):  # the estimation loop's settings, all floats
+        p.add_argument(f"--{field.name}", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "save_spec", None):  # every command but run has the flag
-        options = {k: v for k, v in vars(args).items() if k not in {"func", "save_spec"}}
-        with open(args.save_spec, "w") as fh:
-            fh.write(json.dumps({"command": args.command, "options": options}, sort_keys=True) + "\n")
     try:
+        if getattr(args, "save_spec", None):  # every command but run has the flag
+            options = {k: v for k, v in vars(args).items() if k not in {"func", "save_spec"}}
+            with open(args.save_spec, "w") as fh:
+                fh.write(json.dumps({"command": args.command, "options": options}, sort_keys=True) + "\n")
         return args.func(args)
-    except ValueError as exc:  # a library rejecting the user's input
+    except (ValueError, OSError) as exc:  # a library rejecting the user's input, or a bad path
         parser.error(str(exc))
 
 

@@ -193,8 +193,8 @@ def build_walk_operator(
     bit for bit.  Dense matrices are intended for |V| up to a couple
     thousand.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     if isinstance(oracle, MarkedSet):
         members = oracle.members
     else:

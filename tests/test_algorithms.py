@@ -1,5 +1,6 @@
 """Estimate-Res and Find-Marked behavior, statistics, and query accounting."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,15 +11,19 @@ from hypothesis import strategies as st
 
 import qbacktrack.algorithms as algorithms
 from qbacktrack import (
+    MarkingOracle,
     ae_outcome_distribution,
     ae_outcome_grid,
     build_path,
     build_random_tree,
     build_star,
+    pe_ancillas,
     shallowest_marked,
 )
 from qbacktrack.algorithms import (
     DELTA_AE,
+    LOOP_PE_DELTA,
+    MAX_ANCILLAS,
     MAX_REPETITIONS,
     SWEEP_PLAN_CACHE_SIZE,
     EstimateResConfig,
@@ -34,6 +39,11 @@ from qbacktrack.algorithms import (
 from conftest import rebuild_matches
 
 CFG = EstimateResConfig()
+
+
+def loop_pe_ancillas(size_bound, eta):
+    """The phase-estimation ancillas of one estimation-loop stage."""
+    return min(MAX_ANCILLAS, pe_ancillas(size_bound, eta, LOOP_PE_DELTA))
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +72,14 @@ class TestConfig:
             EstimateResConfig(delta0=0.0).validate(4)
         with pytest.raises(ValueError):
             EstimateResConfig(gamma2=0.25).validate(16)
-        with pytest.raises(ValueError, match="^k_guess "):
-            EstimateResConfig(k_guess=0).validate(4)
-        with pytest.raises(ValueError, match="^k_guess "):
-            EstimateResConfig(k_guess=1.5).validate(4)
+        tree, oracle = build_star(8, 2)
+        for k_guess in (0, 1.5, True):
+            with pytest.raises(ValueError, match="^k_guess "):
+                find_marked(tree, oracle, CFG, np.random.default_rng(0), k_guess=k_guess)
+
+    def test_config_holds_only_the_loop_settings(self):
+        names = [f.name for f in dataclasses.fields(EstimateResConfig)]
+        assert names == ["delta0", "gamma1", "gamma2", "step"]
 
     @pytest.mark.parametrize(
         "name, value", [("gamma2", 0.0), ("gamma2", -1.0), ("gamma2", math.nan), ("gamma1", math.inf)]
@@ -98,29 +112,29 @@ class TestSweepPlan:
             with pytest.raises(ValueError, match="step"):
                 find_marked(tree, oracle, bad, np.random.default_rng(0))
 
-    def test_k_doubling_rejects_a_bad_guess_before_replacing_it(self):
+    def test_k_doubling_rejects_an_invalid_config(self):
         # a marked star is found at the first guess, so the fallback never runs
         tree, oracle = build_star(8, 2)
-        with pytest.raises(ValueError, match="^k_guess "):
-            k_doubling_find(tree, oracle, EstimateResConfig(k_guess=0), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="step"):
+            k_doubling_find(tree, oracle, EstimateResConfig(step=2.5), np.random.default_rng(0))
 
     def test_cache_is_bounded(self):
         info = algorithms._sweep_plan.cache_info()
         assert info.maxsize == SWEEP_PLAN_CACHE_SIZE
         tree, _ = build_star(4, 1)
         for i in range(SWEEP_PLAN_CACHE_SIZE + 5):
-            algorithms._sweep_plan(EstimateResConfig(k_guess=1 + i), 1, 4, tree.size_bound)
+            algorithms._sweep_plan(EstimateResConfig(delta0=0.01 + 0.001 * i), 1, 4, tree.size_bound)
         assert algorithms._sweep_plan.cache_info().currsize == SWEEP_PLAN_CACHE_SIZE
 
-    def test_k_doubling_adds_at_most_one_plan_per_guess(self, monkeypatch):
+    def test_k_doubling_adds_at_most_two_plans(self, monkeypatch):
         # an unmarked star runs every guess, then the classical fallback
         tree, oracle = build_star(32, 0)
         guesses = set()
         original = algorithms.find_marked
 
-        def recorded(tree, oracle, cfg, rng, sim=None):
-            guesses.add(cfg.k_guess)
-            return original(tree, oracle, cfg, rng, sim)
+        def recorded(tree, oracle, cfg, rng, sim=None, k_guess=1):
+            guesses.add(k_guess)
+            return original(tree, oracle, cfg, rng, sim, k_guess)
 
         monkeypatch.setattr(algorithms, "find_marked", recorded)
         algorithms._sweep_plan.cache_clear()
@@ -128,8 +142,8 @@ class TestSweepPlan:
         k_doubling_find(tree, oracle, CFG, np.random.default_rng(0), sim)
         misses = algorithms._sweep_plan.cache_info().misses
         assert len(guesses) > 1
-        # the fallback adds one plan of its own: its per-level delta0
-        assert misses <= len(guesses) + 1
+        # every guess shares the loop's plan; the fallback adds one of its own: its per-level delta0
+        assert misses <= 2
         k_doubling_find(tree, oracle, CFG, np.random.default_rng(1), sim)
         assert algorithms._sweep_plan.cache_info().misses == misses
 
@@ -229,7 +243,7 @@ class TestEstimateRes:
         # far from the acceptance window the per-loop acceptance probability
         # must stay below delta0: 10^4 trials at eta = eta_bar / 16
         tree, oracle, sim = star_sim
-        s_pe = CFG.pe_ancillas(tree.size_bound, 1 / 64)
+        s_pe = loop_pe_ancillas(tree.size_bound, 1 / 64)
         p_zero, _ = sim.pe_stats(tree.root, 1 / 64, s_pe)
         theta = math.asin(math.sqrt(p_zero))
         assert abs(theta - math.pi / 4) >= math.pi / 8
@@ -274,7 +288,7 @@ def choice_estimate_res(tree, v, cfg, rng, sim):
     while True:
         eta = min(cfg.step**i / d, n)
         if eta > 0.0:
-            s_pe = cfg.pe_ancillas(tree.size_bound, eta)
+            s_pe = loop_pe_ancillas(tree.size_bound, eta)
             p_zero, _ = sim.pe_stats(v, eta, s_pe)
             probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), s_ae)
             draws = grid[rng.choice(grid.size, size=reps, p=probs / probs.sum())]
@@ -532,6 +546,29 @@ class TestSubtree:
 
 
 class TestWalkSimulator:
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda t, o, rng, sim: estimate_res(t, o, t.root, CFG, rng, sim),
+            lambda t, o, rng, sim: detect_existence(t, o, CFG, rng, sim),
+            lambda t, o, rng, sim: find_marked(t, o, CFG, rng, sim),
+            lambda t, o, rng, sim: k_doubling_find(t, o, CFG, rng, sim),
+            lambda t, o, rng, sim: classical_descent(t, o, CFG, rng, sim),
+        ],
+        ids=["estimate_res", "detect_existence", "find_marked", "k_doubling_find", "classical_descent"],
+    )
+    def test_a_simulator_of_another_tree_or_oracle_is_rejected(self, search):
+        tree, oracle = build_star(8, 2)
+        sim = WalkSimulator(tree, oracle)
+        marks = np.zeros(tree.n_vertices, dtype=bool)
+        marks[8] = True
+        leaf_8 = MarkingOracle(marks, tree.root)
+        twin, _ = build_star(8, 2)
+        for t, o in ((tree, leaf_8), (twin, oracle), (tree, oracle.copy())):
+            with pytest.raises(ValueError, match="^sim must be a WalkSimulator"):
+                search(t, o, np.random.default_rng(0), sim)
+        search(tree, oracle, np.random.default_rng(0), sim)
+
     def test_unmark_invalidates_to_a_fresh_simulator(self):
         tree, oracle = build_random_tree(40, 3, 0.2, 2)
         nested = [
@@ -580,7 +617,7 @@ class TestWalkSimulator:
         sim = WalkSimulator(tree, oracle)
         s_ae = CFG.ae_ancillas(CFG.resolve_gamma2(tree.depth_bound))
         eta = 1.0 / 64
-        s_pe = CFG.pe_ancillas(tree.size_bound, eta)
+        s_pe = loop_pe_ancillas(tree.size_bound, eta)
         before = sim.ae_law(tree.root, eta, s_pe, s_ae)
         for seed in range(5):
             estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed), sim)

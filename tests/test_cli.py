@@ -201,7 +201,8 @@ class TestTrialsFlag:
 
 
 class TestUsageErrors:
-    """A library ValueError on user input exits 2 with its message, not a traceback.
+    """A library ValueError on user input, or a file that cannot be read or written, exits 2
+    with its message, not a traceback.
 
     ``verify-all --count 0`` is covered by ``TestVerifyAll.test_empty_corpus_rejected``.
     """
@@ -241,6 +242,29 @@ class TestUsageErrors:
             run_cli(["estimate-res", "--tree", star_file, flag, value], tmp_path)
         assert exc.value.code == 2
         assert f"error: {flag[2:]} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta_exits_2_naming_it(self, eta, star_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["spectrum", "--tree", star_file, "--eta", eta], tmp_path)
+        assert exc.value.code == 2
+        assert "error: eta must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate-res", "resistance"])
+    def test_missing_tree_file_exits_2_naming_it(self, command, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--tree", str(missing)], tmp_path)
+        assert exc.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "gen-tree"])
+    def test_output_directory_exits_2_naming_it(self, command, star_file, tmp_path, capsys):
+        argv = ["gen-tree", "--kind", "star"] if command == "gen-tree" else [command, "--tree", star_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path)])
+        assert exc.value.code == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestDescentSim:

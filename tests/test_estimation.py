@@ -1,12 +1,13 @@
 """Phase/amplitude estimation statistics and backend cross-validation."""
 
+import math
 import pathlib
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbacktrack import (
@@ -35,7 +36,7 @@ from qbacktrack import (
     total_variation,
     tree_from_json,
 )
-from qbacktrack.algorithms import EstimateResConfig, find_all
+from qbacktrack.algorithms import DELTA_AE, DESCENT_DELTA_CAP, LOOP_PE_DELTA, EstimateResConfig, find_all
 from qbacktrack.estimation import _BLOCK_ENTRIES, choice_cdf, pe_kernel_amplitude
 from qbacktrack.experiments import PRECISION_SIZE_CAP, backend_equivalence_instances, default_corpus
 from conftest import make_instance, reconstruct
@@ -523,11 +524,13 @@ class TestTotalVariation:
 
 
 def _loop_ancillas(size_bound, eta):
-    return EstimateResConfig().pe_ancillas(size_bound, eta)
+    return min(MAX_ANCILLAS, pe_ancillas(size_bound, eta, LOOP_PE_DELTA))
 
 
 def _descent_ancillas(size_bound, eta):
-    return pe_ancillas(size_bound, eta, EstimateResConfig().descent_delta(eta))
+    # find_marked's descent precision at k_guess = 1
+    delta = min(DESCENT_DELTA_CAP, 1.0 / max(1.0, math.log2(eta + 1.0)))
+    return min(MAX_ANCILLAS, pe_ancillas(size_bound, eta, delta))
 
 
 # key: (seed, job, tree) in findall_random; eta_bar: the exact root resistance;
@@ -673,6 +676,9 @@ class TestPeAncillas:
         s = pe_ancillas(65, 0.25, 0.1)
         assert 2**s >= np.sqrt(65 * 0.25) / 0.1**3
         assert 2**s <= 2 * np.sqrt(65 * 0.25) / 0.1**3
+        # the estimation loop's delta^3 = DELTA_AE^(3/2) asks far fewer ancillas than a descent's 0.1
+        assert _loop_ancillas(65, 1 / 64) == 5
+        assert pe_ancillas(65, 1 / 64, 0.1) == 10
 
     def test_invalid_inputs(self):
         for delta in (0.0, 1.0, 1.5):
@@ -680,11 +686,18 @@ class TestPeAncillas:
                 pe_ancillas(10, 1.0, delta)
         assert pe_ancillas(2, 1e-9, 0.99) == 1
 
-    def test_estimation_loop_uses_delta_three_halves(self):
-        # the estimation loop's law sqrt(T eta / DELTA_AE^3) differs from
-        # the descent's sqrt(T eta) / delta^3
-        assert EstimateResConfig().pe_ancillas(65, 1 / 64) == 5
-        assert pe_ancillas(65, 1 / 64, 0.1) == 10
+    @settings(max_examples=500, deadline=None)
+    @example(size_bound=65, eta=1 / 64)
+    @given(
+        size_bound=st.integers(min_value=1, max_value=10**6),
+        eta=st.floats(min_value=1e-6, max_value=1e6),
+    )
+    def test_estimation_loop_uses_delta_three_halves(self, size_bound, eta):
+        # the loop's law sqrt(T eta / DELTA_AE^3) is the descent's sqrt(T eta) / delta^3
+        # at delta = sqrt(DELTA_AE); the reference is the law written out
+        target = math.sqrt(size_bound * eta / DELTA_AE**3)
+        want = min(MAX_ANCILLAS, max(1, math.ceil(math.log2(max(2.0, target)))))
+        assert _loop_ancillas(size_bound, eta) == want
 
 
 class TestPearsonChi2:

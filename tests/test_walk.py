@@ -232,6 +232,11 @@ class TestOperator:
         with pytest.raises(ValueError):
             build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_eta_that_is_not_finite_and_positive_by_name(self, star_8_2, eta):
+        with pytest.raises(ValueError, match="^eta must be finite and positive"):
+            build_walk_operator(star_8_2.tree, star_8_2.oracle, eta)
+
     def test_single_edge_path_vector_is_fixed(self, single_edge):
         for eta in (0.25, 1.0, 4.0):
             op = build_walk_operator(single_edge.tree, single_edge.oracle, eta)
