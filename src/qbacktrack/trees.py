@@ -345,16 +345,18 @@ def build_random_tree(
         raise ValueError("mark_prob must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     kids: list[list[int]] = [[]]
-    capacity = {0: d}  # root may carry d children, others d - 1
+    # the vertices with room for another child, in id order, and that room:
+    # the root may carry d children, the others d - 1
+    hosts, room = [0], [d]
     for new in range(1, T_target):
-        options = sorted(capacity)
-        host = int(options[rng.integers(len(options))])
-        kids[host].append(new)
+        i = int(rng.integers(len(hosts)))
+        kids[hosts[i]].append(new)
         kids.append([])
-        capacity[host] -= 1
-        if capacity[host] == 0:
-            del capacity[host]
-        capacity[new] = d - 1
+        room[i] -= 1
+        if room[i] == 0:
+            del hosts[i], room[i]
+        hosts.append(new)
+        room.append(d - 1)
     order = _bfs(kids, 0)  # breadth-first relabel
     new_id = {old: i for i, old in enumerate(order)}
     children = [tuple(new_id[c] for c in kids[old]) for old in order]

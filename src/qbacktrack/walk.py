@@ -29,10 +29,12 @@ routines give the spectrum:
   matrix: 1x1 blocks are +/-1 eigenvalues, 2x2 rotation blocks give
   conjugate eigenphase pairs.  Its basis is not orthonormal when a repeated
   +/-1 eigenvalue comes back as a near-identity 2x2 block (ROADMAP item 0).
-  One reader remains: the search (``WalkSimulator.spectral``).  The
-  benchmark's trace sites still wrap ``spectral_decomposition`` as
-  ``experiments`` and ``descent`` import it, so both modules keep that
-  import unread.
+  One reader remains: the search (``WalkSimulator.spectral``).  It is the
+  only routine in the package that loads SciPy, on its first call, so
+  importing the package, the invariant suites and the CLI's commands that
+  do not search load NumPy alone.  The benchmark's trace sites still wrap
+  ``spectral_decomposition`` as ``experiments`` and ``descent`` import it,
+  so both modules keep that import unread.
 
 Analytic states (all expressed over the vertex basis):
 
@@ -53,7 +55,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .trees import MarkedSet, MarkingOracle, SolutionTree, Tree, shallowest_marked
 
@@ -191,10 +192,14 @@ def build_walk_operator(
     an even and an odd star share at most one vertex, each entry is a single
     rounded product and the matrices equal a star-by-star rank-one assembly
     bit for bit.  Dense matrices are intended for |V| up to a couple
-    thousand.
+    thousand.  Raises ``ValueError`` naming ``eta`` unless it is finite and
+    positive and the root's squared norm ``1 + d_r eta`` is finite.
     """
     if not 0.0 < eta < np.inf:
         raise ValueError(f"eta must be finite and positive, got {eta}")
+    d_root = len(tree.children[tree.root])
+    if not np.isfinite(1.0 + d_root * float(eta)):
+        raise ValueError(f"eta = {eta} overflows the root's norm 1 + d_r*eta (d_r = {d_root})")
     if isinstance(oracle, MarkedSet):
         members = oracle.members
     else:
@@ -237,6 +242,10 @@ def spectral_decomposition(op: WalkOperator) -> SpectralDecomposition:
     are the same bytes; it runs in place on a private copy, and
     ``op.matrix`` is left as it was.
     """
+    # SciPy is imported here, not at module level: no other routine in the
+    # package needs it, and importing it costs more than the rest together.
+    import scipy.linalg
+
     # Each n x n input is dropped once read, so the operator (a temporary in
     # WalkSimulator.spectral), its matrix and the Schur factor are freed
     # before the complex basis is allocated: a lower peak RSS.  schur's own

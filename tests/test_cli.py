@@ -250,6 +250,12 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "error: eta must be finite and positive" in capsys.readouterr().err
 
+    def test_overflowing_eta_exits_2_naming_it(self, star_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["spectrum", "--tree", star_file, "--eta", "1e308"], tmp_path)
+        assert exc.value.code == 2
+        assert "error: eta = 1e+308 overflows the root's norm" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["estimate-res", "resistance"])
     def test_missing_tree_file_exits_2_naming_it(self, command, tmp_path, capsys):
         missing = tmp_path / "absent.json"

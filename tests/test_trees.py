@@ -21,8 +21,30 @@ from qbacktrack import (
     tree_from_json,
     tree_to_json,
 )
-from qbacktrack.trees import tree_from_children
+from qbacktrack.trees import _bfs, tree_from_children
 from conftest import rebuild_matches
+
+
+def reference_random_tree(T_target, d, mark_prob, seed):
+    """Reference for ``build_random_tree``: each host is drawn from the sorted keys of a capacity dict."""
+    rng = np.random.default_rng(seed)
+    kids = [[]]
+    capacity = {0: d}
+    for new in range(1, T_target):
+        options = sorted(capacity)
+        host = int(options[rng.integers(len(options))])
+        kids[host].append(new)
+        kids.append([])
+        capacity[host] -= 1
+        if capacity[host] == 0:
+            del capacity[host]
+        capacity[new] = d - 1
+    order = _bfs(kids, 0)
+    new_id = {old: i for i, old in enumerate(order)}
+    children = [tuple(new_id[c] for c in kids[old]) for old in order]
+    marks = np.zeros(T_target, dtype=bool)
+    marks[1:] = rng.random(T_target - 1) < mark_prob
+    return children, marks
 
 
 def brute_force_satisfying(cnf, var_order):
@@ -86,6 +108,15 @@ class TestGenerators:
     def test_random_tree_respects_bounds(self):
         tree, _ = build_random_tree(200, 3, 0.05, seed=1)
         assert rebuild_matches(tree).degree_bound <= 3
+
+    @pytest.mark.parametrize("size", [2, 3, 17, 60, 200, 500])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 6])
+    def test_random_tree_matches_the_reference_builder(self, size, degree):
+        for seed in range(40):
+            tree, oracle = build_random_tree(size, degree, 0.1, seed)
+            children, marks = reference_random_tree(size, degree, 0.1, seed)
+            assert tree.children == tuple(children), seed
+            assert [oracle.peek(v) for v in range(size)] == marks.tolist(), seed
 
     def test_bfs_labelling(self):
         tree, _ = build_random_tree(60, 4, 0.0, seed=5)

@@ -1,5 +1,10 @@
 """Walk operator structure, spectrum, and the analytic fixed-point states."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbacktrack
 from qbacktrack import (
     beta_angle,
     build_random_tree,
@@ -237,6 +243,16 @@ class TestOperator:
         with pytest.raises(ValueError, match="^eta must be finite and positive"):
             build_walk_operator(star_8_2.tree, star_8_2.oracle, eta)
 
+    def test_rejects_eta_that_overflows_the_root_norm_by_name(self, star_8_2):
+        # d_r = 8: max/8 is the largest eta with 1 + 8 eta finite, the next float is not
+        largest = np.finfo(float).max / 8
+        op = build_walk_operator(star_8_2.tree, star_8_2.oracle, largest)
+        owner, amp = op.stars[0]
+        assert np.sum(amp[owner == star_8_2.tree.root] ** 2) == pytest.approx(1.0)
+        for eta in (np.nextafter(largest, np.inf), 1e308):
+            with pytest.raises(ValueError, match="^eta = .* overflows the root's norm"):
+                build_walk_operator(star_8_2.tree, star_8_2.oracle, eta)
+
     def test_single_edge_path_vector_is_fixed(self, single_edge):
         for eta in (0.25, 1.0, 4.0):
             op = build_walk_operator(single_edge.tree, single_edge.oracle, eta)
@@ -318,6 +334,34 @@ class TestSchurCall:
         assert op.matrix.tobytes() == matrix.tobytes()
         state = np.random.default_rng(0).normal(size=(tree.n_vertices, 2)) @ [1.0, 1.0j]
         assert np.array_equal(sd.amplitudes(state), sd.vectors.conj().T @ state)
+
+    def test_scipy_is_loaded_only_by_the_schur_call(self, star_8_2):
+        # a fresh interpreter: this process has SciPy loaded already
+        script = """
+import json, sys
+loaded = []
+import qbacktrack
+loaded.append('scipy' in sys.modules)
+import qbacktrack.cli
+loaded.append('scipy' in sys.modules)
+from qbacktrack import experiments
+experiments.verify_all(experiments.default_corpus(5, 3))
+loaded.append('scipy' in sys.modules)
+from qbacktrack import build_star, build_walk_operator, spectral_decomposition
+tree, oracle = build_star(8, 2)
+sd = spectral_decomposition(build_walk_operator(tree, oracle, 0.5))
+loaded.append('scipy' in sys.modules)
+print(json.dumps({"loaded": loaded, "bytes": (sd.phases.tobytes() + sd.vectors.tobytes()).hex()}))
+"""
+        src = str(pathlib.Path(qbacktrack.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        out = json.loads(run.stdout.splitlines()[-1])
+        assert out["loaded"] == [False, False, False, True]
+        sd = spectral_decomposition(build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.5))
+        assert out["bytes"] == (sd.phases.tobytes() + sd.vectors.tobytes()).hex()
 
     def test_star_512_transient_memory(self):
         tree, oracle = build_star(512, 4)
