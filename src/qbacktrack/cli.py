@@ -7,9 +7,10 @@ results (all but gen-tree and run) also emit CSV rows via ``--out csv``.
 All numbers are serialized at full precision with sorted keys, so identical
 specs and seeds produce byte-identical files.  The JSON is strict: a
 non-finite number is written as the string "inf", "-inf" or "nan".  Input the library rejects
-with a ``ValueError``, and a file that cannot be read or written (a missing
-``--tree``, ``--cnf`` or ``--spec``, an ``--output`` that is a directory), is
-a usage error: its message goes to stderr and the exit code is 2.
+with a ``ValueError``, a tree too large for a dense walk (``ResourceLimitError``),
+and a file that cannot be read or written (a missing ``--tree``, ``--cnf`` or
+``--spec``, an ``--output`` that is a directory), are usage errors: the
+message goes to stderr and the exit code is 2.
 
 Randomness: one 64-bit master seed per invocation.  Trials run one after
 another in the calling thread.  The run-style commands (estimate-res,
@@ -48,7 +49,7 @@ from .trees import (
     tree_from_json,
     tree_to_json,
 )
-from .walk import build_walk_operator, szegedy_spectrum
+from .walk import ResourceLimitError, build_walk_operator, szegedy_spectrum
 
 
 _compact_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -392,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.save_spec, "w") as fh:
                 fh.write(json.dumps({"command": args.command, "options": options}, sort_keys=True) + "\n")
         return args.func(args)
-    except (ValueError, OSError) as exc:  # a library rejecting the user's input, or a bad path
+    except (ValueError, OSError, ResourceLimitError) as exc:  # bad input or path, or a size past a cap
         parser.error(str(exc))
 
 

@@ -8,11 +8,12 @@ the search passes the Schur spectrum, the invariant suites the orthonormal
 Szegedy one.  Two backends give the full joint (outcome x vertex) law and
 cross-check each other on small instances:
 
-* :func:`pe_joint` evaluates the kernel on the eigendecomposition, one sine
-  per (outcome, distinct eigenphase) pair and one matrix product per block
-  of outcomes, over only the eigenphases the input has weight on, each
-  against the input's projection on its eigenspace; the blocks come from
-  one iterator, which the backend-equivalence suite reads a block at a time;
+* :func:`pe_joint` yields the law a block of outcomes at a time, in outcome
+  order, from the eigendecomposition: one sine per (outcome, distinct
+  eigenphase) pair and one matrix product per block, over only the
+  eigenphases the input has weight on, each against the input's projection
+  on its eigenspace.  The backend-equivalence suite compares each block
+  with the circuit's rows, so no spectral joint is held whole;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) with its
   ancillas in two groups joined by controlled phases: a high group of
@@ -33,6 +34,10 @@ eigenphases ``+/- theta`` of the rotation operator describe the same
 amplitude, so outcomes are folded to ``[0, pi/2]``; without folding, half of
 all draws at the optimum would report ``pi - theta`` and break any
 window test around ``pi/4``.
+
+The caps ``GATE_DIM_CAP`` and :class:`ResourceLimitError` live in
+:mod:`~qbacktrack.walk`, whose dense walk they bound too, and are exported
+here as well.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .walk import SpectralDecomposition, WalkOperator
+from .walk import GATE_DIM_CAP, ResourceLimitError, SpectralDecomposition, WalkOperator
 
 __all__ = [
     "ResourceLimitError",
@@ -63,7 +68,6 @@ __all__ = [
 ]
 
 MAX_ANCILLAS = 24
-GATE_DIM_CAP = 2**22
 # pi = _PI_SPLIT[0] + _PI_SPLIT[1] + _PI_SPLIT[2] to about 1e-30: the first two
 # parts have 24 significant bits, so their products with any outcome index
 # below 2^MAX_ANCILLAS are exact.
@@ -75,10 +79,6 @@ _PI_SPLIT = (_PI_1, _PI_2, float(_PI - Decimal(_PI_1) - Decimal(_PI_2)))
 _BLOCK_ENTRIES = 1 << 18
 # The probability-sum tolerance of Generator.choice: sqrt of float64 eps.
 PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested distribution or statevector exceeds the configured caps."""
 
 
 def pe_ancillas(size_bound: int, eta: float, delta: float) -> int:
@@ -192,17 +192,20 @@ def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) 
     return p_zero, cond
 
 
-def _pe_joint_blocks(
+def pe_joint(
     sd: SpectralDecomposition, input_state: np.ndarray, s: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The joint law of :func:`pe_joint` a block of outcomes at a time: ``(w0, rows)``.
+    """Joint (ancilla outcome x vertex) law of phase estimation, a block of outcomes at a time.
 
-    ``rows`` is a fresh C-contiguous array of the outcomes
-    ``w0 .. w0 + len(rows) - 1`` by vertex, ``_BLOCK_ENTRIES // |V|`` of them
-    (at least one) save in the last block; the blocks come in outcome order,
-    so each one lines up with the contiguous rows ``w0 .. w0 + len(rows) - 1``
-    of :func:`gate_level_pe`'s joint.  The input checks and the
-    :class:`ResourceLimitError` cap run when the first block is asked for.
+    Yields ``(w0, rows)`` in outcome order: ``rows`` is a fresh C-contiguous
+    array of the outcomes ``w0 .. w0 + len(rows) - 1`` by vertex,
+    ``_BLOCK_ENTRIES // |V|`` of them (at least one) save in the last block,
+    so each block lines up with the contiguous rows of
+    :func:`gate_level_pe`'s ``2^s x |V|`` joint, and the first block's row 0
+    is the outcome-0 law of :func:`pe_distribution` unnormalised.  The input
+    checks, and the :class:`ResourceLimitError` when ``2^s * |V|`` exceeds
+    ``GATE_DIM_CAP``, run on the call; the blocks are computed as they are
+    read, so a timer around the call sees only this set-up.
 
     The amplitude at outcome ``w`` is ``sum_j lam_j K_s(theta_j, w) v_j``.
     An eigencomponent with ``lam_j = 0`` adds exactly nothing, and the
@@ -221,33 +224,19 @@ def _pe_joint_blocks(
     projections = np.zeros((phases.size, dim), dtype=complex)  # distinct phase x vertex
     np.add.at(projections, group, (sd.vectors[:, support] * lam[support]).T)
     step = max(1, _BLOCK_ENTRIES // dim)
-    for w0 in range(0, m, step):
-        omegas = np.arange(w0, min(w0 + step, m))
-        kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x phase
-        amp = kernel @ projections  # omega x vertex
-        del kernel  # each block's temporaries go before the next block's are made
-        rows = np.empty(amp.shape)
-        _abs2(amp, rows)
-        del amp
-        yield w0, rows
 
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for w0 in range(0, m, step):
+            omegas = np.arange(w0, min(w0 + step, m))
+            kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x phase
+            amp = kernel @ projections  # omega x vertex
+            del kernel  # each block's temporaries go before the next block's are made
+            rows = np.empty(amp.shape)
+            _abs2(amp, rows)
+            del amp
+            yield w0, rows
 
-def pe_joint(sd: SpectralDecomposition, input_state: np.ndarray, s: int) -> np.ndarray:
-    """Joint (ancilla outcome x vertex) law of phase estimation, ``2^s x |V|``.
-
-    Raises :class:`ResourceLimitError` when ``2^s * |V|`` exceeds the
-    gate-level cap.  Row 0 is the outcome-0 law of :func:`pe_distribution`
-    unnormalised; the full array serves as the cross-check of
-    :func:`gate_level_pe`, in the same C-contiguous outcome-by-vertex layout:
-    the blocks of the outcome-block iterator, laid into one array, each
-    evaluating one kernel column per distinct eigenphase of the input.
-    """
-    dim = _unit_input(input_state, s).shape[0]
-    _check_joint_size(s, dim)
-    joint = np.empty((1 << s, dim))
-    for w0, rows in _pe_joint_blocks(sd, input_state, s):
-        joint[w0 : w0 + len(rows)] = rows
-    return joint
+    return blocks()
 
 
 def _abs2(z: np.ndarray, out: np.ndarray) -> None:

@@ -35,9 +35,7 @@ from .descent import (
     hitting_time_bound,
     simulate_descent,  # unused here; perfbench's tracer wraps it under this module
 )
-from .estimation import (
-    _pe_joint_blocks, gate_level_pe, pe_ancillas, pe_distribution, pearson_chi2, total_variation
-)
+from .estimation import gate_level_pe, pe_ancillas, pe_distribution, pe_joint, pearson_chi2, total_variation
 from .resistance import (
     ResistanceProfile,
     kappa_assignment,
@@ -97,6 +95,8 @@ PRECISION_SIZE_CAP = 200
 ENVELOPE_MARGIN = 0.5
 # Family-wise false-alarm rate of the descent Monte Carlo gate.
 DESCENT_MC_ALPHA = 1e-3
+# Seeded runs of each estimate_res statistic.
+ESTIMATE_RES_RUNS = 200
 
 
 @dataclass
@@ -170,8 +170,10 @@ class SuiteResult:
     elapsed: float = 0.0
 
     def update(self, instance_name: str, residual: float, tol: float, what: str = "") -> None:
+        """Record one residual; a NaN fails the check and holds ``max_residual`` at NaN."""
         self.checked += 1
-        self.max_residual = max(self.max_residual, residual)
+        if residual > self.max_residual or math.isnan(residual):
+            self.max_residual = residual
         if not (residual <= tol):
             self.passed = False
             self.failures.append({"instance": instance_name, "check": what, "residual": residual})
@@ -401,7 +403,7 @@ def _per_tree_suites(
 
 
 def verify_all(
-    corpus: list[CorpusInstance] | None = None,
+    corpus: list[CorpusInstance],
     master_seed: int = DEFAULT_MASTER_SEED,
     include_statistical: bool = False,
     inject_fault: str | None = None,
@@ -423,8 +425,6 @@ def verify_all(
     """
     if inject_fault not in (None, "kappa_perturbation"):
         raise ValueError(f"unknown fault {inject_fault!r}: the one fault is kappa_perturbation")
-    if corpus is None:
-        corpus = default_corpus(master_seed=master_seed)
     if not corpus:
         raise ValueError("no trees: the corpus is empty")
     suites, bundle_s = _per_tree_suites(corpus, inject_fault)
@@ -463,11 +463,11 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
     The spectral law reads the walk's orthonormal Szegedy spectrum
     (:func:`~qbacktrack.walk.szegedy_spectrum`); the circuit needs none.
     The circuit's joint is the one joint-sized array held: a C-contiguous
-    outcome-by-vertex law, compared with the spectral law of
-    :func:`~qbacktrack.estimation.pe_joint` one block of outcomes at a time,
-    so each block reads contiguous rows of it.  The blocks' total variations
-    add up to the whole joints' (the factor 1/2 scales each block's sum
-    exactly); on these instances the blocks fall where a raveled
+    outcome-by-vertex law.  :func:`~qbacktrack.estimation.pe_joint` yields
+    the spectral law as outcome blocks, each compared with the contiguous
+    rows of the circuit's joint that it lines up with.  The blocks' total
+    variations add up to the whole joints' (the factor 1/2 scales each
+    block's sum exactly); on these instances the blocks fall where a raveled
     comparison's do, so the sum is the same bit for bit.
     """
     result = SuiteResult("backend_equivalence")
@@ -479,37 +479,33 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         root[tree.root] = 1.0
         b = gate_level_pe(op, root, s)  # outcome x vertex, C-contiguous
         # TV adds over disjoint outcome blocks, so no spectral joint is held whole
-        blocks = _pe_joint_blocks(sd, root, s)
-        tv = sum(total_variation(rows, b[w0 : w0 + len(rows)]) for w0, rows in blocks)
+        tv = sum(total_variation(rows, b[w0 : w0 + len(rows)]) for w0, rows in pe_joint(sd, root, s))
         result.update(name, tv, tol, "joint_total_variation")
     result.elapsed = time.perf_counter() - t0
     return result
 
 
-def suite_estimate_res_statistics(
-    master_seed: int = DEFAULT_MASTER_SEED,
-    runs: int = 200,
-) -> SuiteResult:
+def suite_estimate_res_statistics(master_seed: int = DEFAULT_MASTER_SEED) -> SuiteResult:
     """Accuracy and existence statistics of the resistance estimator.
 
-    On the 64-leaf star with 4 marked, at least 95% of seeded runs must land
-    within ``16 * DELTA_AE * eta * (1 + ENVELOPE_MARGIN)`` of the true 1/4; on
-    unmarked fixtures at least 95% must report infinity.
+    On the 64-leaf star with 4 marked, at least 95% of ``ESTIMATE_RES_RUNS``
+    seeded runs must land within ``16 * DELTA_AE * eta * (1 + ENVELOPE_MARGIN)``
+    of the true 1/4; on unmarked fixtures at least 95% must report infinity.
     """
     result = SuiteResult("estimate_res_statistics")
     t0 = time.perf_counter()
     cfg = EstimateResConfig()
     tree, oracle = build_star(64, 4)
     sim = WalkSimulator(tree, oracle)
-    seeds = np.random.SeedSequence(master_seed).spawn(runs)
+    seeds = np.random.SeedSequence(master_seed).spawn(ESTIMATE_RES_RUNS)
     envelope = 16.0 * DELTA_AE * 0.25 * (1.0 + ENVELOPE_MARGIN)
     hits = 0
     for sq in seeds:
         est, _ = estimate_res(tree, oracle, tree.root, cfg, np.random.default_rng(sq), sim)
         if math.isfinite(est) and abs(est - 0.25) <= envelope:
             hits += 1
-    result.stats["star_hit_rate"] = hits / runs
-    result.require("star_64_4", hits >= 0.95 * runs, "estimate_within_envelope")
+    result.stats["star_hit_rate"] = hits / ESTIMATE_RES_RUNS
+    result.require("star_64_4", hits >= 0.95 * ESTIMATE_RES_RUNS, "estimate_within_envelope")
 
     for name, (tree_u, oracle_u) in [
         ("star_8_unmarked", build_star(8, 0)),
@@ -517,17 +513,17 @@ def suite_estimate_res_statistics(
     ]:
         sim_u = WalkSimulator(tree_u, oracle_u)
         inf_count = 0
-        for sq in np.random.SeedSequence(master_seed + 1).spawn(runs):
+        for sq in np.random.SeedSequence(master_seed + 1).spawn(ESTIMATE_RES_RUNS):
             est, _ = estimate_res(tree_u, oracle_u, tree_u.root, cfg, np.random.default_rng(sq), sim_u)
             inf_count += not math.isfinite(est)
-        result.stats[f"{name}_inf_rate"] = inf_count / runs
-        result.require(name, inf_count >= 0.95 * runs, "unmarked_reports_infinity")
+        result.stats[f"{name}_inf_rate"] = inf_count / ESTIMATE_RES_RUNS
+        result.require(name, inf_count >= 0.95 * ESTIMATE_RES_RUNS, "unmarked_reports_infinity")
     result.elapsed = time.perf_counter() - t0
     return result
 
 
 def suite_search_statistics(
-    corpus: list[CorpusInstance] | None = None,
+    corpus: list[CorpusInstance],
     master_seed: int = DEFAULT_MASTER_SEED,
     chi2_runs: int = 2000,
     find_all_trees: int = 100,
@@ -535,11 +531,14 @@ def suite_search_statistics(
     """Find-marked correctness: marked-only returns, leaf uniformity, recovery.
 
     ``chi2_runs`` returned vertices are drawn from at most ``3 * chi2_runs``
-    seeded attempts; fewer fails the ``success_rate`` check.  The
-    chi-square threshold 11.34 is the 0.01 tail of three degrees of freedom
-    (four equiprobable leaves), so under exact uniformity the gate raises a
-    false alarm on 1% of master seeds.
+    seeded attempts; fewer fails the ``success_rate`` check, and
+    ``chi2_runs < 1`` raises ``ValueError``.  The chi-square threshold 11.34
+    is the 0.01 tail of three degrees of freedom (four equiprobable leaves),
+    so under exact uniformity the gate raises a false alarm on 1% of master
+    seeds.
     """
+    if chi2_runs < 1:
+        raise ValueError(f"chi2_runs must be at least 1, got {chi2_runs}")
     result = SuiteResult("search_statistics")
     t0 = time.perf_counter()
     cfg = EstimateResConfig()
@@ -565,8 +564,6 @@ def suite_search_statistics(
     result.require("star_64_4", chi2 < 11.34, "leaf_uniformity_chi2")
 
     # exact recovery of every marked vertex on the smallest corpus trees
-    if corpus is None:
-        corpus = default_corpus(master_seed=master_seed)
     small = [
         inst
         for inst in corpus

@@ -509,7 +509,7 @@ def tree_to_json(tree: Tree, oracle: MarkingOracle) -> str:
     return json.dumps({"root": tree.root, "vertices": vertices}, sort_keys=True)
 
 
-def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
+def tree_from_json(text: str) -> tuple[Tree, MarkingOracle]:
     """Parse and validate the interchange format.
 
     Rejects non-dense ids, a ``"children"`` that is not a list and a
@@ -520,7 +520,7 @@ def tree_from_json(text: str | dict) -> tuple[Tree, MarkingOracle]:
     generators always emit breadth-first ids but the loader does not insist
     on that ordering.
     """
-    data = json.loads(text) if isinstance(text, str) else text
+    data = json.loads(text)
     if not isinstance(data, dict) or "root" not in data or "vertices" not in data:
         raise TreeStructureError("schema", "expected object with 'root' and 'vertices'")
     rows = data["vertices"]

@@ -11,7 +11,9 @@ Each vertex lies in at most one star of each parity: its own and its
 parent's.  Assembly is O(n): the operator keeps each parity's per-vertex
 star owners and amplitudes, and applies a reflection, or one walk step, in
 O(n) from them.  The dense walk is formed on the first read of
-``WalkOperator.matrix``, and only Schur and the gate-level circuit read it.
+``WalkOperator.matrix``, and only Schur and the gate-level circuit read it;
+past ``n = 2048`` (``GATE_DIM_CAP`` entries) the read, and the Szegedy
+basis, raise :class:`ResourceLimitError` instead of allocating.
 There ``R_A`` and ``R_B`` are ``I - 2 psi_i psi_j`` with the product kept
 only where i and j share a star of that parity, O(n^2) vectorised work, and
 the one n^3 BLAS product ``R_B @ R_A`` follows.  An even and an odd star
@@ -59,6 +61,8 @@ import numpy as np
 from .trees import MarkedSet, MarkingOracle, SolutionTree, Tree, shallowest_marked
 
 __all__ = [
+    "ResourceLimitError",
+    "GATE_DIM_CAP",
     "WalkOperator",
     "SpectralDecomposition",
     "build_walk_operator",
@@ -72,9 +76,21 @@ __all__ = [
 ]
 
 
+# Entries in the largest dense array a walk, a joint law or a gate-level register may hold.
+GATE_DIM_CAP = 2**22
 # Singular values of the star overlap at or below this are zero: their star
 # directions are eigenvectors at phase pi/2 on their own, not a rotation pair.
 _SIGMA_ZERO = 1e-14
+
+
+class ResourceLimitError(RuntimeError):
+    """Requested distribution or statevector exceeds the configured caps."""
+
+
+def _check_dense(n: int) -> None:
+    """The cap on an ``n x n`` dense array: ``n^2 <= GATE_DIM_CAP``, so ``n <= 2048``."""
+    if n * n > GATE_DIM_CAP:
+        raise ResourceLimitError(f"a dense {n} x {n} walk exceeds the cap of 2^22 entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +111,11 @@ class WalkOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The dense ``R_B @ R_A``, formed on the first read and kept: the one n^3 product."""
+        """The dense ``R_B @ R_A``, formed on the first read and kept: the one n^3 product.
+
+        Raises :class:`ResourceLimitError` past ``n = 2048`` instead of allocating.
+        """
+        _check_dense(self.tree.n_vertices)
         return _reflection(*self.stars[1]) @ _reflection(*self.stars[0])
 
     def reflect(self, x: np.ndarray, odd: bool = False) -> np.ndarray:
@@ -191,9 +211,10 @@ def build_walk_operator(
     and then runs the product ``R_B @ R_A``, the one n^3 BLAS call.  Since
     an even and an odd star share at most one vertex, each entry is a single
     rounded product and the matrices equal a star-by-star rank-one assembly
-    bit for bit.  Dense matrices are intended for |V| up to a couple
-    thousand.  Raises ``ValueError`` naming ``eta`` unless it is finite and
-    positive and the root's squared norm ``1 + d_r eta`` is finite.
+    bit for bit.  A dense matrix past ``|V| = 2048`` raises
+    :class:`ResourceLimitError` when read.  Raises ``ValueError`` naming
+    ``eta`` unless it is finite and positive and the root's squared norm
+    ``1 + d_r eta`` is finite.
     """
     if not 0.0 < eta < np.inf:
         raise ValueError(f"eta must be finite and positive, got {eta}")
@@ -316,10 +337,12 @@ def szegedy_spectrum(op: WalkOperator) -> SpectralDecomposition:
 
     Every vertex but a marked one owns one star, so the counts add up to n
     and no star direction is fixed (sigma < 1).  The basis is orthonormal
-    by construction, whatever the multiplicities of the phases.
+    by construction, whatever the multiplicities of the phases.  The basis
+    is dense, so past ``n = 2048`` this raises :class:`ResourceLimitError`.
     """
     tree = op.tree
     n = tree.n_vertices
+    _check_dense(n)
     (own_a, amp_a), (own_b, amp_b) = op.stars
     col_a, col_b = _star_columns(own_a, amp_a), _star_columns(own_b, amp_b)
     both = (col_a >= 0) & (col_b >= 0)

@@ -14,6 +14,7 @@ from qbacktrack import (
     build_path,
     build_star,
     kappa_assignment,
+    pe_joint,
     resistance_profile,
     shallowest_marked,
     solution_tree,
@@ -47,6 +48,11 @@ def make_instance(builder, *args, **kwargs) -> Instance:
 def reconstruct(sd: SpectralDecomposition) -> np.ndarray:
     """The operator ``V diag(exp(2i phases)) V^H`` that a unitary eigenbasis spans."""
     return (sd.vectors * np.exp(2j * sd.phases)) @ sd.vectors.conj().T
+
+
+def whole_joint(sd: SpectralDecomposition, state: np.ndarray, s: int) -> np.ndarray:
+    """``pe_joint``'s outcome blocks laid into one ``2^s x |V|`` array."""
+    return np.concatenate([rows for _, rows in pe_joint(sd, state, s)])
 
 
 def rebuild_matches(tree: Tree) -> Tree:

@@ -123,7 +123,7 @@ def test_criterion_06_precision_law(invariant_report):
 
 def test_criterion_07_estimate_res_statistics():
     t0 = time.time()
-    suite = suite_estimate_res_statistics(runs=200)
+    suite = suite_estimate_res_statistics()
     elapsed = time.time() - t0
     report(
         "criterion 7: resistance estimates within envelope (95%) and unmarked infinity (95%), <5 min",

@@ -256,6 +256,14 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "error: eta = 1e+308 overflows the root's norm" in capsys.readouterr().err
 
+    def test_tree_past_the_dense_cap_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "big.json")
+        assert main(["gen-tree", "--kind", "star", "--size", "2048", "--marked", "1", "--output", path]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["spectrum", "--tree", path, "--eta", "0.5"], tmp_path)
+        assert exc.value.code == 2
+        assert "error: a dense 2049 x 2049 walk exceeds the cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["estimate-res", "resistance"])
     def test_missing_tree_file_exits_2_naming_it(self, command, tmp_path, capsys):
         missing = tmp_path / "absent.json"

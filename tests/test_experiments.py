@@ -1,5 +1,6 @@
 """The experiment suites: statistical gates fail cleanly, reports time each suite."""
 
+import math
 import time
 import tracemalloc
 from dataclasses import replace
@@ -9,9 +10,10 @@ import pytest
 
 from qbacktrack import experiments
 from qbacktrack.descent import descent_step_counts
-from qbacktrack.estimation import gate_level_pe, pe_joint, total_variation
+from qbacktrack.estimation import gate_level_pe, total_variation
 from qbacktrack.experiments import suite_descent_monte_carlo, suite_search_statistics
 from qbacktrack.walk import build_walk_operator, szegedy_spectrum
+from conftest import whole_joint
 
 CHAINS = {"single_edge", "star_10_4", "path_5", "random_40"}
 # Fewer trials than the acceptance run keeps these fast; every fault below
@@ -135,7 +137,7 @@ def test_backend_equivalence_streamed_residual_is_whole_joint_tv():
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
         whole = total_variation(
-            pe_joint(szegedy_spectrum(op), root, s).ravel(), gate_level_pe(op, root, s).ravel()
+            whole_joint(szegedy_spectrum(op), root, s).ravel(), gate_level_pe(op, root, s).ravel()
         )
         assert streamed[name] == whole, name
 
@@ -144,10 +146,9 @@ def test_verify_all_rejects_unknown_fault_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("verify_all did work before checking the fault name")
 
-    monkeypatch.setattr(experiments, "default_corpus", no_work)
     monkeypatch.setattr(experiments, "_per_tree_suites", no_work)
     with pytest.raises(ValueError, match="unknown fault 'typo'"):
-        experiments.verify_all(inject_fault="typo")
+        experiments.verify_all(experiments.fixture_instances(), inject_fault="typo")
 
 
 @pytest.mark.parametrize("sizes", [[64], [64, 64], []])
@@ -178,3 +179,18 @@ def test_every_verify_all_spectrum_is_orthonormal(monkeypatch, seed):
     assert len(built) == n_bundles + len(experiments.backend_equivalence_instances())
     for n, sd in built:
         assert np.linalg.norm(sd.vectors.conj().T @ sd.vectors - np.eye(n)) <= 1e-10
+
+
+@pytest.mark.parametrize("residuals", [[1e-12, math.nan], [math.nan, 1e-12], [math.nan, 2.0, 0.0]])
+def test_suite_result_keeps_a_nan_residual(residuals):
+    suite = experiments.SuiteResult("nan_residual")
+    for residual in residuals:
+        suite.update("x", residual, 1e-10)
+    assert not suite.passed
+    assert math.isnan(suite.max_residual)
+
+
+@pytest.mark.parametrize("chi2_runs", [0, -1])
+def test_search_statistics_needs_a_run(chi2_runs):
+    with pytest.raises(ValueError, match="chi2_runs must be at least 1"):
+        suite_search_statistics(corpus=[], chi2_runs=chi2_runs, find_all_trees=0)

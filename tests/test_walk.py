@@ -34,9 +34,10 @@ from qbacktrack import (
 )
 from conftest import make_instance, reconstruct
 from qbacktrack.experiments import default_corpus
+from qbacktrack import estimation
 from qbacktrack.estimation import gate_level_pe
 from qbacktrack.trees import MarkedSet, build_path, tree_from_json
-from qbacktrack.walk import _star_weights
+from qbacktrack.walk import GATE_DIM_CAP, ResourceLimitError, _star_weights
 
 
 def psi_v(tree, v, eta, marked=None):
@@ -130,8 +131,8 @@ def assert_matches_rank_one(tree, oracle, eta):
 
 
 # marked vertex 1 (odd depth) and 5 (even depth) both have children, so each
-# reflection carries an identity block over a whole star
-MARKED_INTERNAL = {
+# reflection carries an identity block over a whole star; the interchange text
+MARKED_INTERNAL = json.dumps({
     "root": 0,
     "vertices": [
         {"id": 0, "children": [1, 2]},
@@ -144,7 +145,7 @@ MARKED_INTERNAL = {
         {"id": 7, "children": []},
         {"id": 8, "children": []},
     ],
-}
+})
 
 
 class TestAssembly:
@@ -252,6 +253,20 @@ class TestOperator:
         for eta in (np.nextafter(largest, np.inf), 1e308):
             with pytest.raises(ValueError, match="^eta = .* overflows the root's norm"):
                 build_walk_operator(star_8_2.tree, star_8_2.oracle, eta)
+
+    def test_dense_forms_refuse_past_the_cap(self):
+        # n = 2049: n^2 passes GATE_DIM_CAP = 2^22; the O(n) operator and its action stay uncapped
+        tree, oracle = build_star(2048, 1)
+        op = build_walk_operator(tree, oracle, 0.5)
+        root = np.zeros(tree.n_vertices)
+        root[tree.root] = 1.0
+        assert np.linalg.norm(op.apply(root)) == pytest.approx(1.0)
+        for dense in (lambda: op.matrix, lambda: szegedy_spectrum(op), lambda: spectral_decomposition(op)):
+            with pytest.raises(ResourceLimitError, match="dense 2049 x 2049 walk"):
+                dense()
+        assert "matrix" not in op.__dict__
+        assert qbacktrack.ResourceLimitError is estimation.ResourceLimitError is ResourceLimitError
+        assert qbacktrack.GATE_DIM_CAP == estimation.GATE_DIM_CAP == GATE_DIM_CAP == 2**22
 
     def test_single_edge_path_vector_is_fixed(self, single_edge):
         for eta in (0.25, 1.0, 4.0):
