@@ -8,21 +8,22 @@ the search passes the Schur spectrum, the invariant suites the orthonormal
 Szegedy one.  Two backends give the full joint (outcome x vertex) law and
 cross-check each other on small instances:
 
-* :func:`pe_joint` yields the law a block of outcomes at a time, in outcome
-  order, from the eigendecomposition: one sine per (outcome, distinct
-  eigenphase) pair and one matrix product per block, over only the
-  eigenphases the input has weight on, each against the input's projection
-  on its eigenspace.  The backend-equivalence suite compares each block
-  with the circuit's rows, so no spectral joint is held whole;
+* :func:`pe_joint` yields the law a block of outcomes at a time from the
+  eigendecomposition: one sine per (outcome, distinct eigenphase) pair and
+  one matrix product per block, over only the eigenphases the input has
+  weight on, each against the input's projection on its eigenspace;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) with its
   ancillas in two groups joined by controlled phases: a high group of
-  ``s // 2`` ancillas whose register is transformed first, then the low
-  group a block of residues at a time, each FFT of length about ``2^(s/2)``.
-  Each residue ``r`` of the outcome modulo ``2^(s//2)`` fills rows ``r::2^(s//2)``
-  of a fresh C-contiguous ``2^s x |V|`` joint.  A real input needs only
-  half the residues; the other half, and every outcome above ``2^(s-1)``,
-  are their exact mirror images.
+  ``s // 2`` ancillas whose register is transformed on the call, then the
+  low group a run of residues of the outcome modulo ``2^(s//2)`` at a time,
+  each FFT of length about ``2^(s/2)``.  A real input needs only half the
+  residues; the other half are their exact mirror images.
+
+Both yield ``(outcomes, rows)`` blocks in one order, runs of residues and
+their mirrors (``_residue_blocks``), so the backend-equivalence suite
+compares them block by block and neither joint is held whole.
+``GATE_DIM_CAP`` bounds the ``2^s x |V|`` work of either law.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
 ``w`` carries amplitude ``(1/M) sum_x exp(ix(2 theta - 2 pi w / M))`` with
@@ -171,7 +172,7 @@ def _unit_input(input_state: np.ndarray, s: int, dtype=None) -> np.ndarray:
 
 
 def _check_joint_size(s: int, dim: int) -> None:
-    """The ``2^s x |V|`` cap on a joint law or a gate-level register."""
+    """The ``2^s x |V|`` cap on the work of a joint law, whose blocks are never held together."""
     if (1 << s) * dim > GATE_DIM_CAP:
         raise ResourceLimitError(f"joint of size 2^{s} x {dim} exceeds the cap of 2^22 entries")
 
@@ -192,16 +193,47 @@ def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) 
     return p_zero, cond
 
 
+def _residue_blocks(
+    s: int, dim: int, real: bool
+) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, slice]]]]:
+    """The order in which both joint-law backends yield their outcome blocks.
+
+    With ``H = 2^(s//2)`` and ``L = 2^(s - s//2)`` the outcome ``w`` is
+    ``r + H k``, ``r`` its residue modulo ``H`` and ``k < L``.  Yields
+    ``(residues, parts)`` for runs of at most ``_BLOCK_ENTRIES // (2 |V| L)``
+    residues (at least one), which bounds the circuit's complex block.  Each
+    part is ``(outcomes, rows)``: outcome numbers, and the slice of the run's
+    residue-major ``len(residues) L x |V|`` law that holds them.  The first
+    part is the whole run, ``r + H k`` residue by residue with ``k`` rising.
+    A real input's runs stop at residue ``H/2``; the run's residues
+    ``0 < r < H/2`` then make a second part, residue ``H - r`` with ``k``
+    reversed, their mirror images (``|X[M - w]|^2 = |X[w]|^2``).  Every
+    outcome comes once.
+    """
+    high_bits = s // 2
+    low, high = 1 << (s - high_bits), 1 << high_bits
+    k = np.arange(low)
+    count = high // 2 + 1 if real else high
+    step = max(1, _BLOCK_ENTRIES // (2 * dim * low))
+    for r0 in range(0, count, step):
+        residues = np.arange(r0, min(r0 + step, count))
+        parts = [((residues[:, None] + high * k).ravel(), slice(None))]
+        inner = residues[(residues > 0) & (2 * residues < high)]
+        if real and inner.size:
+            start = (inner[0] - r0) * low
+            mirrors = ((high - inner)[:, None] + high * k[::-1]).ravel()
+            parts.append((mirrors, slice(start, start + mirrors.size)))
+        yield residues, parts
+
+
 def pe_joint(
     sd: SpectralDecomposition, input_state: np.ndarray, s: int
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Joint (ancilla outcome x vertex) law of phase estimation, a block of outcomes at a time.
 
-    Yields ``(w0, rows)`` in outcome order: ``rows`` is a fresh C-contiguous
-    array of the outcomes ``w0 .. w0 + len(rows) - 1`` by vertex,
-    ``_BLOCK_ENTRIES // |V|`` of them (at least one) save in the last block,
-    so each block lines up with the contiguous rows of
-    :func:`gate_level_pe`'s ``2^s x |V|`` joint, and the first block's row 0
+    Yields ``(outcomes, rows)`` in the order of :func:`gate_level_pe`, the
+    same outcome arrays (``_residue_blocks``): ``rows`` is a fresh
+    C-contiguous array of those outcomes by vertex, and the row of outcome 0
     is the outcome-0 law of :func:`pe_distribution` unnormalised.  The input
     checks, and the :class:`ResourceLimitError` when ``2^s * |V|`` exceeds
     ``GATE_DIM_CAP``, run on the call; the blocks are computed as they are
@@ -213,28 +245,28 @@ def pe_joint(
     evaluated once per distinct phase with ``lam_j != 0``, against the
     input's projection ``sum_j lam_j v_j`` on that eigenspace; this drops no
     term of the sum.  The root of a 31-leaf star has weight on 6 Szegedy
-    eigenvectors (3 Schur ones) of 32, at 3 distinct phases.
+    eigenvectors (3 Schur ones) of 32, at 3 distinct phases.  Every row is
+    computed, mirror images included.
     """
     lam = sd.amplitudes(_unit_input(input_state, s, complex))
-    m = 1 << s
     dim = lam.shape[0]
     _check_joint_size(s, dim)
+    real = not np.iscomplexobj(input_state)
     support = np.flatnonzero(lam)
     phases, group = np.unique(sd.phases[support], return_inverse=True)
     projections = np.zeros((phases.size, dim), dtype=complex)  # distinct phase x vertex
     np.add.at(projections, group, (sd.vectors[:, support] * lam[support]).T)
-    step = max(1, _BLOCK_ENTRIES // dim)
 
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for w0 in range(0, m, step):
-            omegas = np.arange(w0, min(w0 + step, m))
-            kernel = pe_kernel_amplitude(phases, s, omegas[:, None])  # omega x phase
-            amp = kernel @ projections  # omega x vertex
-            del kernel  # each block's temporaries go before the next block's are made
-            rows = np.empty(amp.shape)
-            _abs2(amp, rows)
-            del amp
-            yield w0, rows
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for _, parts in _residue_blocks(s, dim, real):
+            for outcomes, _ in parts:
+                kernel = pe_kernel_amplitude(phases, s, outcomes[:, None])  # omega x phase
+                amp = kernel @ projections  # omega x vertex
+                del kernel  # each block's temporaries go before the next block's are made
+                rows = np.empty(amp.shape)
+                _abs2(amp, rows)
+                del amp
+                yield outcomes, rows
 
     return blocks()
 
@@ -248,7 +280,9 @@ def _abs2(z: np.ndarray, out: np.ndarray) -> None:
     out += np.square(z.imag, out=z.imag)
 
 
-def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarray:
+def gate_level_pe(
+    op: WalkOperator, input_state: np.ndarray, s: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Literal circuit simulation: ancillas, controlled powers, inverse QFT.
 
     Ancilla ``j`` controls ``W^(2^j)``, the walk matrix squared ``j`` times,
@@ -257,23 +291,25 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     split of the QFT (Bailey's four-step FFT): ``x = x_lo + L x_hi`` with
     ``L = 2^(s - s//2)`` and ``H = 2^(s//2)``.
 
-    * High group: the ``|V| x H`` register ``U^(x_hi) psi``, ``U = W^L``,
-      fills by doubling, and one FFT along it gives ``Y[:, r]`` for each
-      residue ``r`` of the outcome modulo ``H``.
-    * Low group, a block of residues at a time: ``W^(x_lo) Y[:, r]`` fills by
-      doubling, one real matrix product on the complex block's float64 view
-      a step; the phase ``exp(-2 pi i r x_lo / M) / M`` and an FFT of
-      length ``L`` give the outcomes ``r + H k``, whose squared moduli fill
-      rows ``r::H`` of the joint.
+    * High group, on the call: the ``|V| x H`` register ``U^(x_hi) psi``,
+      ``U = W^L``, fills by doubling, and one FFT along it gives ``Y[:, r]``
+      for each residue ``r`` of the outcome modulo ``H``.
+    * Low group, a run of residues at a time as the blocks are read:
+      ``W^(x_lo) Y[:, r]`` fills by doubling, one real matrix product on the
+      complex block's float64 view a step; the phase
+      ``exp(-2 pi i r x_lo / M) / M`` and an FFT of length ``L`` give the
+      outcomes ``r + H k``.
 
-    A real input keeps the high register real, and its real FFT gives the
-    residues ``r <= H/2``.  Residue ``H - r`` is residue ``r`` with ``k``
-    reversed (``|X[M - w]|^2 = |X[w]|^2``), and the rows above ``M/2`` are
-    copied from their mirrors, so every mirror pair is equal exactly.
-
-    Returns the ``2^s x |V|`` joint law, a fresh C-contiguous float64 array
-    and the one joint-sized array made; the peak adds one block of residues,
-    the high register and ``s - s//2`` powers of the walk.  No
+    Yields ``(outcomes, rows)`` in the order of ``_residue_blocks``, shared
+    with :func:`pe_joint`: ``rows`` is C-contiguous, outcomes by vertex.  A
+    real input keeps the high register real, and its real FFT gives the
+    residues ``r <= H/2``; the block of residues ``H - r`` that follows is
+    a view of the same rows.  In residues 0 and ``H/2``, their own mirrors,
+    each row above ``M/2`` is a copy of its mirror, so every mirror pair is
+    equal exactly.  The checks, and the :class:`ResourceLimitError` when
+    ``2^s * |V|`` exceeds ``GATE_DIM_CAP``, run on the call with the high
+    group.  No array of ``2^s x |V|`` entries is made: the peak is one run
+    of residues, the high register and ``s - s//2`` powers of the walk.  No
     eigendecomposition is used, so this matches :func:`pe_joint` to
     floating-point accuracy as an independent check.
     """
@@ -297,27 +333,32 @@ def gate_level_pe(op: WalkOperator, input_state: np.ndarray, s: int) -> np.ndarr
     # Hadamards and the inverse QFT, out[w] = (1/M) sum_x e^{-2 pi i w x / M} reg[x]
     real = not np.iscomplexobj(register)
     y = np.fft.rfft(register, axis=1) if real else np.fft.fft(register, axis=1)
-    joint = np.empty((m, dim))
-    by_residue = joint.reshape(low, high, dim)  # [k, r] is outcome r + H k
     x_lo = np.arange(low)
-    step = max(1, _BLOCK_ENTRIES // (2 * dim * low))
-    for r0 in range(0, y.shape[1], step):
-        residues = np.arange(r0, min(r0 + step, y.shape[1]))
-        block = np.empty((dim, low, residues.size), dtype=complex)
-        block[:, 0] = y[:, r0 : r0 + residues.size]
-        flat = block.reshape(dim, -1).view(np.float64)
-        for j, power in enumerate(powers):
-            width = 2 * residues.size << j
-            np.matmul(power, flat[:, :width], out=flat[:, width : 2 * width])
-        block *= np.exp(-2j * np.pi / m * (x_lo[:, None] * residues)) / m  # r x_lo < H L = M
-        law = flat.reshape(-1)[: block.size].reshape(block.shape)  # block's first half
-        _abs2(np.fft.fft(block, axis=1), law)
-        by_residue[:, r0 : r0 + residues.size] = law.transpose(1, 2, 0)
-    if real:
-        # residue H - r below M/2 mirrors residue r above it; then every row above M/2 its mirror
-        by_residue[: low // 2, high // 2 + 1 :] = by_residue[::-1, high // 2 - 1 : 0 : -1][: low // 2]
-        joint[m // 2 + 1 :] = joint[m // 2 - 1 : 0 : -1]
-    return joint
+    # residue 0 copies its rows k > L/2 from L - k, residue H/2 (when H > 1) its rows k >= L/2 from L - 1 - k
+    self_mirrors = [(0, 1), (high // 2, 0)][: min(high, 2)] if real else []
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for residues, parts in _residue_blocks(s, dim, real):
+            r0 = residues[0]
+            block = np.empty((dim, low, residues.size), dtype=complex)
+            block[:, 0] = y[:, r0 : r0 + residues.size]
+            flat = block.reshape(dim, -1).view(np.float64)
+            for j, power in enumerate(powers):
+                width = 2 * residues.size << j
+                np.matmul(power, flat[:, :width], out=flat[:, width : 2 * width])
+            block *= np.exp(-2j * np.pi / m * (x_lo[:, None] * residues)) / m  # r x_lo < H L = M
+            law = flat.reshape(-1)[: block.size].reshape(block.shape)  # block's first half
+            _abs2(np.fft.fft(block, axis=1), law)
+            rows = law.transpose(2, 1, 0).reshape(-1, dim)  # a fresh residue-major copy
+            del block, flat, law
+            for r, shift in self_mirrors:
+                if r0 <= r <= residues[-1]:
+                    base = (r - r0) * low + shift
+                    rows[base + low // 2 : base + low - shift] = rows[base : base + low // 2 - shift][::-1]
+            for outcomes, part in parts:
+                yield outcomes, rows[part]
+
+    return blocks()
 
 
 def ae_outcome_grid(s: int) -> np.ndarray:

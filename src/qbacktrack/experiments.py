@@ -416,9 +416,9 @@ def verify_all(
     suite's ``elapsed`` includes; the report's ``bundle_s`` holds it.  No
     per-tree suite forms a dense walk.  The backend-equivalence suite builds
     its own operators, reads their Szegedy spectra and, for the circuit,
-    their dense matrices; its peak is the circuit's joint and one spectral
-    block, about 1.25 joints of ``star_31_4_s17``.  Only the statistical
-    suites, which run the search, read a Schur spectrum.
+    their dense matrices; its peak is one outcome block of each backend, and
+    no joint is held whole.  Only the statistical suites, which run the
+    search, read a Schur spectrum.
     ``inject_fault="kappa_perturbation"`` bumps one kappa entry by 1e-3 on
     every marked tree, which must trip the child-sum identity; used to prove
     the harness can fail; any other fault name raises ``ValueError``.
@@ -462,13 +462,12 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
 
     The spectral law reads the walk's orthonormal Szegedy spectrum
     (:func:`~qbacktrack.walk.szegedy_spectrum`); the circuit needs none.
-    The circuit's joint is the one joint-sized array held: a C-contiguous
-    outcome-by-vertex law.  :func:`~qbacktrack.estimation.pe_joint` yields
-    the spectral law as outcome blocks, each compared with the contiguous
-    rows of the circuit's joint that it lines up with.  The blocks' total
+    :func:`~qbacktrack.estimation.gate_level_pe` and
+    :func:`~qbacktrack.estimation.pe_joint` yield their laws as the same
+    outcome blocks, in the same order; each pair is checked to hold the same
+    outcomes (else ``RuntimeError``) and compared, and the blocks' total
     variations add up to the whole joints' (the factor 1/2 scales each
-    block's sum exactly); on these instances the blocks fall where a raveled
-    comparison's do, so the sum is the same bit for bit.
+    block's sum exactly).  Neither joint is held whole.
     """
     result = SuiteResult("backend_equivalence")
     t0 = time.perf_counter()
@@ -477,9 +476,11 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         sd = szegedy_spectrum(op)
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
-        b = gate_level_pe(op, root, s)  # outcome x vertex, C-contiguous
-        # TV adds over disjoint outcome blocks, so no spectral joint is held whole
-        tv = sum(total_variation(rows, b[w0 : w0 + len(rows)]) for w0, rows in pe_joint(sd, root, s))
+        tv = 0.0
+        for (w_gate, gate), (w_spec, spec) in zip(gate_level_pe(op, root, s), pe_joint(sd, root, s), strict=True):
+            if not np.array_equal(w_gate, w_spec):
+                raise RuntimeError(f"{name}: the backends yield different outcome blocks")
+            tv += total_variation(spec, gate)
         result.update(name, tv, tol, "joint_total_variation")
     result.elapsed = time.perf_counter() - t0
     return result
@@ -535,10 +536,13 @@ def suite_search_statistics(
     ``chi2_runs < 1`` raises ``ValueError``.  The chi-square threshold 11.34
     is the 0.01 tail of three degrees of freedom (four equiprobable leaves),
     so under exact uniformity the gate raises a false alarm on 1% of master
-    seeds.
+    seeds.  ``find_all`` then runs on at most ``find_all_trees`` small
+    marked corpus trees; a negative count raises ``ValueError``.
     """
     if chi2_runs < 1:
         raise ValueError(f"chi2_runs must be at least 1, got {chi2_runs}")
+    if find_all_trees < 0:
+        raise ValueError(f"find_all_trees must be at least 0, got {find_all_trees}")
     result = SuiteResult("search_statistics")
     t0 = time.perf_counter()
     cfg = EstimateResConfig()

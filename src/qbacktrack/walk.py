@@ -76,7 +76,8 @@ __all__ = [
 ]
 
 
-# Entries in the largest dense array a walk, a joint law or a gate-level register may hold.
+# Entries in the largest dense walk; it also bounds the 2^s x |V| work of a joint PE law,
+# which is streamed in blocks, so no array of that size is held.
 GATE_DIM_CAP = 2**22
 # Singular values of the star overlap at or below this are zero: their star
 # directions are eigenvectors at phase pi/2 on their own, not a rotation pair.

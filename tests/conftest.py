@@ -11,8 +11,10 @@ from qbacktrack import (
     SolutionTree,
     SpectralDecomposition,
     Tree,
+    WalkOperator,
     build_path,
     build_star,
+    gate_level_pe,
     kappa_assignment,
     pe_joint,
     resistance_profile,
@@ -50,9 +52,24 @@ def reconstruct(sd: SpectralDecomposition) -> np.ndarray:
     return (sd.vectors * np.exp(2j * sd.phases)) @ sd.vectors.conj().T
 
 
+def scatter(blocks, s: int) -> np.ndarray:
+    """``(outcomes, rows)`` blocks laid into one ``2^s x |V|`` array by outcome; a row no block fills is NaN."""
+    joint = None
+    for outcomes, rows in blocks:
+        if joint is None:
+            joint = np.full((1 << s, rows.shape[1]), np.nan)
+        joint[outcomes] = rows
+    return joint
+
+
 def whole_joint(sd: SpectralDecomposition, state: np.ndarray, s: int) -> np.ndarray:
     """``pe_joint``'s outcome blocks laid into one ``2^s x |V|`` array."""
-    return np.concatenate([rows for _, rows in pe_joint(sd, state, s)])
+    return scatter(pe_joint(sd, state, s), s)
+
+
+def gate_joint(op: WalkOperator, state: np.ndarray, s: int) -> np.ndarray:
+    """``gate_level_pe``'s outcome blocks laid into one ``2^s x |V|`` array."""
+    return scatter(gate_level_pe(op, state, s), s)
 
 
 def rebuild_matches(tree: Tree) -> Tree:

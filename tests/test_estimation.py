@@ -39,9 +39,9 @@ from qbacktrack import (
 from qbacktrack.algorithms import (
     DELTA_AE, DESCENT_DELTA_CAP, LOOP_PE_DELTA, EstimateResConfig, WalkSimulator, find_all
 )
-from qbacktrack.estimation import _BLOCK_ENTRIES, choice_cdf, pe_kernel_amplitude
+from qbacktrack.estimation import _BLOCK_ENTRIES, _residue_blocks, choice_cdf, pe_kernel_amplitude
 from qbacktrack.experiments import PRECISION_SIZE_CAP, backend_equivalence_instances, default_corpus
-from conftest import make_instance, reconstruct, whole_joint
+from conftest import gate_joint, make_instance, reconstruct, whole_joint
 
 
 def root_state(n, root=0):
@@ -137,7 +137,7 @@ def full_basis_pe_joint(sd, state, s):
 
 def assert_gate_matches_loop(op, state, s):
     want, p_zero = loop_gate_level_pe(op, state, s)
-    got = gate_level_pe(op, state, s)
+    got = gate_joint(op, state, s)
     assert total_variation(got, want) <= 1e-12
     assert abs(got[0].sum() - p_zero) <= 1e-12
 
@@ -264,7 +264,7 @@ class TestBackendEquivalence:
         sd = spectral_decomposition(op)
         state = root_state(2)
         a = whole_joint(sd, state, s=3)
-        b = gate_level_pe(op, state, s=3)
+        b = gate_joint(op, state, s=3)
         assert total_variation(a.ravel(), b.ravel()) < 1e-12
 
     @pytest.mark.parametrize("s", [1, 4, 7])
@@ -273,7 +273,7 @@ class TestBackendEquivalence:
         sd = spectral_decomposition(op)
         state = root_state(9)
         a = whole_joint(sd, state, s=s)
-        b = gate_level_pe(op, state, s=s)
+        b = gate_joint(op, state, s=s)
         assert total_variation(a.ravel(), b.ravel()) < 1e-10
 
     def test_random_trees_and_superposition_inputs(self):
@@ -285,7 +285,7 @@ class TestBackendEquivalence:
             raw = rng.normal(size=tree.n_vertices)
             state = raw / np.linalg.norm(raw)
             a = whole_joint(sd, state, s=5)
-            b = gate_level_pe(op, state, s=5)
+            b = gate_joint(op, state, s=5)
             assert total_variation(a.ravel(), b.ravel()) < 1e-10
 
     def test_eigenvector_input_gate_level(self, single_edge):
@@ -294,7 +294,7 @@ class TestBackendEquivalence:
         # the normalized path vector is fixed: all mass on outcome zero
         phi_m = np.array([np.sqrt(eta), -1.0])
         phi_m /= np.linalg.norm(phi_m)
-        joint = gate_level_pe(op, phi_m, s=4)
+        joint = gate_joint(op, phi_m, s=4)
         assert joint[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_cap(self, star_64_4):
@@ -373,7 +373,7 @@ def test_szegedy_joint_matches_gate_level(size, degree, prob, seed, eta, s, comp
     assert np.linalg.norm(reconstruct(sd) - op.matrix) <= 1e-10
     random_state = unit_state(np.random.default_rng(seed), n, complex_input)
     for state in (root_state(n, tree.root), random_state):
-        assert total_variation(whole_joint(sd, state, s), gate_level_pe(op, state, s)) <= 1e-10
+        assert total_variation(whole_joint(sd, state, s), gate_joint(op, state, s)) <= 1e-10
 
 
 class TestGateLevelMatchesLoop:
@@ -395,19 +395,20 @@ class TestGateLevelMatchesLoop:
                 assert_gate_matches_loop(op, unit_state(rng, tree.n_vertices, complex_input), s)
 
     def test_joint_is_a_contiguous_outcome_by_vertex_array(self, star_8_2):
-        # the law is its own C-ordered array: no register, real or complex, outlives the call
+        # each block's law is C-ordered rows; no register, real or complex, outlives the blocks
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
         op.matrix  # the cached walk is not the call's to hold
         for dtype in (float, complex):
             tracemalloc.start()
             try:
-                joint = gate_level_pe(op, root_state(9).astype(dtype), 12)
+                for outcomes, rows in gate_level_pe(op, root_state(9).astype(dtype), 12):
+                    assert rows.shape == (outcomes.size, 9) and rows.dtype == np.float64
+                    assert rows.flags.c_contiguous
+                del outcomes, rows
                 held = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            assert joint.shape == (4096, 9) and joint.dtype == np.float64 and joint.flags.c_contiguous
-            assert joint.flags.owndata and joint.base is None
-            assert held <= 1.05 * joint.nbytes
+            assert held <= 1024
 
 
 class TestGateLevelMatchesRegister:
@@ -419,7 +420,7 @@ class TestGateLevelMatchesRegister:
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, star_64_4.eta_bar)
         for dtype in (float, complex):
             state = root_state(65).astype(dtype)
-            assert total_variation(gate_level_pe(op, state, s), register_gate_level_pe(op, state, s)) <= 1e-14
+            assert total_variation(gate_joint(op, state, s), register_gate_level_pe(op, state, s)) <= 1e-14
 
     @pytest.mark.parametrize("s", [5, 6, 9, 10])
     @pytest.mark.parametrize("complex_input", [False, True])
@@ -429,7 +430,7 @@ class TestGateLevelMatchesRegister:
             tree, oracle = build_random_tree(30, 3, 0.2, seed)
             op = build_walk_operator(tree, oracle, 0.6)
             state = unit_state(rng, tree.n_vertices, complex_input)
-            assert total_variation(gate_level_pe(op, state, s), register_gate_level_pe(op, state, s)) <= 1e-14
+            assert total_variation(gate_joint(op, state, s), register_gate_level_pe(op, state, s)) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -452,8 +453,8 @@ class TestRealRegister:
             cases.append((build_walk_operator(tree, oracle, 0.6), unit_state(rng, tree.n_vertices, False)))
         for op, state in cases:
             for s in (1, 2, 5, 9):
-                real = gate_level_pe(op, state, s)
-                cast = gate_level_pe(op, state.astype(complex), s)
+                real = gate_joint(op, state, s)
+                cast = gate_joint(op, state.astype(complex), s)
                 assert np.max(np.abs(real - cast)) <= 1e-15
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 6, 13])
@@ -464,19 +465,52 @@ class TestRealRegister:
             n = inst.tree.n_vertices
             op = build_walk_operator(inst.tree, inst.oracle, 0.4)
             for state in (root_state(n), unit_state(rng, n, False)):
-                joint = gate_level_pe(op, state, s)
+                joint = gate_joint(op, state, s)
                 assert np.array_equal(joint[1:], joint[:0:-1])  # joint[w] == joint[M - w]
+
+
+class TestOutcomeLayout:
+    """Both backends yield the same outcome blocks: runs of residues, then a real input's mirrors."""
+
+    # (s, runs of residues for a real input, for a complex one) on a 65-vertex walk
+    RUNS = [(1, 1, 1), (2, 1, 1), (5, 1, 1), (13, 3, 5), (14, 5, 9)]
+
+    @pytest.mark.parametrize("s, real_runs, complex_runs", RUNS)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_every_outcome_once_in_one_order(self, star_64_4, s, real_runs, complex_runs, dtype):
+        op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
+        state = root_state(65).astype(dtype)
+        runs = list(_residue_blocks(s, 65, dtype is float))
+        assert len(runs) == (real_runs if dtype is float else complex_runs)
+        gate = list(gate_level_pe(op, state, s))
+        spec = list(pe_joint(szegedy_spectrum(op), state, s))
+        assert len(gate) == len(spec) == sum(len(parts) for _, parts in runs)
+        for (w_gate, rows_gate), (w_spec, rows_spec) in zip(gate, spec):
+            assert np.array_equal(w_gate, w_spec)
+            assert rows_gate.shape == rows_spec.shape == (w_gate.size, 65)
+        assert np.array_equal(np.sort(np.concatenate([w for w, _ in gate])), np.arange(1 << s))
+
+    @pytest.mark.parametrize("scale, s, error", [(2.0, 3, ValueError), (1.0, MAX_ANCILLAS + 1, ResourceLimitError)])
+    def test_errors_raise_on_the_call(self, star_64_4, scale, s, error):
+        # nothing is read from either iterator; TestBackendEquivalence has s = 0 and the 2^s |V| cap
+        op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
+        sd = szegedy_spectrum(op)
+        with pytest.raises(error):
+            gate_level_pe(op, scale * root_state(65), s)
+        with pytest.raises(error):
+            pe_joint(sd, scale * root_state(65), s)
 
 
 class TestJointMemory:
     """Peak memory on the s = 17 backend-equivalence instance, in joints.
 
-    The circuit holds the joint it returns plus one block of residues; the
-    spectral law, read block by block, holds no joint: the block of
-    outcomes it last yielded and the next block's temporaries.
+    Read block by block, neither backend holds a joint: the circuit holds
+    its high register, the walk's powers, the block it last yielded and the
+    next run of residues; the spectral law the block it last yielded and the
+    next block's temporaries.  Measured: 0.164 and 0.128 joints.
     """
 
-    JOINTS = {"gate_level": 1.25, "spectral": 0.3}
+    JOINTS = {"gate_level": 0.25, "spectral": 0.3}
 
     S = 17
 
@@ -492,11 +526,9 @@ class TestJointMemory:
         joint_bytes = (1 << self.S) * root.shape[0] * np.dtype(float).itemsize
         tracemalloc.start()
         try:
-            if backend == "gate_level":
-                gate_level_pe(op, root, self.S)
-            else:
-                for _ in pe_joint(sd, root, self.S):
-                    pass
+            blocks = gate_level_pe(op, root, self.S) if backend == "gate_level" else pe_joint(sd, root, self.S)
+            for _ in blocks:
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -578,7 +610,7 @@ class TestFindAllMissTree:
         case.rp = resistance_profile(st)
         case.beta = beta_angle(kappa_assignment(st, case.rp)[case.tree.root], case.eta)
         case.op = build_walk_operator(case.tree, case.oracle, case.eta)
-        case.gate_p_zero = gate_level_pe(case.op, root_state(case.tree.n_vertices), case.s)[0].sum()
+        case.gate_p_zero = gate_joint(case.op, root_state(case.tree.n_vertices), case.s)[0].sum()
         return case
 
     def test_fixture_is_the_reported_tree(self, case):

@@ -32,10 +32,9 @@ from qbacktrack import (
     szegedy_spectrum,
     xi_vector,
 )
-from conftest import make_instance, reconstruct
+from conftest import gate_joint, make_instance, reconstruct
 from qbacktrack.experiments import default_corpus
 from qbacktrack import estimation
-from qbacktrack.estimation import gate_level_pe
 from qbacktrack.trees import MarkedSet, build_path, tree_from_json
 from qbacktrack.walk import GATE_DIM_CAP, ResourceLimitError, _star_weights
 
@@ -495,7 +494,7 @@ class TestSzegedySpectrum:
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 1.0)
         root = np.eye(star_64_4.tree.n_vertices)[0]
         p_zero = pe_distribution(szegedy_spectrum(op), root, 8)[0]
-        assert p_zero == pytest.approx(gate_level_pe(op, root, 8)[0].sum(), abs=1e-12)
+        assert p_zero == pytest.approx(gate_joint(op, root, 8)[0].sum(), abs=1e-12)
         assert p_zero == pytest.approx(0.8000037, abs=1e-7)
 
 
