@@ -477,7 +477,8 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
         tv = 0.0
-        for (w_gate, gate), (w_spec, spec) in zip(gate_level_pe(op, root, s), pe_joint(sd, root, s), strict=True):
+        blocks = zip(gate_level_pe(op, root, s), pe_joint(sd, root, s), strict=True)
+        for (w_gate, gate), (w_spec, spec) in blocks:
             if not np.array_equal(w_gate, w_spec):
                 raise RuntimeError(f"{name}: the backends yield different outcome blocks")
             tv += total_variation(spec, gate)
