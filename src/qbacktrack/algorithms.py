@@ -92,6 +92,16 @@ FIND_ALL_RETRIES = 4
 SWEEP_PLAN_CACHE_SIZE = 64
 
 
+def _gamma2_limit(depth_bound: int) -> float:
+    """The analysis's bound ``1/(8 sqrt(n))`` on gamma2, ``n`` the depth bound."""
+    return 1.0 / (8.0 * math.sqrt(max(1, depth_bound)))
+
+
+def _pe_walk_queries(s: int) -> int:
+    """Controlled walk applications in one phase-estimation circuit with ``s`` ancillas."""
+    return 2**s - 1
+
+
 @dataclass(frozen=True)
 class EstimateResConfig:
     """The estimation loop's settings: failure budget, repetition and AE-ancilla factors, eta step.
@@ -125,7 +135,7 @@ class EstimateResConfig:
         gamma2 = self.resolve_gamma2(depth_bound)
         if not (gamma2 > 0.0):
             raise ValueError(f"gamma2 must be positive, got {gamma2}")
-        limit = 1.0 / (8.0 * math.sqrt(max(1, depth_bound)))
+        limit = _gamma2_limit(depth_bound)
         if gamma2 > limit * (1.0 + 1e-12):
             raise ValueError(f"gamma2 = {gamma2} exceeds 1/(8 sqrt(n)) = {limit}")
         if gamma2 > DELTA_AE:
@@ -134,7 +144,7 @@ class EstimateResConfig:
     def resolve_gamma2(self, depth_bound: int) -> float:
         if self.gamma2 is not None:
             return self.gamma2
-        return min(1.0 / 16.0, 1.0 / (8.0 * math.sqrt(max(1, depth_bound))))
+        return min(1.0 / 16.0, _gamma2_limit(depth_bound))
 
     def repetitions(self) -> int:
         return max(1, math.ceil(self.gamma1 * math.log(1.0 / self.delta0)))
@@ -341,7 +351,7 @@ def _sweep_plan(
         eta = min(cfg.step**i / d, n)
         if eta > 0.0:
             s_pe = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta, LOOP_PE_DELTA))
-            walk_queries += reps * (2**s_pe - 1) * (2 ** (s_ae + 1) - 1)
+            walk_queries += reps * _pe_walk_queries(s_pe) * (2 ** (s_ae + 1) - 1)
             stages.append((eta, s_pe, walk_queries))
         if eta >= n:
             break
@@ -442,7 +452,7 @@ def find_marked(
                 return None, rec
             rounds += 1
             p_zero, cdf = sim.pe_stats(v, eta_t, s)
-            rec.walk_queries += 2**s - 1
+            rec.walk_queries += _pe_walk_queries(s)
             rec.f_queries += sub.size
             rec.h_queries += sub.size
             if rng.random() >= p_zero:

@@ -83,8 +83,13 @@ def _emit(payload, args) -> None:
         text = buffer.getvalue()
     else:
         text = json.dumps(_plain(payload), sort_keys=True, allow_nan=False) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
+    _write(text, args.output)
+
+
+def _write(text: str, path: str | None) -> None:
+    """``text`` into the file ``path``, or to stdout when ``path`` is None."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -132,12 +137,7 @@ def cmd_gen_tree(args) -> int:
         tree, oracle = build_dpll_tree(data["clauses"], data["var_order"])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
-    text = tree_to_json(tree, oracle)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(tree_to_json(tree, oracle) + "\n", args.output)
     return 0
 
 
@@ -202,16 +202,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_find_all(args) -> int:
-    tree, oracle = _load_tree(args)
-    cfg = _config_from(args)
-    rows = []
-    for rng in _trial_rngs(args.seed, args.trials):
+    def runner(tree, oracle, cfg, rng, sim):
         found, rec = find_all(tree, oracle, cfg, rng)
-        row = rec.as_row()
-        row["outcome"] = ",".join(str(v) for v in found)
-        rows.append(row)
-    _emit(rows, args)
-    return 0
+        rec.outcome = ",".join(str(v) for v in found)
+        return found, rec
+
+    return _run_trials(args, runner)
 
 
 def cmd_descent_sim(args) -> int:
@@ -390,8 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "save_spec", None):  # every command but run has the flag
             options = {k: v for k, v in vars(args).items() if k not in {"func", "save_spec"}}
-            with open(args.save_spec, "w") as fh:
-                fh.write(json.dumps({"command": args.command, "options": options}, sort_keys=True) + "\n")
+            spec = {"command": args.command, "options": options}
+            _write(json.dumps(spec, sort_keys=True) + "\n", args.save_spec)
         return args.func(args)
     except (ValueError, OSError, ResourceLimitError) as exc:  # bad input or path, or a size past a cap
         parser.error(str(exc))

@@ -8,10 +8,10 @@ the search passes the Schur spectrum, the invariant suites the orthonormal
 Szegedy one.  Two backends give the full joint (outcome x vertex) law and
 cross-check each other on small instances:
 
-* :func:`pe_joint` yields the law a block of outcomes at a time from the
+* :func:`pe_joint` evaluates the law at the outcomes it is given from the
   eigendecomposition: one sine per (outcome, distinct eigenphase) pair and
-  one matrix product per block, over only the eigenphases the input has
-  weight on, each against the input's projection on its eigenspace;
+  one matrix product, over only the eigenphases the input has weight on,
+  each against the input's projection on its eigenspace;
 * :func:`gate_level_pe` simulates the literal circuit (ancilla register,
   ancilla ``j`` controlling ``W^(2^j)``, inverse Fourier transform) with its
   ancillas in two groups joined by controlled phases: a high group of
@@ -20,9 +20,9 @@ cross-check each other on small instances:
   each FFT of length about ``2^(s/2)``.  A real input needs only half the
   residues; the other half are their exact mirror images.
 
-Both yield ``(outcomes, rows)`` blocks in one order, runs of residues and
-their mirrors (``_residue_blocks``), so the backend-equivalence suite
-compares them block by block and neither joint is held whole.
+The circuit alone fixes the order of its ``(outcomes, rows)`` blocks
+(``_residue_blocks``); the backend-equivalence suite asks :func:`pe_joint`
+for each block's outcomes, so neither joint is held whole.
 ``GATE_DIM_CAP`` bounds the ``2^s x |V|`` work of either law.
 
 With ``s`` ancillas and eigenvalue ``exp(2i*theta)``, the ancilla outcome
@@ -196,7 +196,7 @@ def pe_distribution(sd: SpectralDecomposition, input_state: np.ndarray, s: int) 
 def _residue_blocks(
     s: int, dim: int, real: bool
 ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, slice]]]]:
-    """The order in which both joint-law backends yield their outcome blocks.
+    """The order in which :func:`gate_level_pe` yields its outcome blocks.
 
     With ``H = 2^(s//2)`` and ``L = 2^(s - s//2)`` the outcome ``w`` is
     ``r + H k``, ``r`` its residue modulo ``H`` and ``k < L``.  Yields
@@ -227,17 +227,17 @@ def _residue_blocks(
 
 
 def pe_joint(
-    sd: SpectralDecomposition, input_state: np.ndarray, s: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Joint (ancilla outcome x vertex) law of phase estimation, a block of outcomes at a time.
+    sd: SpectralDecomposition, input_state: np.ndarray, s: int, outcomes: np.ndarray
+) -> np.ndarray:
+    """Joint (ancilla outcome x vertex) law of phase estimation at the given outcomes.
 
-    Yields ``(outcomes, rows)`` in the order of :func:`gate_level_pe`, the
-    same outcome arrays (``_residue_blocks``): ``rows`` is a fresh
-    C-contiguous array of those outcomes by vertex, and the row of outcome 0
-    is the outcome-0 law of :func:`pe_distribution` unnormalised.  The input
-    checks, and the :class:`ResourceLimitError` when ``2^s * |V|`` exceeds
-    ``GATE_DIM_CAP``, run on the call; the blocks are computed as they are
-    read, so a timer around the call sees only this set-up.
+    Returns a fresh C-contiguous ``len(outcomes) x |V|`` array, row ``i``
+    the law at outcome ``outcomes[i]``; the outcomes may come in any order
+    and repeat.  The row of outcome 0 is the outcome-0 law of
+    :func:`pe_distribution` unnormalised.  ``outcomes`` that is not a 1-D
+    integer array in ``[0, 2^s)`` raises ``ValueError``; the input checks,
+    and the :class:`ResourceLimitError` when ``2^s * |V|`` exceeds
+    ``GATE_DIM_CAP``, are those of :func:`gate_level_pe`.
 
     The amplitude at outcome ``w`` is ``sum_j lam_j K_s(theta_j, w) v_j``.
     An eigencomponent with ``lam_j = 0`` adds exactly nothing, and the
@@ -245,30 +245,24 @@ def pe_joint(
     evaluated once per distinct phase with ``lam_j != 0``, against the
     input's projection ``sum_j lam_j v_j`` on that eigenspace; this drops no
     term of the sum.  The root of a 31-leaf star has weight on 6 Szegedy
-    eigenvectors (3 Schur ones) of 32, at 3 distinct phases.  Every row is
-    computed, mirror images included.
+    eigenvectors (3 Schur ones) of 32, at 3 distinct phases.
     """
     lam = sd.amplitudes(_unit_input(input_state, s, complex))
     dim = lam.shape[0]
     _check_joint_size(s, dim)
-    real = not np.iscomplexobj(input_state)
+    outcomes = np.asarray(outcomes)
+    if outcomes.ndim != 1 or not np.issubdtype(outcomes.dtype, np.integer):
+        raise ValueError(f"outcomes must be a 1-D integer array, got {outcomes.dtype} {outcomes.shape}")
+    if outcomes.size and not (0 <= outcomes.min() and outcomes.max() < 1 << s):
+        raise ValueError(f"outcomes must lie in [0, 2^{s})")
     support = np.flatnonzero(lam)
     phases, group = np.unique(sd.phases[support], return_inverse=True)
     projections = np.zeros((phases.size, dim), dtype=complex)  # distinct phase x vertex
     np.add.at(projections, group, (sd.vectors[:, support] * lam[support]).T)
-
-    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for _, parts in _residue_blocks(s, dim, real):
-            for outcomes, _ in parts:
-                kernel = pe_kernel_amplitude(phases, s, outcomes[:, None])  # omega x phase
-                amp = kernel @ projections  # omega x vertex
-                del kernel  # each block's temporaries go before the next block's are made
-                rows = np.empty(amp.shape)
-                _abs2(amp, rows)
-                del amp
-                yield outcomes, rows
-
-    return blocks()
+    amp = pe_kernel_amplitude(phases, s, outcomes[:, None]) @ projections  # omega x vertex
+    rows = np.empty(amp.shape)
+    _abs2(amp, rows)
+    return rows
 
 
 def _abs2(z: np.ndarray, out: np.ndarray) -> None:
@@ -300,16 +294,17 @@ def gate_level_pe(
       ``exp(-2 pi i r x_lo / M) / M`` and an FFT of length ``L`` give the
       outcomes ``r + H k``.
 
-    Yields ``(outcomes, rows)`` in the order of ``_residue_blocks``, shared
-    with :func:`pe_joint`: ``rows`` is C-contiguous, outcomes by vertex.  A
-    real input keeps the high register real, and its real FFT gives the
-    residues ``r <= H/2``; the block of residues ``H - r`` that follows is
-    a view of the same rows.  In residues 0 and ``H/2``, their own mirrors,
-    each row above ``M/2`` is a copy of its mirror, so every mirror pair is
-    equal exactly.  The checks, and the :class:`ResourceLimitError` when
-    ``2^s * |V|`` exceeds ``GATE_DIM_CAP``, run on the call with the high
-    group.  No array of ``2^s x |V|`` entries is made: the peak is one run
-    of residues, the high register and ``s - s//2`` powers of the walk.  No
+    Yields ``(outcomes, rows)`` in the order of ``_residue_blocks``:
+    ``rows`` is C-contiguous, outcomes by vertex; :func:`pe_joint` at
+    ``outcomes`` gives the same block from the spectrum.  A real input keeps
+    the high register real, and its real FFT gives the residues
+    ``r <= H/2``; the block of residues ``H - r`` that follows is a view of
+    the same rows.  In residues 0 and ``H/2``, their own mirrors, each row above
+    ``M/2`` is a copy of its mirror, so every mirror pair is equal exactly.
+    The checks, and the :class:`ResourceLimitError` when ``2^s * |V|``
+    exceeds ``GATE_DIM_CAP``, run on the call with the high group.  No array
+    of ``2^s x |V|`` entries is made: the peak is one run of residues, the
+    high register and ``s - s//2`` powers of the walk.  No
     eigendecomposition is used, so this matches :func:`pe_joint` to
     floating-point accuracy as an independent check.
     """

@@ -97,6 +97,14 @@ ENVELOPE_MARGIN = 0.5
 DESCENT_MC_ALPHA = 1e-3
 # Seeded runs of each estimate_res statistic.
 ESTIMATE_RES_RUNS = 200
+# Largest total variation between the two phase-estimation backends' joints.
+BACKEND_TV_TOL = 1e-10
+# Vertices find_marked must return for the leaf-uniformity test, from at most 3x as many runs.
+CHI2_RUNS = 2000
+# Most small marked corpus trees find_all must recover exactly.
+FIND_ALL_TREES = 100
+# Absorption-time draws per descent chain.
+DESCENT_MC_TRIALS = 100_000
 
 
 @dataclass
@@ -104,11 +112,10 @@ class CorpusInstance:
     name: str
     tree: Tree
     oracle: MarkingOracle
-    marked: MarkedSet = None
+    marked: MarkedSet = field(init=False)
 
     def __post_init__(self):
-        if self.marked is None:
-            self.marked = shallowest_marked(self.tree, self.oracle)
+        self.marked = shallowest_marked(self.tree, self.oracle)
 
     @property
     def has_marks(self) -> bool:
@@ -457,17 +464,16 @@ def backend_equivalence_instances() -> list[tuple[str, Tree, MarkingOracle, floa
     return rows
 
 
-def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
-    """Spectral vs gate-level joint distributions, total variation.
+def suite_backend_equivalence() -> SuiteResult:
+    """Spectral vs gate-level joint distributions, total variation up to ``BACKEND_TV_TOL``.
 
     The spectral law reads the walk's orthonormal Szegedy spectrum
     (:func:`~qbacktrack.walk.szegedy_spectrum`); the circuit needs none.
-    :func:`~qbacktrack.estimation.gate_level_pe` and
-    :func:`~qbacktrack.estimation.pe_joint` yield their laws as the same
-    outcome blocks, in the same order; each pair is checked to hold the same
-    outcomes (else ``RuntimeError``) and compared, and the blocks' total
-    variations add up to the whole joints' (the factor 1/2 scales each
-    block's sum exactly).  Neither joint is held whole.
+    Each outcome block of :func:`~qbacktrack.estimation.gate_level_pe` is
+    compared with :func:`~qbacktrack.estimation.pe_joint` at the same
+    outcomes, and the blocks' total variations add up to the whole joints'
+    (the factor 1/2 scales each block's sum exactly).  Neither joint is held
+    whole.
     """
     result = SuiteResult("backend_equivalence")
     t0 = time.perf_counter()
@@ -477,12 +483,9 @@ def suite_backend_equivalence(tol: float = 1e-10) -> SuiteResult:
         root = np.zeros(tree.n_vertices)
         root[tree.root] = 1.0
         tv = 0.0
-        blocks = zip(gate_level_pe(op, root, s), pe_joint(sd, root, s), strict=True)
-        for (w_gate, gate), (w_spec, spec) in blocks:
-            if not np.array_equal(w_gate, w_spec):
-                raise RuntimeError(f"{name}: the backends yield different outcome blocks")
-            tv += total_variation(spec, gate)
-        result.update(name, tv, tol, "joint_total_variation")
+        for outcomes, gate in gate_level_pe(op, root, s):
+            tv += total_variation(pe_joint(sd, root, s, outcomes), gate)
+        result.update(name, tv, BACKEND_TV_TOL, "joint_total_variation")
     result.elapsed = time.perf_counter() - t0
     return result
 
@@ -525,25 +528,17 @@ def suite_estimate_res_statistics(master_seed: int = DEFAULT_MASTER_SEED) -> Sui
 
 
 def suite_search_statistics(
-    corpus: list[CorpusInstance],
-    master_seed: int = DEFAULT_MASTER_SEED,
-    chi2_runs: int = 2000,
-    find_all_trees: int = 100,
+    corpus: list[CorpusInstance], master_seed: int = DEFAULT_MASTER_SEED
 ) -> SuiteResult:
     """Find-marked correctness: marked-only returns, leaf uniformity, recovery.
 
-    ``chi2_runs`` returned vertices are drawn from at most ``3 * chi2_runs``
-    seeded attempts; fewer fails the ``success_rate`` check, and
-    ``chi2_runs < 1`` raises ``ValueError``.  The chi-square threshold 11.34
-    is the 0.01 tail of three degrees of freedom (four equiprobable leaves),
-    so under exact uniformity the gate raises a false alarm on 1% of master
-    seeds.  ``find_all`` then runs on at most ``find_all_trees`` small
-    marked corpus trees; a negative count raises ``ValueError``.
+    ``CHI2_RUNS`` returned vertices are drawn from at most ``3 * CHI2_RUNS``
+    seeded attempts; fewer fails the ``success_rate`` check.  The chi-square
+    threshold 11.34 is the 0.01 tail of three degrees of freedom (four
+    equiprobable leaves), so under exact uniformity the gate raises a false
+    alarm on 1% of master seeds.  ``find_all`` then runs on at most
+    ``FIND_ALL_TREES`` small marked corpus trees.
     """
-    if chi2_runs < 1:
-        raise ValueError(f"chi2_runs must be at least 1, got {chi2_runs}")
-    if find_all_trees < 0:
-        raise ValueError(f"find_all_trees must be at least 0, got {find_all_trees}")
     result = SuiteResult("search_statistics")
     t0 = time.perf_counter()
     cfg = EstimateResConfig()
@@ -552,8 +547,8 @@ def suite_search_statistics(
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
     returned = 0
     attempts = 0
-    for sq in np.random.SeedSequence(master_seed + 2).spawn(3 * chi2_runs):
-        if returned == chi2_runs:
+    for sq in np.random.SeedSequence(master_seed + 2).spawn(3 * CHI2_RUNS):
+        if returned == CHI2_RUNS:
             break
         attempts += 1
         v, _ = find_marked(tree, oracle, cfg, np.random.default_rng(sq), sim)
@@ -563,7 +558,7 @@ def suite_search_statistics(
         counts[v] += 1
         returned += 1
     result.stats["success_rate"] = returned / attempts
-    result.require("star_64_4", returned == chi2_runs, "success_rate")
+    result.require("star_64_4", returned == CHI2_RUNS, "success_rate")
     chi2, _, _ = pearson_chi2(list(counts.values()), [0.25] * 4)
     result.stats["chi2"] = chi2
     result.require("star_64_4", chi2 < 11.34, "leaf_uniformity_chi2")
@@ -573,7 +568,7 @@ def suite_search_statistics(
         inst
         for inst in corpus
         if inst.has_marks and inst.tree.n_vertices <= 60 and len(inst.oracle.marked_vertices()) <= 8
-    ][:find_all_trees]
+    ][:FIND_ALL_TREES]
     recovered = 0
     for i, inst in enumerate(small):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed + 3, spawn_key=(i,)))
@@ -588,21 +583,19 @@ def suite_search_statistics(
     return result
 
 
-def suite_descent_monte_carlo(
-    master_seed: int = DEFAULT_MASTER_SEED,
-    trials: int = 100_000,
-) -> SuiteResult:
+def suite_descent_monte_carlo(master_seed: int = DEFAULT_MASTER_SEED) -> SuiteResult:
     """Monte Carlo absorption times follow the exact law of the dynamic program.
 
-    Each chain's step counts (``trials`` draws from seed ``master_seed + 7``)
-    go through :func:`~qbacktrack.descent.absorption_fit` against
+    Each chain's step counts (``DESCENT_MC_TRIALS`` draws from seed
+    ``master_seed + 7``) go through
+    :func:`~qbacktrack.descent.absorption_fit` against
     :func:`~qbacktrack.descent.absorption_pmf`.  A step count outside the
     law's support fails outright, so the single-step chains must match on
     every trial; this never fires on a correct sampler.  The chains that can
     take more than one step each get a Pearson chi-square test at
     ``alpha / m``, with ``m`` their number (Bonferroni), so the family-wise
-    false-alarm rate is ``alpha = DESCENT_MC_ALPHA = 1e-3``.  ``random_40`` has
-    non-uniform rows: a sampler that ignored the weights would give mean
+    false-alarm rate is ``alpha = DESCENT_MC_ALPHA = 1e-3``.  ``random_40``
+    has non-uniform rows: a sampler that ignored the weights would give mean
     2.580 there against the exact 2.082.
     """
     result = SuiteResult("descent_monte_carlo")
@@ -620,7 +613,7 @@ def suite_descent_monte_carlo(
     alpha_each = DESCENT_MC_ALPHA / sum(np.count_nonzero(pmf) > 1 for pmf in laws.values())
     result.stats["alpha"] = DESCENT_MC_ALPHA
     for name, dc in chains.items():
-        steps = descent_step_counts(dc, trials, np.random.default_rng(master_seed + 7))
+        steps = descent_step_counts(dc, DESCENT_MC_TRIALS, np.random.default_rng(master_seed + 7))
         fit = absorption_fit(laws[name], steps)
         result.stats[name] = asdict(fit)
         for check, ok in fit.checks(alpha_each).items():

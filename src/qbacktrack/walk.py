@@ -396,18 +396,17 @@ def _path_vector(tree: Tree, m: int, eta: float) -> np.ndarray:
     return amp
 
 
-def phi_m_state(
-    tree: Tree, marked: MarkedSet, m: int, eta: float, normalized: bool = True
-) -> np.ndarray:
-    """Alternating-sign path vector for one marked vertex.
+def phi_m_state(tree: Tree, marked: MarkedSet, m: int, eta: float) -> np.ndarray:
+    """Alternating-sign path vector for one marked vertex, normalised.
 
-    ``sqrt(eta)`` at the root, then ``(-1)^depth`` along the root-to-m path.
-    An exact eigenvalue-1 eigenvector of the walk for every ``eta``.
+    Proportional to ``sqrt(eta)`` at the root, then ``(-1)^depth`` along the
+    root-to-m path, with squared norm ``eta + depth(m)`` before scaling.  An
+    exact eigenvalue-1 eigenvector of the walk for every ``eta``.
     """
     if m not in marked.members:
         raise ValueError(f"vertex {m} is not in the shallowest marked set")
     amp = _path_vector(tree, m, eta)
-    return amp / np.linalg.norm(amp) if normalized else amp
+    return amp / np.linalg.norm(amp)
 
 
 def phi_state(st: SolutionTree, kappa: np.ndarray, eta: float) -> np.ndarray:

@@ -63,8 +63,8 @@ def scatter(blocks, s: int) -> np.ndarray:
 
 
 def whole_joint(sd: SpectralDecomposition, state: np.ndarray, s: int) -> np.ndarray:
-    """``pe_joint``'s outcome blocks laid into one ``2^s x |V|`` array."""
-    return scatter(pe_joint(sd, state, s), s)
+    """``pe_joint`` at every outcome in turn: the whole ``2^s x |V|`` law."""
+    return pe_joint(sd, state, s, np.arange(1 << s))
 
 
 def gate_joint(op: WalkOperator, state: np.ndarray, s: int) -> np.ndarray:

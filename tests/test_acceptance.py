@@ -27,6 +27,8 @@ from qbacktrack.descent import (
     hitting_time_bound,
 )
 from qbacktrack.experiments import (
+    BACKEND_TV_TOL,
+    CHI2_RUNS,
     DESCENT_MC_ALPHA,
     default_corpus,
     grover_scaling,
@@ -135,9 +137,10 @@ def test_criterion_07_estimate_res_statistics():
 
 
 def test_criterion_08_find_marked_statistics(corpus):
-    suite = suite_search_statistics(corpus, chi2_runs=2000, find_all_trees=100)
+    suite = suite_search_statistics(corpus)
     ok = (
         suite.passed
+        and CHI2_RUNS == 2000
         and suite.stats["chi2"] < 11.34
         and suite.stats["find_all_trees"] >= 100
     )
@@ -159,7 +162,7 @@ def test_criterion_09_descent_bound_and_monte_carlo(corpus, invariant_report):
     dc = descent_chain(st, kappa_assignment(st, resistance_profile(st)))
     exact = exact_hitting_times(dc).root_value
     equality = exact == pytest.approx(1.0) and hitting_time_bound(dc) == pytest.approx(1.0)
-    mc = suite_descent_monte_carlo(trials=100_000)
+    mc = suite_descent_monte_carlo()
     parts = {
         "corpus bound": suite.passed,
         "single-edge equality": equality,
@@ -193,9 +196,9 @@ def test_criterion_10_grover_scaling():
 
 
 def test_criterion_11_backend_equivalence():
-    suite = suite_backend_equivalence(tol=1e-10)
+    suite = suite_backend_equivalence()
     report(
         "criterion 11: spectral vs gate-level distributions within 1e-10 total variation",
-        suite.passed,
+        suite.passed and BACKEND_TV_TOL == 1e-10,
         f"max TV {suite.max_residual:.2e} over {suite.checked} instances",
     )

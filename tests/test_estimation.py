@@ -301,8 +301,8 @@ class TestBackendEquivalence:
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
         with pytest.raises(ResourceLimitError):
             gate_level_pe(op, root_state(65), s=18)
-        with pytest.raises(ResourceLimitError):  # on the call, before any block is read
-            pe_joint(szegedy_spectrum(op), root_state(65), s=18)
+        with pytest.raises(ResourceLimitError):  # the cap is on 2^s |V|, however few outcomes are asked
+            pe_joint(szegedy_spectrum(op), root_state(65), 18, np.zeros(1, dtype=int))
 
     def test_both_backends_reject_zero_ancillas(self, star_8_2):
         op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
@@ -310,7 +310,7 @@ class TestBackendEquivalence:
         with pytest.raises(ValueError, match="s must be >= 1"):
             gate_level_pe(op, root_state(9), 0)
         with pytest.raises(ValueError, match="s must be >= 1"):
-            pe_joint(sd, root_state(9), 0)
+            pe_joint(sd, root_state(9), 0, np.zeros(1, dtype=int))
 
 
 class TestJointOnSupport:
@@ -470,7 +470,7 @@ class TestRealRegister:
 
 
 class TestOutcomeLayout:
-    """Both backends yield the same outcome blocks: runs of residues, then a real input's mirrors."""
+    """The circuit yields its blocks in the order of ``_residue_blocks``: runs of residues, then mirrors."""
 
     # (s, runs of residues for a real input, for a complex one) on a 65-vertex walk
     RUNS = [(1, 1, 1), (2, 1, 1), (5, 1, 1), (13, 3, 5), (14, 5, 9)]
@@ -479,26 +479,75 @@ class TestOutcomeLayout:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_every_outcome_once_in_one_order(self, star_64_4, s, real_runs, complex_runs, dtype):
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
-        state = root_state(65).astype(dtype)
         runs = list(_residue_blocks(s, 65, dtype is float))
         assert len(runs) == (real_runs if dtype is float else complex_runs)
-        gate = list(gate_level_pe(op, state, s))
-        spec = list(pe_joint(szegedy_spectrum(op), state, s))
-        assert len(gate) == len(spec) == sum(len(parts) for _, parts in runs)
-        for (w_gate, rows_gate), (w_spec, rows_spec) in zip(gate, spec):
-            assert np.array_equal(w_gate, w_spec)
-            assert rows_gate.shape == rows_spec.shape == (w_gate.size, 65)
+        layout = [outcomes for _, parts in runs for outcomes, _ in parts]
+        gate = list(gate_level_pe(op, root_state(65).astype(dtype), s))
+        assert len(gate) == len(layout)
+        for (outcomes, rows), want in zip(gate, layout):
+            assert np.array_equal(outcomes, want)
+            assert rows.shape == (outcomes.size, 65)
         assert np.array_equal(np.sort(np.concatenate([w for w, _ in gate])), np.arange(1 << s))
 
     @pytest.mark.parametrize("scale, s, error", [(2.0, 3, ValueError), (1.0, MAX_ANCILLAS + 1, ResourceLimitError)])
     def test_errors_raise_on_the_call(self, star_64_4, scale, s, error):
-        # nothing is read from either iterator; TestBackendEquivalence has s = 0 and the 2^s |V| cap
+        # nothing is read from the circuit's iterator; TestBackendEquivalence has s = 0 and the 2^s |V| cap
         op = build_walk_operator(star_64_4.tree, star_64_4.oracle, 0.25)
         sd = szegedy_spectrum(op)
         with pytest.raises(error):
             gate_level_pe(op, scale * root_state(65), s)
         with pytest.raises(error):
-            pe_joint(sd, scale * root_state(65), s)
+            pe_joint(sd, scale * root_state(65), s, np.zeros(1, dtype=int))
+
+
+class TestJointAtOutcomes:
+    """``pe_joint`` at any outcomes gives the matching rows of the whole joint.
+
+    Two or more outcomes go through one matrix-matrix product, whose rows
+    here do not depend on the row count: byte for byte.  NumPy takes a
+    single row through its matrix-vector product instead, which rounds
+    differently: measured up to 5 ulp on this walk.
+    """
+
+    S = 7
+
+    @pytest.fixture(scope="class")
+    def law(self, star_8_2):
+        op = build_walk_operator(star_8_2.tree, star_8_2.oracle, 0.4)
+        sd = szegedy_spectrum(op)
+        return sd, root_state(9), whole_joint(sd, root_state(9), self.S)
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [[93, 5, 127, 0, 64, 6], [3, 3, 0, 3, 0], [42, 42], [127, 0], list(range(127, -1, -1))],
+        ids=["unsorted", "repeated", "one_twice", "last_first", "reversed"],
+    )
+    def test_rows_of_the_whole_joint(self, law, outcomes):
+        sd, state, whole = law
+        rows = pe_joint(sd, state, self.S, np.array(outcomes))
+        assert rows.flags.c_contiguous and rows.dtype == np.float64
+        assert rows.tobytes() == whole[outcomes].tobytes()
+
+    @pytest.mark.parametrize("outcome", [0, 42, 127])
+    def test_single_outcome(self, law, outcome):
+        sd, state, whole = law
+        rows = pe_joint(sd, state, self.S, np.array([outcome]))
+        assert rows.shape == (1, 9) and rows.flags.c_contiguous
+        np.testing.assert_array_max_ulp(rows[0], whole[outcome], maxulp=8)
+
+    def test_no_outcomes(self, law):
+        sd, state, _ = law
+        assert pe_joint(sd, state, self.S, np.zeros(0, dtype=int)).shape == (0, 9)
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [np.array([0, 128]), np.array([-1, 3]), np.array([0.0, 1.0]), np.array([True]), np.zeros((2, 1), dtype=int)],
+        ids=["past_2^s", "negative", "float", "bool", "2-D"],
+    )
+    def test_rejects_outcomes_outside_the_register(self, law, outcomes):
+        sd, state, _ = law
+        with pytest.raises(ValueError, match="outcomes"):
+            pe_joint(sd, state, self.S, outcomes)
 
 
 class TestJointMemory:
@@ -506,8 +555,9 @@ class TestJointMemory:
 
     Read block by block, neither backend holds a joint: the circuit holds
     its high register, the walk's powers, the block it last yielded and the
-    next run of residues; the spectral law the block it last yielded and the
-    next block's temporaries.  Measured: 0.164 and 0.128 joints.
+    next run of residues; the spectral law, asked once per block of the
+    circuit, the block it last returned and the next block's temporaries.
+    Measured: 0.164 and 0.128 joints.
     """
 
     JOINTS = {"gate_level": 0.25, "spectral": 0.3}
@@ -524,11 +574,15 @@ class TestJointMemory:
     def test_tracemalloc_peak(self, star, backend):
         op, sd, root = star
         joint_bytes = (1 << self.S) * root.shape[0] * np.dtype(float).itemsize
+        layout = [outcomes for outcomes, _ in gate_level_pe(op, root, self.S)]  # before tracing
         tracemalloc.start()
         try:
-            blocks = gate_level_pe(op, root, self.S) if backend == "gate_level" else pe_joint(sd, root, self.S)
-            for _ in blocks:
-                pass
+            if backend == "gate_level":
+                for _ in gate_level_pe(op, root, self.S):
+                    pass
+            else:
+                for outcomes in layout:
+                    pe_joint(sd, root, self.S, outcomes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

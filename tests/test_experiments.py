@@ -10,15 +10,12 @@ import pytest
 
 from qbacktrack import experiments
 from qbacktrack.descent import descent_step_counts
-from qbacktrack.estimation import pe_joint, total_variation
+from qbacktrack.estimation import gate_level_pe, total_variation
 from qbacktrack.experiments import suite_descent_monte_carlo, suite_search_statistics
 from qbacktrack.walk import build_walk_operator, szegedy_spectrum
 from conftest import gate_joint, whole_joint
 
 CHAINS = {"single_edge", "star_10_4", "path_5", "random_40"}
-# Fewer trials than the acceptance run keeps these fast; every fault below
-# is rejected at the default family-wise alpha by a wide margin.
-TRIALS = 20_000
 
 
 def failed_checks(suite):
@@ -26,7 +23,7 @@ def failed_checks(suite):
 
 
 def test_descent_gate_passes_correct_sampler():
-    suite = suite_descent_monte_carlo(trials=TRIALS)
+    suite = suite_descent_monte_carlo()
     assert suite.passed, suite.failures
     assert suite.checked == 2 * len(CHAINS)
     assert suite.stats["alpha"] == 1e-3
@@ -39,7 +36,7 @@ def test_descent_gate_rejects_sampler_ignoring_weights(monkeypatch):
         return descent_step_counts(replace(dc, probs=flat), trials, rng)
 
     monkeypatch.setattr(experiments, "descent_step_counts", uniform_rows)
-    suite = suite_descent_monte_carlo(trials=TRIALS)
+    suite = suite_descent_monte_carlo()
     # path_5 and the stars already have uniform rows; random_40 does not
     assert failed_checks(suite) == {("random_40", "chi2_goodness_of_fit")}
     assert suite.stats["random_40"]["mc_mean"] > suite.stats["random_40"]["exact_mean"] + 0.3
@@ -49,7 +46,7 @@ def test_descent_gate_rejects_counts_shifted_by_one(monkeypatch):
     monkeypatch.setattr(
         experiments, "descent_step_counts", lambda dc, t, rng: descent_step_counts(dc, t, rng) + 1
     )
-    suite = suite_descent_monte_carlo(trials=TRIALS)
+    suite = suite_descent_monte_carlo()
     assert {name for name, _ in failed_checks(suite)} == CHAINS
     assert ("random_40", "chi2_goodness_of_fit") in failed_checks(suite)
 
@@ -61,18 +58,17 @@ def test_descent_gate_rejects_one_count_outside_support(monkeypatch):
         return steps
 
     monkeypatch.setattr(experiments, "descent_step_counts", one_zero)
-    suite = suite_descent_monte_carlo(trials=TRIALS)
+    suite = suite_descent_monte_carlo()
     assert failed_checks(suite) == {(name, "steps_inside_support") for name in CHAINS}
 
 
 def test_search_statistics_fails_instead_of_running_out_of_seeds(monkeypatch):
     monkeypatch.setattr(experiments, "find_marked", lambda *args, **kwargs: (None, None))
-    suite = suite_search_statistics(corpus=[], chi2_runs=10, find_all_trees=0)
+    suite = suite_search_statistics(corpus=[])
     assert not suite.passed
     assert suite.stats["success_rate"] == 0.0
     assert ("star_64_4", "leaf_uniformity_chi2") in failed_checks(suite)
     assert ("star_64_4", "success_rate") in failed_checks(suite)
-
 
 
 def test_star_import_binds_the_suites():
@@ -127,9 +123,14 @@ def test_backend_equivalence_peak_memory():
     assert peak <= 0.3 * joint_bytes
 
 
-def test_backend_equivalence_streamed_residual_is_whole_joint_tv():
-    # tol -1 fails every instance, so each residual is recorded
-    streamed = {f["instance"]: f["residual"] for f in experiments.suite_backend_equivalence(tol=-1.0).failures}
+def test_backend_equivalence_streamed_residual_is_whole_joint_tv(monkeypatch):
+    streamed = {}
+
+    def record(self, instance_name, residual, tol, what=""):
+        streamed[instance_name] = residual
+
+    monkeypatch.setattr(experiments.SuiteResult, "update", record)
+    experiments.suite_backend_equivalence()
     rows = experiments.backend_equivalence_instances()
     assert sorted(streamed) == sorted(row[0] for row in rows)
     for name, tree, oracle, eta, s in rows:
@@ -140,7 +141,7 @@ def test_backend_equivalence_streamed_residual_is_whole_joint_tv():
         spec, gate = whole_joint(sd, root, s), gate_joint(op, root, s)
         # the same outcome blocks of the whole joints give the same sum, bit for bit
         blocked = 0.0
-        for outcomes, _ in pe_joint(sd, root, s):
+        for outcomes, _ in gate_level_pe(op, root, s):
             blocked += total_variation(spec[outcomes], gate[outcomes])
         assert streamed[name] == blocked, name
         # the raveled sum differs only in its order
@@ -194,15 +195,3 @@ def test_suite_result_keeps_a_nan_residual(residuals):
     assert not suite.passed
     assert math.isnan(suite.max_residual)
 
-
-@pytest.mark.parametrize("chi2_runs", [0, -1])
-def test_search_statistics_needs_a_run(chi2_runs):
-    with pytest.raises(ValueError, match="chi2_runs must be at least 1"):
-        suite_search_statistics(corpus=[], chi2_runs=chi2_runs, find_all_trees=0)
-
-
-@pytest.mark.parametrize("find_all_trees", [-1, -100])
-def test_search_statistics_needs_a_tree_count(find_all_trees):
-    # a negative count would slice trees off the end of the list
-    with pytest.raises(ValueError, match="find_all_trees must be at least 0"):
-        suite_search_statistics(corpus=[], chi2_runs=1, find_all_trees=find_all_trees)

@@ -578,12 +578,9 @@ def test_batched_blocks_match_loop(size, degree, prob, seed, eta):
 class TestStates:
     def test_phi_m_sign_alternation(self, path_4):
         marked = path_4.st.leaf_set
-        state = phi_m_state(path_4.tree, marked, 4, 0.5, normalized=False)
-        assert state[0] == pytest.approx(np.sqrt(0.5))
-        assert state[1] == -1.0
-        assert state[2] == 1.0
-        assert state[3] == -1.0
-        assert state[4] == 1.0
+        # sqrt(eta) at the root, then -1, 1, -1, 1 down to depth 4, over the norm sqrt(eta + 4)
+        state = phi_m_state(path_4.tree, marked, 4, 0.5) * np.sqrt(0.5 + 4)
+        assert state == pytest.approx([np.sqrt(0.5), -1.0, 1.0, -1.0, 1.0], abs=1e-15)
 
     def test_phi_m_requires_marked(self, star_8_2):
         with pytest.raises(ValueError):
@@ -633,8 +630,8 @@ class TestStates:
         coeffs = {m: star_8_2.kappa[m] * np.cos(beta) for m in star_8_2.st.leaf_set.members}
         rebuilt = np.zeros(star_8_2.tree.n_vertices)
         for m, c in coeffs.items():
-            pm = phi_m_state(star_8_2.tree, star_8_2.st.leaf_set, m, eta, normalized=False)
-            rebuilt += c * pm
+            pm = phi_m_state(star_8_2.tree, star_8_2.st.leaf_set, m, eta)
+            rebuilt += c * np.sqrt(eta + star_8_2.tree.depth[m]) * pm  # the unnormalised path vector
         phi = phi_state(star_8_2.st, star_8_2.kappa, eta)
         assert np.allclose(rebuilt, phi, atol=1e-12)
 
