@@ -33,6 +33,14 @@ state afterwards equal a per-draw ``choice`` loop's.  A stage's vote needs no
 search: the window is a range of cells, so a double lands in it exactly when
 it lies between two values of the CDF.
 
+A cache-hot search trial does no set-up of its own.  The simulator's sweep
+table holds, per vertex and configuration, the stages reached so far, each
+with its AE law and those two CDF values as floats, so a stage costs one
+``rng.random(reps)`` and a count over the draws; a stage is filled the first
+time a sweep reaches it, so no law past an exit is computed.  Its descent
+table holds, per vertex, estimate and marked-count guess, ``find_marked``'s
+ancilla count with the subtree's size and ids.
+
 Query accounting (:class:`RunRecord`): ``walk_queries`` counts controlled
 applications of the walk operator (a phase-estimation circuit with ``s``
 ancillas costs ``2^s - 1``; one amplitude-estimation repetition applies that
@@ -189,12 +197,12 @@ class RunRecord:
 @dataclass(frozen=True, eq=False)
 class _Subtree:
     tree: Tree  # re-rooted, locally indexed
-    ids: np.ndarray  # local index -> global vertex id
+    ids: list[int]  # local index -> global vertex id
     marked: MarkedSet  # local ids
 
     @property
     def size(self) -> int:
-        return int(self.ids.shape[0])
+        return len(self.ids)
 
 
 class WalkSimulator:
@@ -205,6 +213,15 @@ class WalkSimulator:
     functions of the tree, so sharing an instance across seeded runs only
     removes recomputation, never randomness.  Laws are cached as the CDFs
     the samplers search; each AE law holds ``2^(s_ae - 1) + 1`` floats.
+
+    Two tables serve cache-hot search trials.  The sweep table
+    (:meth:`sweep`) holds, per vertex and configuration, the subtree size and
+    the ``estimate_res`` stages reached so far, each as its window values
+    and AE law; ``estimate_res`` appends a stage the first time a sweep
+    reaches it.  The descent table (:meth:`descent`) holds, per vertex,
+    estimate and marked-count guess, ``find_marked``'s ancilla count with
+    the subtree's size and ids.  Both are keyed by value and cleared with
+    the other caches.
     """
 
     def __init__(self, tree: Tree, oracle: MarkingOracle):
@@ -214,12 +231,16 @@ class WalkSimulator:
         self._subtrees: dict[int, _Subtree] = {}
         self._pe: dict[tuple[int, float, int], tuple[float, np.ndarray | None]] = {}
         self._ae: dict[tuple[int, float, int, int], np.ndarray] = {}
+        self._sweeps: dict[tuple[int, EstimateResConfig], tuple[int, list]] = {}
+        self._descents: dict[tuple[int, float, int], tuple[int, int, list[int]]] = {}
 
     def _fresh(self) -> None:
         if self.oracle.version != self._version:
             self._subtrees.clear()
             self._pe.clear()
             self._ae.clear()
+            self._sweeps.clear()
+            self._descents.clear()
             self._version = self.oracle.version
 
     def subtree(self, v: int) -> _Subtree:
@@ -237,7 +258,7 @@ class WalkSimulator:
         marks = np.array([self.oracle.peek(g) for g in ids], dtype=bool)
         sub_oracle = MarkingOracle(marks, root=0)
         marked = shallowest_marked(sub_tree, sub_oracle)
-        sub = _Subtree(tree=sub_tree, ids=np.asarray(ids, dtype=np.int64), marked=marked)
+        sub = _Subtree(tree=sub_tree, ids=ids, marked=marked)
         self._subtrees[v] = sub
         return sub
 
@@ -284,6 +305,34 @@ class WalkSimulator:
         cdf.setflags(write=False)
         self._ae[key] = cdf
         return cdf
+
+    def sweep(self, v: int, cfg: EstimateResConfig) -> tuple[int, list[tuple[float, float, np.ndarray]]]:
+        """The subtree size at ``v`` and the stages of ``cfg``'s sweep reached there so far.
+
+        Each stage is ``(cdf[lo - 1], cdf[hi], cdf)``: its window values as
+        floats and its AE law.  :func:`estimate_res` appends to the list.
+        """
+        self._fresh()
+        key = (v, cfg)
+        hit = self._sweeps.get(key)
+        if hit is None:
+            hit = self._sweeps[key] = (self.subtree(v).size, [])
+        return hit
+
+    def descent(self, v: int, eta: float, k_guess: int) -> tuple[int, int, list[int]]:
+        """``find_marked``'s ancilla count at ``v`` for the estimate ``eta``, with the subtree's size and ids.
+
+        The precision is ``min(DESCENT_DELTA_CAP, 1 / log2(k_guess * (eta + 1)))``.
+        """
+        self._fresh()
+        key = (v, eta, k_guess)
+        hit = self._descents.get(key)
+        if hit is None:
+            delta = min(DESCENT_DELTA_CAP, 1.0 / max(1.0, math.log2(k_guess * (eta + 1.0))))
+            sub = self.subtree(v)
+            s = min(MAX_ANCILLAS, pe_ancillas(self.tree.size_bound, eta, delta))
+            hit = self._descents[key] = (s, sub.size, sub.ids)
+        return hit
 
 
 def _simulator(tree: Tree, oracle: MarkingOracle, sim: WalkSimulator | None) -> WalkSimulator:
@@ -375,18 +424,22 @@ def estimate_res(
     first.  The sweep comes from the cached plan of ``cfg`` and the tree's
     bounds.  A stage's ``side="right"`` search would put a draw ``u`` in the
     window ``[lo, hi]`` exactly when ``cdf[lo - 1] <= u < cdf[hi]``, so the
-    vote reads those two CDF values; only the exit stage bins its draws for
-    the mode.
+    vote reads those two CDF values, kept in the simulator's sweep table
+    from the first time a sweep at ``v`` reaches the stage; only the exit
+    stage bins its draws for the mode.
     """
     plan = _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)
     sim = _simulator(tree, oracle, sim)
-    size = sim.subtree(v).size
-    reps, lo, hi = plan.reps, plan.lo, plan.hi
+    size, reached = sim.sweep(v, cfg)
+    reps = plan.reps
     stage = walk_queries = 0
     for stage, (eta, s_pe, walk_queries) in enumerate(plan.stages, 1):
-        cdf = sim.ae_law(v, eta, s_pe, plan.s_ae)
+        if stage > len(reached):
+            cdf = sim.ae_law(v, eta, s_pe, plan.s_ae)
+            reached.append((float(cdf[plan.lo - 1]), float(cdf[plan.hi]), cdf))
+        a, b, cdf = reached[stage - 1]
         draws = rng.random(reps)
-        if 2 * int(np.count_nonzero((cdf[lo - 1] <= draws) & (draws < cdf[hi]))) > reps:
+        if 2 * len([u for u in draws.tolist() if a <= u < b]) > reps:
             counts = np.bincount(cdf.searchsorted(draws, side="right"), minlength=plan.grid.size)
             tan_b = math.tan(_modal_estimate(plan.grid, plan.order, counts))
             estimate = INFINITE if tan_b == 0.0 else eta / tan_b**2
@@ -431,7 +484,6 @@ def find_marked(
     _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)  # validates cfg
     sim = _simulator(tree, oracle, sim)
     rec = RunRecord()
-    size_bound = tree.size_bound
 
     v = tree.root
     rec.f_queries += 1
@@ -443,9 +495,7 @@ def find_marked(
 
     rounds = 0
     while math.isfinite(eta_t):
-        delta = min(DESCENT_DELTA_CAP, 1.0 / max(1.0, math.log2(k_guess * (eta_t + 1.0))))
-        s = min(MAX_ANCILLAS, pe_ancillas(size_bound, eta_t, delta))
-        sub = sim.subtree(v)
+        s, size, ids = sim.descent(v, eta_t, k_guess)
         while True:
             if rounds >= MAX_PE_ROUNDS:
                 rec.outcome = None
@@ -453,13 +503,12 @@ def find_marked(
             rounds += 1
             p_zero, cdf = sim.pe_stats(v, eta_t, s)
             rec.walk_queries += _pe_walk_queries(s)
-            rec.f_queries += sub.size
-            rec.h_queries += sub.size
+            rec.f_queries += size
+            rec.h_queries += size
             if rng.random() >= p_zero:
                 continue  # ancilla missed the zero outcome; rerun at the same vertex
             break
-        local = int(cdf.searchsorted(rng.random(), side="right"))
-        v = int(sub.ids[local])
+        v = ids[int(cdf.searchsorted(rng.random(), side="right"))]
         rec.steps += 1
         rec.f_queries += 1
         if oracle(v):
