@@ -134,7 +134,8 @@ def grover_stars_job(seed, job):
         tree, oracle = build_star(n, 4)
         sim = WalkSimulator(tree, oracle)
         for t in range(250):
-            k_doubling_find(tree, oracle, CFG, np.random.default_rng(np.random.SeedSequence([seed, job, s, t])), sim)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, job, s, t]))
+            k_doubling_find(tree, oracle, CFG, rng, sim)
 
 
 def findall_random_job(seed, job):
@@ -145,7 +146,8 @@ def findall_random_job(seed, job):
         marks = np.zeros(int(n), dtype=bool)
         pick = np.random.default_rng(np.random.SeedSequence([seed, job, i, 1]))
         marks[1 + pick.choice(int(n) - 1, size=max(1, round(0.03 * n)), replace=False)] = True
-        find_all(tree, MarkingOracle(marks, tree.root), CFG, np.random.default_rng(np.random.SeedSequence([seed, job, i, 2])))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, job, i, 2]))
+        find_all(tree, MarkingOracle(marks, tree.root), CFG, rng)
 
 
 class TestLazyFill:
