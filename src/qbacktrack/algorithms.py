@@ -11,8 +11,8 @@ The two central procedures:
   returns infinity, which doubles as the existence test.  The sweep's
   classical set-up (validation, ancilla counts, the estimate grid, the window
   and each stage's ``eta`` and walk cost) depends only on the configuration
-  and the tree's bounds, so it is built once per such key and kept in a
-  bounded cache.
+  and the tree's bounds, so the simulator builds it once per configuration
+  and keeps it.
 
 * :func:`find_marked` walks down the tree: estimate the resistance at the
   current vertex, phase-estimate on the re-rooted subtree walk, retry while
@@ -34,12 +34,12 @@ search: the window is a range of cells, so a double lands in it exactly when
 it lies between two values of the CDF.
 
 A cache-hot search trial does no set-up of its own.  The simulator's sweep
-table holds, per vertex and configuration, the stages reached so far, each
-with its AE law and those two CDF values as floats, so a stage costs one
-``rng.random(reps)`` and a count over the draws; a stage is filled the first
-time a sweep reaches it, so no law past an exit is computed.  Its descent
-table holds, per vertex, estimate and marked-count guess, ``find_marked``'s
-ancilla count with the subtree's size and ids.
+table holds, per vertex and configuration, the plan and the stages reached
+so far, each with its AE law and those two CDF values as floats, so a stage
+costs one ``rng.random(reps)`` and a count over the draws; a stage is
+filled the first time a sweep reaches it, so no law past an exit is
+computed.  Its descent table holds, per vertex, estimate and marked-count
+guess, ``find_marked``'s ancilla count with the subtree's size and ids.
 
 Query accounting (:class:`RunRecord`): ``walk_queries`` counts controlled
 applications of the walk operator (a phase-estimation circuit with ``s``
@@ -54,7 +54,6 @@ vertex measurements (descent moves).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -96,8 +95,6 @@ MAX_PE_ROUNDS = 10_000
 MAX_REPETITIONS = 1_000_000
 # Consecutive empty find_marked runs after which find_all stops.
 FIND_ALL_RETRIES = 4
-# Sweep plans kept at once, one per (configuration, tree bounds).
-SWEEP_PLAN_CACHE_SIZE = 64
 
 
 def _gamma2_limit(depth_bound: int) -> float:
@@ -206,22 +203,26 @@ class _Subtree:
 
 
 class WalkSimulator:
-    """Caches re-rooted subtrees, exact PE statistics and AE stage laws.
+    """Owns every cache of the search: subtrees, PE statistics, sweep plans and the two tables.
 
-    One instance serves one (tree, oracle) pair; caches are invalidated when
-    the oracle's unmark version changes.  Cached values are deterministic
-    functions of the tree, so sharing an instance across seeded runs only
-    removes recomputation, never randomness.  Laws are cached as the CDFs
-    the samplers search; each AE law holds ``2^(s_ae - 1) + 1`` floats.
+    One instance serves one (tree, oracle) pair.  Cached values are
+    deterministic functions of the tree, so sharing an instance across
+    seeded runs only removes recomputation, never randomness.  Laws are
+    cached as the CDFs the samplers search; each AE law holds
+    ``2^(s_ae - 1) + 1`` floats.
 
-    Two tables serve cache-hot search trials.  The sweep table
-    (:meth:`sweep`) holds, per vertex and configuration, the subtree size and
-    the ``estimate_res`` stages reached so far, each as its window values
-    and AE law; ``estimate_res`` appends a stage the first time a sweep
-    reaches it.  The descent table (:meth:`descent`) holds, per vertex,
-    estimate and marked-count guess, ``find_marked``'s ancilla count with
-    the subtree's size and ids.  Both are keyed by value and cleared with
-    the other caches.
+    It keeps five caches.  ``_subtrees`` holds the re-rooted subtree per
+    vertex and ``_pe`` the PE statistics per (vertex, eta, ancillas).
+    ``_plans`` holds the sweep plan per configuration; a plan reads only the
+    configuration and the tree's bounds, so it is the one cache that
+    survives an unmark.  The sweep table (:meth:`sweep`) holds, per vertex
+    and configuration, the plan, the subtree size and the ``estimate_res``
+    stages reached so far, each as its window values and AE law;
+    ``estimate_res`` appends a stage the first time a sweep reaches it.  The
+    descent table (:meth:`descent`) holds, per vertex, estimate and
+    marked-count guess, ``find_marked``'s ancilla count with the subtree's
+    size and ids.  Both tables are keyed by value.  Every cache but
+    ``_plans`` is cleared when the oracle's unmark version changes.
     """
 
     def __init__(self, tree: Tree, oracle: MarkingOracle):
@@ -230,15 +231,14 @@ class WalkSimulator:
         self._version = oracle.version
         self._subtrees: dict[int, _Subtree] = {}
         self._pe: dict[tuple[int, float, int], tuple[float, np.ndarray | None]] = {}
-        self._ae: dict[tuple[int, float, int, int], np.ndarray] = {}
-        self._sweeps: dict[tuple[int, EstimateResConfig], tuple[int, list]] = {}
+        self._plans: dict[EstimateResConfig, _SweepPlan] = {}
+        self._sweeps: dict[tuple[int, EstimateResConfig], tuple[_SweepPlan, int, list]] = {}
         self._descents: dict[tuple[int, float, int], tuple[int, int, list[int]]] = {}
 
     def _fresh(self) -> None:
         if self.oracle.version != self._version:
             self._subtrees.clear()
             self._pe.clear()
-            self._ae.clear()
             self._sweeps.clear()
             self._descents.clear()
             self._version = self.oracle.version
@@ -249,6 +249,8 @@ class WalkSimulator:
         if hit is not None:
             return hit
         tree = self.tree
+        if not 0 <= v < tree.n_vertices:
+            raise ValueError(f"vertex {v} is not in the tree of {tree.n_vertices} vertices")
         ids = tree.subtree_vertices(v)
         local = {g: i for i, g in enumerate(ids)}
         sub_tree = tree_from_children(
@@ -292,31 +294,23 @@ class WalkSimulator:
         self._pe[key] = value
         return value
 
-    def ae_law(self, v: int, eta: float, s_pe: int, s_ae: int) -> np.ndarray:
-        """CDF of the normalized AE outcome law of one ``estimate_res`` stage at ``v``."""
-        self._fresh()
-        key = (v, float(eta), s_pe, s_ae)
-        hit = self._ae.get(key)
-        if hit is not None:
-            return hit
-        p_zero, _ = self.pe_stats(v, eta, s_pe)
-        probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), s_ae)
-        cdf = choice_cdf(probs / probs.sum())
-        cdf.setflags(write=False)
-        self._ae[key] = cdf
-        return cdf
-
-    def sweep(self, v: int, cfg: EstimateResConfig) -> tuple[int, list[tuple[float, float, np.ndarray]]]:
-        """The subtree size at ``v`` and the stages of ``cfg``'s sweep reached there so far.
+    def sweep(self, v: int, cfg: EstimateResConfig) -> tuple[_SweepPlan, int, list]:
+        """``cfg``'s sweep plan, the subtree size at ``v`` and the stages reached there so far.
 
         Each stage is ``(cdf[lo - 1], cdf[hi], cdf)``: its window values as
         floats and its AE law.  :func:`estimate_res` appends to the list.
+        An invalid ``cfg`` raises here, and is kept in no cache.
         """
         self._fresh()
         key = (v, cfg)
         hit = self._sweeps.get(key)
         if hit is None:
-            hit = self._sweeps[key] = (self.subtree(v).size, [])
+            plan = self._plans.get(cfg)
+            if plan is None:
+                tree = self.tree
+                plan = _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)
+                self._plans[cfg] = plan
+            hit = self._sweeps[key] = (plan, self.subtree(v).size, [])
         return hit
 
     def descent(self, v: int, eta: float, k_guess: int) -> tuple[int, int, list[int]]:
@@ -372,15 +366,10 @@ class _SweepPlan:
     stages: tuple[tuple[float, int, int], ...]
 
 
-@functools.lru_cache(maxsize=SWEEP_PLAN_CACHE_SIZE)
 def _sweep_plan(
     cfg: EstimateResConfig, depth_bound: int, degree_bound: int, size_bound: int
 ) -> _SweepPlan:
-    """Validate ``cfg`` for a tree with these bounds and lay out its eta sweep.
-
-    The cache keeps no exception, so an invalid configuration raises on
-    every call.
-    """
+    """Validate ``cfg`` for a tree with these bounds and lay out its eta sweep."""
     cfg.validate(depth_bound)
     d = max(1, degree_bound)
     n = float(depth_bound)
@@ -421,21 +410,23 @@ def estimate_res(
     Returns the estimate (``inf`` when no marked vertex is detected, which
     is a value, not an error) together with the run's query record.  The
     input vertex is treated as an unmarked root; callers check the oracle
-    first.  The sweep comes from the cached plan of ``cfg`` and the tree's
-    bounds.  A stage's ``side="right"`` search would put a draw ``u`` in the
+    first.  The sweep follows ``cfg``'s plan, kept by the simulator.  A
+    stage's ``side="right"`` search would put a draw ``u`` in the
     window ``[lo, hi]`` exactly when ``cdf[lo - 1] <= u < cdf[hi]``, so the
     vote reads those two CDF values, kept in the simulator's sweep table
     from the first time a sweep at ``v`` reaches the stage; only the exit
     stage bins its draws for the mode.
     """
-    plan = _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)
     sim = _simulator(tree, oracle, sim)
-    size, reached = sim.sweep(v, cfg)
+    plan, size, reached = sim.sweep(v, cfg)
     reps = plan.reps
     stage = walk_queries = 0
     for stage, (eta, s_pe, walk_queries) in enumerate(plan.stages, 1):
         if stage > len(reached):
-            cdf = sim.ae_law(v, eta, s_pe, plan.s_ae)
+            p_zero, _ = sim.pe_stats(v, eta, s_pe)
+            probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), plan.s_ae)
+            cdf = choice_cdf(probs / probs.sum())
+            cdf.setflags(write=False)
             reached.append((float(cdf[plan.lo - 1]), float(cdf[plan.hi]), cdf))
         a, b, cdf = reached[stage - 1]
         draws = rng.random(reps)
@@ -481,7 +472,6 @@ def find_marked(
     """
     if isinstance(k_guess, bool) or not (isinstance(k_guess, numbers.Integral) and k_guess >= 1):
         raise ValueError(f"k_guess must be a positive integer, got {k_guess!r}")
-    _sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)  # validates cfg
     sim = _simulator(tree, oracle, sim)
     rec = RunRecord()
 

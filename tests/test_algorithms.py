@@ -25,7 +25,6 @@ from qbacktrack.algorithms import (
     LOOP_PE_DELTA,
     MAX_ANCILLAS,
     MAX_REPETITIONS,
-    SWEEP_PLAN_CACHE_SIZE,
     EstimateResConfig,
     RunRecord,
     WalkSimulator,
@@ -106,11 +105,14 @@ class TestSweepPlan:
     def test_invalid_config_raises_on_every_call(self):
         tree, oracle = build_star(8, 2)
         bad = EstimateResConfig(step=2.5)
+        sim = WalkSimulator(tree, oracle)
         for _ in range(2):
-            with pytest.raises(ValueError, match="step"):
-                estimate_res(tree, oracle, tree.root, bad, np.random.default_rng(0))
-            with pytest.raises(ValueError, match="step"):
-                find_marked(tree, oracle, bad, np.random.default_rng(0))
+            for s in (None, sim):
+                with pytest.raises(ValueError, match="step"):
+                    estimate_res(tree, oracle, tree.root, bad, np.random.default_rng(0), s)
+                with pytest.raises(ValueError, match="step"):
+                    find_marked(tree, oracle, bad, np.random.default_rng(0), s)
+        assert sim._plans == {} and sim._sweeps == {}
 
     def test_k_doubling_rejects_an_invalid_config(self):
         # a marked star is found at the first guess, so the fallback never runs
@@ -118,17 +120,10 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match="step"):
             k_doubling_find(tree, oracle, EstimateResConfig(step=2.5), np.random.default_rng(0))
 
-    def test_cache_is_bounded(self):
-        info = algorithms._sweep_plan.cache_info()
-        assert info.maxsize == SWEEP_PLAN_CACHE_SIZE
-        tree, _ = build_star(4, 1)
-        for i in range(SWEEP_PLAN_CACHE_SIZE + 5):
-            algorithms._sweep_plan(EstimateResConfig(delta0=0.01 + 0.001 * i), 1, 4, tree.size_bound)
-        assert algorithms._sweep_plan.cache_info().currsize == SWEEP_PLAN_CACHE_SIZE
-
     def test_k_doubling_adds_at_most_two_plans(self, monkeypatch):
-        # an unmarked star runs every guess, then the classical fallback
-        tree, oracle = build_star(32, 0)
+        # an unmarked path runs every guess, then the classical fallback; past depth 20 the
+        # fallback's per-level delta0 = 1/depth differs from the default 0.05
+        tree, oracle = build_path(24, False)
         guesses = set()
         original = algorithms.find_marked
 
@@ -137,15 +132,14 @@ class TestSweepPlan:
             return original(tree, oracle, cfg, rng, sim, k_guess)
 
         monkeypatch.setattr(algorithms, "find_marked", recorded)
-        algorithms._sweep_plan.cache_clear()
         sim = WalkSimulator(tree, oracle)
-        k_doubling_find(tree, oracle, CFG, np.random.default_rng(0), sim)
-        misses = algorithms._sweep_plan.cache_info().misses
+        assert k_doubling_find(tree, oracle, CFG, np.random.default_rng(0), sim)[0] is None
         assert len(guesses) > 1
-        # every guess shares the loop's plan; the fallback adds one of its own: its per-level delta0
-        assert misses <= 2
+        # every guess shares the loop's plan; the fallback adds one of its own
+        assert len(sim._plans) == 2
+        plans = dict(sim._plans)
         k_doubling_find(tree, oracle, CFG, np.random.default_rng(1), sim)
-        assert algorithms._sweep_plan.cache_info().misses == misses
+        assert sim._plans == plans
 
     @pytest.mark.parametrize("share", [None, 0.5, 0.1])
     def test_plan_order_puts_cells_nearest_quarter_first(self, share):
@@ -191,6 +185,15 @@ class TestEstimateRes:
             for seed in range(100)
         ]
         assert np.mean([math.isinf(r) for r in results]) >= 0.95
+
+    @pytest.mark.parametrize("v", [-5, 5])
+    def test_vertex_outside_the_tree_rejected(self, v):
+        tree, oracle = build_path(4, True)
+        sim = WalkSimulator(tree, oracle)
+        estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(0), sim)
+        for s in (sim, None):
+            with pytest.raises(ValueError, match=f"^vertex {v} is not in the tree of 5 vertices"):
+                estimate_res(tree, oracle, v, CFG, np.random.default_rng(0), s)
 
     def test_reproducible_given_seed(self, star_sim):
         tree, oracle, sim = star_sim
@@ -591,22 +594,18 @@ class TestWalkSimulator:
     def test_ae_law_computed_once_per_stage(self, monkeypatch):
         tree, oracle = build_star(64, 4)
         sim = WalkSimulator(tree, oracle)
-        computed, stages = [], set()
-        original_dist, original_law = algorithms.ae_outcome_distribution, sim.ae_law
+        computed = []
+        original_dist = algorithms.ae_outcome_distribution
 
         def counted_dist(*args):
             computed.append(args)
             return original_dist(*args)
 
-        def recorded_law(*args):
-            stages.add(args)
-            return original_law(*args)
-
         monkeypatch.setattr(algorithms, "ae_outcome_distribution", counted_dist)
-        monkeypatch.setattr(sim, "ae_law", recorded_law)
         shared = [k_doubling_find(tree, oracle, CFG, np.random.default_rng(seed), sim)[1]
                   for seed in range(50)]
-        assert len(computed) == len(stages) > 0
+        # every law computed is one stage of the sweep table
+        assert len(computed) == sum(len(stages) for _, _, stages in sim._sweeps.values()) > 0
         monkeypatch.undo()
         for seed, rec in enumerate(shared):
             _, fresh = k_doubling_find(tree, oracle, CFG, np.random.default_rng(seed))
@@ -615,14 +614,12 @@ class TestWalkSimulator:
     def test_unmark_invalidates_the_ae_law(self):
         tree, oracle = build_star(64, 4)
         sim = WalkSimulator(tree, oracle)
-        s_ae = CFG.ae_ancillas(CFG.resolve_gamma2(tree.depth_bound))
-        eta = 1.0 / 64
-        s_pe = loop_pe_ancillas(tree.size_bound, eta)
-        before = sim.ae_law(tree.root, eta, s_pe, s_ae)
         for seed in range(5):
             estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed), sim)
+        before = sim.sweep(tree.root, CFG)[2][0][2]
         oracle.unmark(oracle.marked_vertices()[0])
-        assert not np.array_equal(before, sim.ae_law(tree.root, eta, s_pe, s_ae))
+        estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(0), sim)
+        assert not np.array_equal(before, sim.sweep(tree.root, CFG)[2][0][2])
         for seed in range(5):
             got, got_rec = estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed), sim)
             want, want_rec = estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed))

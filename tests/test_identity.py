@@ -39,7 +39,7 @@ def _subtree():
 
 
 def _plan():
-    return _sweep_plan.__wrapped__(EstimateResConfig(), 2, 32, 32)
+    return _sweep_plan(EstimateResConfig(), 2, 32, 32)
 
 
 BUILDERS = {

@@ -1,11 +1,12 @@
 """The simulator's sweep and descent tables: cache-hot searches equal fresh ones bit for bit.
 
-``WalkSimulator.sweep`` keeps, per vertex and configuration, the
-``estimate_res`` stages reached so far; ``WalkSimulator.descent`` keeps
-``find_marked``'s ancilla count and the subtree's ids per (vertex, estimate,
-guess).  Every search on a shared simulator must return what it returns on a
-fresh one and leave the generator in the same state, the tables must fill
-only the stages a sweep reaches, and an unmark must clear them.
+``WalkSimulator.sweep`` keeps, per vertex and configuration, the sweep plan
+and the ``estimate_res`` stages reached so far; ``WalkSimulator.descent``
+keeps ``find_marked``'s ancilla count and the subtree's ids per (vertex,
+estimate, guess).  Every search on a shared simulator must return what it
+returns on a fresh one and leave the generator in the same state, the tables
+must fill only the stages a sweep reaches, and an unmark must clear them but
+keep the plans.
 """
 
 import math
@@ -15,16 +16,17 @@ import numpy as np
 import pytest
 
 import qbacktrack.algorithms as algorithms
-from qbacktrack import MarkingOracle, build_random_tree, build_star
+from qbacktrack import MarkingOracle, build_path, build_random_tree, build_star
 from qbacktrack.algorithms import (
-    SWEEP_PLAN_CACHE_SIZE,
     EstimateResConfig,
     WalkSimulator,
+    classical_descent,
     estimate_res,
     find_all,
     find_marked,
     k_doubling_find,
 )
+from qbacktrack.estimation import ae_outcome_distribution, choice_cdf
 from qbacktrack.trees import tree_from_json
 
 CFG = EstimateResConfig()
@@ -56,14 +58,18 @@ def sweep_vertices(tree):
 
 
 def uncached_estimate_res(tree, v, cfg, rng, sim):
-    """The sweep without the sweep table: each stage reads ``sim.ae_law`` and bins every draw.
+    """The sweep without the sweep table: each stage forms its AE law and bins every draw.
 
-    A draw votes when its cell lies in the window ``[lo, hi]``; the exit
-    stage's estimate comes from ``_modal_estimate`` over the cell counts.
+    The law is ``ae_outcome_distribution`` at the angle of ``sim.pe_stats``'s
+    zero-outcome probability.  A draw votes when its cell lies in the window
+    ``[lo, hi]``; the exit stage's estimate comes from ``_modal_estimate``
+    over the cell counts.
     """
     plan = algorithms._sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)
     for eta, s_pe, _ in plan.stages:
-        cdf = sim.ae_law(v, eta, s_pe, plan.s_ae)
+        p_zero, _ = sim.pe_stats(v, eta, s_pe)
+        probs = ae_outcome_distribution(float(np.arcsin(np.sqrt(p_zero))), plan.s_ae)
+        cdf = choice_cdf(probs / probs.sum())
         cells = cdf.searchsorted(rng.random(plan.reps), side="right")
         if 2 * int(np.count_nonzero((plan.lo <= cells) & (cells <= plan.hi))) > plan.reps:
             counts = np.bincount(cells, minlength=plan.grid.size)
@@ -112,6 +118,23 @@ class TestHotEqualsFresh:
             assert got_rec.as_row() == want_rec.as_row()
             assert hot_rng.bit_generator.state == fresh_rng.bit_generator.state
 
+    @pytest.mark.parametrize("search", [k_doubling_find, classical_descent])
+    def test_two_configurations_share_a_simulator(self, search):
+        # past depth 20 the fallback's per-level configuration differs from cfg, so its sweeps
+        # form their own AE laws at vertices the loop's sweeps reached
+        tree, oracle = build_path(24, False)
+        hot = WalkSimulator(tree, oracle)
+        for seed in range(3):
+            hot_rng, fresh_rng = same_stream(seed)
+            estimate_res(tree, oracle, tree.root, CFG, hot_rng, hot)
+            estimate_res(tree, oracle, tree.root, CFG, fresh_rng)
+            got, got_rec = search(tree, oracle, CFG, hot_rng, hot)
+            want, want_rec = search(tree, oracle, CFG, fresh_rng)
+            assert got == want
+            assert got_rec.as_row() == want_rec.as_row()
+            assert hot_rng.bit_generator.state == fresh_rng.bit_generator.state
+        assert len(hot._plans) == 2
+
     def test_find_all_rounds(self, instance, monkeypatch):
         # find_all shares one simulator across its rounds and unmarks; the
         # reference gives every round a fresh one
@@ -152,27 +175,31 @@ def findall_random_job(seed, job):
 
 class TestLazyFill:
     def test_ae_laws_are_asked_only_for_reached_stages(self, instance, monkeypatch):
+        # each estimate_res call forms the laws of exactly the stages no earlier sweep at
+        # (v, cfg) reached
         tree, oracle = instance
         sim = WalkSimulator(tree, oracle)
-        asked, reached = set(), set()
-        original_law, original_res = sim.ae_law, algorithms.estimate_res
+        computed, reached = [], {}
+        original_dist, original_res = algorithms.ae_outcome_distribution, algorithms.estimate_res
 
-        def recorded_law(v, eta, s_pe, s_ae):
-            asked.add((v, eta, s_pe))
-            return original_law(v, eta, s_pe, s_ae)
+        def counted_dist(theta, s):
+            computed.append(s)
+            return original_dist(theta, s)
 
         def recorded_res(tree, oracle, v, cfg, rng, sim=None):
+            before = len(computed)
             estimate, rec = original_res(tree, oracle, v, cfg, rng, sim)
-            plan = algorithms._sweep_plan(cfg, tree.depth_bound, tree.degree_bound, tree.size_bound)
             stages = rec.f_queries // len(tree.subtree_vertices(v))
-            reached.update((v, eta, s_pe) for eta, s_pe, _ in plan.stages[:stages])
+            deepest = reached.get((v, cfg), 0)
+            assert len(computed) - before == max(0, stages - deepest)
+            reached[v, cfg] = max(deepest, stages)
             return estimate, rec
 
-        monkeypatch.setattr(sim, "ae_law", recorded_law)
+        monkeypatch.setattr(algorithms, "ae_outcome_distribution", counted_dist)
         monkeypatch.setattr(algorithms, "estimate_res", recorded_res)
         for seed in range(6):
             k_doubling_find(tree, oracle, CFG, np.random.default_rng(seed), sim)
-        assert asked == reached
+        assert len(computed) == sum(reached.values()) > 0
 
     @pytest.mark.parametrize(
         "job, spectra, laws",
@@ -206,7 +233,7 @@ class TestTables:
             k_doubling_find(tree, oracle, CFG, np.random.default_rng(seed), sim)
         assert sim._sweeps and sim._descents
         oracle.unmark(oracle.marked_vertices()[0])
-        size, stages = sim.sweep(tree.root, CFG)
+        _, size, stages = sim.sweep(tree.root, CFG)
         assert (size, stages) == (tree.n_vertices, []) and list(sim._sweeps) == [(tree.root, CFG)]
         assert sim._descents == {}
         for seed in range(10):
@@ -216,20 +243,30 @@ class TestTables:
             assert got.as_row() == want.as_row()
             assert hot_rng.bit_generator.state == fresh_rng.bit_generator.state
 
+    def test_unmark_keeps_the_plan_and_clears_the_stages(self):
+        tree, oracle = build_star(64, 4)
+        sim = WalkSimulator(tree, oracle)
+        for seed in range(5):
+            estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(seed), sim)
+        plan, _, stages = sim.sweep(tree.root, CFG)
+        assert stages
+        oracle.unmark(oracle.marked_vertices()[0])
+        twin = EstimateResConfig()
+        assert twin is not CFG
+        entry = sim.sweep(tree.root, twin)
+        assert entry[0] is plan and entry[2] == []
+        assert sim.sweep(tree.root, CFG) is entry and list(sim._plans) == [CFG]
+
     def test_sweeps_are_keyed_by_configuration_value(self):
         tree, oracle = build_star(64, 4)
         sim = WalkSimulator(tree, oracle)
         estimate_res(tree, oracle, tree.root, CFG, np.random.default_rng(0), sim)
         entry = sim.sweep(tree.root, CFG)
-        # evict the plan from the LRU, then sweep with an equal configuration
-        for i in range(SWEEP_PLAN_CACHE_SIZE):
-            algorithms._sweep_plan(EstimateResConfig(delta0=0.01 + 0.001 * i), 1, 4, 5)
-        assert algorithms._sweep_plan.cache_info().currsize == SWEEP_PLAN_CACHE_SIZE
         twin = EstimateResConfig()
         assert twin is not CFG
         for seed in range(5):
             estimate_res(tree, oracle, tree.root, twin, np.random.default_rng(seed), sim)
-        assert list(sim._sweeps) == [(tree.root, CFG)]
+        assert list(sim._sweeps) == [(tree.root, CFG)] and list(sim._plans) == [CFG]
         assert sim.sweep(tree.root, twin) is entry
 
     def test_descent_ancillas_follow_the_guess(self):
